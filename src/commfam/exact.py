@@ -8,8 +8,12 @@ with zero tolerance:
 * ``MPoly`` -- sparse multivariate polynomials with rational coefficients.
 * ``RatFunc`` -- quotients of polynomials; equality is decided by
   cross-multiplication, never by normalisation to a canonical form.
-* ``QMatrix`` -- dense matrices over an exact field, with Gaussian-elimination
-  inversion and an independent determinant oracle.
+* ``QMatrix`` -- dense matrices over an exact field.  When every entry is a
+  ``Rat``, products, Kronecker products and inverses run in Python integers
+  over one common denominator; the inverse uses fraction-free Bareiss
+  elimination.  Other entries (``RatFunc``) take Gaussian elimination with a
+  simplest-pivot preference.  An independent determinant oracle cross-checks
+  both.
 
 Monomial order: graded lexicographic, fixed once.  Monomials are compared
 first by total degree, ties broken by the packed exponent integer, which reads
@@ -20,6 +24,7 @@ deterministic sign normalisation for denominators; it is not configurable.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 
@@ -661,11 +666,29 @@ def _zero_like(entry):
 
 def _complexity(entry) -> int:
     """Pivot-selection cost of an entry: prefer structurally simple pivots."""
-    if isinstance(entry, Fraction):
-        return entry.numerator.bit_length() + entry.denominator.bit_length()
     if isinstance(entry, RatFunc):
         return entry.num.term_count + entry.den.term_count
     return 1
+
+
+def _all_rat(*mats: "QMatrix") -> bool:
+    """True when every entry is a ``Rat``: the integer kernels apply."""
+    return all(type(x) is Fraction for m in mats for x in m.data)
+
+
+def _scaled(data: list[Fraction]) -> tuple[list[int], int]:
+    """``data`` as integer numerators over the lcm of its denominators."""
+    den = math.lcm(*{x.denominator for x in data})
+    if den == 1:
+        return [x.numerator for x in data], 1
+    return [x.numerator * (den // x.denominator) for x in data], den
+
+
+def _unscaled(nums: list[int], den: int) -> list[Fraction]:
+    """One reduced ``Rat`` per integer numerator over ``den``."""
+    if den == 1:
+        return [Fraction(x) for x in nums]
+    return [Fraction(x, den) for x in nums]
 
 
 class QMatrix:
@@ -734,6 +757,14 @@ class QMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch for matrix product")
         n, m, p = self.rows, self.cols, other.cols
+        if _all_rat(self, other):
+            # an operand with no entries lands here too, so m = 0 gives zeros
+            a, da = _scaled(self.data)
+            b, db = _scaled(other.data)
+            bcols = [b[j::p] for j in range(p)]
+            out = [sum(map(operator.mul, a[i * m:(i + 1) * m], col))
+                   for i in range(n) for col in bcols]
+            return QMatrix(n, p, _unscaled(out, da * db))
         a, b = self.data, other.data
         out = []
         for i in range(n):
@@ -782,6 +813,17 @@ class QMatrix:
 
 def kron(a: QMatrix, b: QMatrix) -> QMatrix:
     """Kronecker product, first factor on the slower index."""
+    if _all_rat(a, b):
+        na, da = _scaled(a.data)
+        nb, db = _scaled(b.data)
+        brows = [nb[k * b.cols:(k + 1) * b.cols] for k in range(b.rows)]
+        out = []
+        for i in range(a.rows):
+            arow = na[i * a.cols:(i + 1) * a.cols]
+            for brow in brows:
+                for x in arow:
+                    out.extend([x * y for y in brow])
+        return QMatrix(a.rows * b.rows, a.cols * b.cols, _unscaled(out, da * db))
     out = []
     for i in range(a.rows):
         for k in range(b.rows):
@@ -793,12 +835,20 @@ def kron(a: QMatrix, b: QMatrix) -> QMatrix:
 
 
 def mat_inverse(m: QMatrix) -> QMatrix:
-    """Exact inverse by Gaussian elimination with simplest-pivot preference.
+    """Exact inverse.
 
-    Raises ``Singular`` when no nonzero pivot exists in some column.
+    A matrix of ``Rat`` entries is inverted by fraction-free elimination
+    (``_rat_inverse``).  Any other matrix (``RatFunc`` entries) is inverted by
+    Gaussian elimination that prefers the pivot with the fewest terms.
+
+    Raises ``Singular`` naming column k when no nonzero pivot exists there:
+    k is the first column that depends on the earlier columns, whichever
+    pivots were chosen before it.
     """
     if not m.is_square():
         raise ValueError("inverse of a non-square matrix")
+    if _all_rat(m):
+        return _rat_inverse(m)
     n = m.rows
     a = [m.row(i) for i in range(n)]
     one = Fraction(1)
@@ -833,6 +883,44 @@ def mat_inverse(m: QMatrix) -> QMatrix:
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
                 e[r] = [x - factor * y for x, y in zip(e[r], e[col])]
     return QMatrix(n, n, [x for row in e for x in row])
+
+
+def _rat_inverse(m: QMatrix) -> QMatrix:
+    """Bareiss fraction-free Gauss-Jordan elimination on [N | I].
+
+    N is m scaled to integers over the lcm denominator den.  Every
+    intermediate entry is a minor of [N | I], so each division by the
+    previous pivot is exact (Bareiss 1968, Math. Comp. 22:565-578).  The
+    elimination ends as [c I | c N^-1], where c is the last pivot, so
+    m^-1 = den * (c N^-1) / c needs no sign tracking for the row swaps.
+    """
+    n = m.rows
+    nums, den = _scaled(m.data)
+    # rows[i]: columns k..n-1 of the left block, then the right block; a
+    # column leaves once it is eliminated (its entries are 0 off the
+    # diagonal, and every diagonal entry ends equal to c).
+    rows = [nums[i * n:(i + 1) * n] + [int(i == j) for j in range(n)]
+            for i in range(n)]
+    prev = 1
+    for k in range(n):
+        p = next((r for r in range(k, n) if rows[r][0]), None)
+        if p is None:
+            raise Singular(f"no nonzero pivot in column {k}")
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot = rows[k][0]
+        tail = rows[k][1:]
+        for i in range(n):
+            if i == k:
+                continue
+            f = rows[i][0]
+            if f:
+                rows[i] = [(pivot * x - f * y) // prev
+                           for x, y in zip(rows[i][1:], tail)]
+            else:
+                rows[i] = [pivot * x // prev for x in rows[i][1:]]
+        rows[k] = tail
+        prev = pivot
+    return QMatrix(n, n, [Fraction(den * x, prev) for row in rows for x in row])
 
 
 def det(m: QMatrix):

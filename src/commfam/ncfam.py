@@ -28,7 +28,6 @@ Invertibility is checked lazily: only minors actually inverted can raise
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
@@ -44,7 +43,7 @@ ANCHOR_2B = ("sum_{i=1..n} (-1)^i [f_1,..,^f_i,..,f_n]^(1..n-1) "
 ANCHOR_LAPLACE = ("[f_1,..,f_n] = sum_{j=1..n} (-1)^(j+n) f_j^(n) "
                   "[f_1,..,^f_j,..,f_n]^(1..n-1)")
 
-MAX_LEGS = 6  # permutation sums are enumerated directly; d^n dominates anyway
+MAX_LEGS = 6  # a k-leg bracket costs O(2^k k) Kronecker products; d^n dominates
 
 
 @dataclass(frozen=True)
@@ -113,8 +112,8 @@ def perm_sign(perm) -> int:
 def embed_legs(mats_by_leg: dict[int, QMatrix], n: int, d: int) -> TensorElem:
     """Kronecker-embed ``{leg j: b_j}`` (1-based legs), identity elsewhere.
 
-    Equals the product of the individual leg embeddings; building it as one
-    Kronecker chain keeps each permutation term at a single d^n pass.
+    Equals the product of the individual leg embeddings, built as one
+    Kronecker chain.
     """
     eye = QMatrix.identity(d)
     acc = None
@@ -158,6 +157,13 @@ def _general_bracket(rows: list[list[QMatrix]], indices: list[int],
     ``rows[i][j-1]`` is the matrix row i contributes on leg j; the sign of a
     bijection is taken relative to the increasing enumerations of ``indices``
     and ``legs``.
+
+    The sum is built leg by leg over subsets of the rows: after leg j, the
+    partial sum for a set of used rows is the signed sum of the Kronecker
+    chains over legs 1..j that place exactly those rows.  A leg in ``legs``
+    extends each partial sum by one unused row r, with sign (-1)^(number of
+    used rows after r); any other leg appends I_d.  With k = len(legs) this
+    takes O(2^k k) Kronecker products instead of k! chains of n.
     """
     if len(indices) != len(legs):
         raise ValueError("row and leg subsets must have equal cardinality")
@@ -168,19 +174,35 @@ def _general_bracket(rows: list[list[QMatrix]], indices: list[int],
     if legs and not all(1 <= j <= n for j in legs):
         raise ValueError("leg index out of range")
     indices = sorted(indices)
-    legs = sorted(legs)
-    k = len(indices)
-    total = None
-    for perm in itertools.permutations(range(k)):
-        placement = {legs[perm[t]]: rows[indices[t]][legs[perm[t]] - 1]
-                     for t in range(k)}
-        term = embed_legs(placement, n, d)
-        if perm_sign(perm) < 0:
-            term = -term
-        total = term if total is None else total + term
+    placed = set(legs)
+    eye = QMatrix.identity(d)
+    # bitmask over positions in ``indices`` -> partial sum (None: empty chain)
+    partial: dict[int, QMatrix | None] = {0: None}
+    for j in range(1, n + 1):
+        if j not in placed:
+            partial = {mask: eye if acc is None else kron(acc, eye)
+                       for mask, acc in partial.items()}
+            continue
+        nxt: dict[int, QMatrix] = {}
+        for mask, acc in partial.items():
+            above = bin(mask).count("1")
+            for t, row in enumerate(indices):
+                bit = 1 << t
+                if mask & bit:
+                    above -= 1
+                    continue
+                entry = rows[row][j - 1]
+                term = entry if acc is None else kron(acc, entry)
+                key = mask | bit
+                if key not in nxt:
+                    nxt[key] = -term if above % 2 else term
+                else:
+                    nxt[key] = nxt[key] - term if above % 2 else nxt[key] + term
+        partial = nxt
+    total = partial[(1 << len(indices)) - 1]
     if total is None:
-        total = TensorElem.identity(n, d)
-    return total
+        return TensorElem.identity(n, d)
+    return TensorElem(n, d, total)
 
 
 @dataclass(frozen=True)

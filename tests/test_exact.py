@@ -233,3 +233,108 @@ def test_rank():
     assert rank(m) == 1
     assert rank(QMatrix.identity(3)) == 3
     assert rank(QMatrix.zeros(2, 3)) == 0
+
+
+# ---------------------------------------------------------------------------
+# Differential tests of the integer kernels behind Rat matrices, against plain
+# Fraction loops and the det oracle.
+
+
+def rat_matrix(rng, rows, cols, zero_rows=(), den=1):
+    data = [Fraction(rng.randint(-9, 9), rng.randint(1, den))
+            for _ in range(rows * cols)]
+    for i in zero_rows:
+        data[i * cols:(i + 1) * cols] = [Fraction(0)] * cols
+    return QMatrix(rows, cols, data)
+
+
+def fraction_mul(a, b):
+    return [sum((a[i, k] * b[k, j] for k in range(a.cols)), Fraction(0))
+            for i in range(a.rows) for j in range(b.cols)]
+
+
+def fraction_kron(a, b):
+    return [a[i, j] * b[k, l]
+            for i in range(a.rows) for k in range(b.rows)
+            for j in range(a.cols) for l in range(b.cols)]
+
+
+def adjugate_inverse(m):
+    """m^-1 = adj(m) / det(m), every cofactor by the det oracle."""
+    n = m.rows
+    d = det(m)
+
+    def minor(skip_row, skip_col):
+        return QMatrix(n - 1, n - 1, [m[i, j] for i in range(n) if i != skip_row
+                                      for j in range(n) if j != skip_col])
+
+    return [(-1) ** (i + j) * det(minor(j, i)) / d
+            for i in range(n) for j in range(n)]
+
+
+def first_dependent_column(m):
+    return next(k for k in range(m.cols)
+                if rank(QMatrix(m.rows, k + 1, [m[i, j] for i in range(m.rows)
+                                                for j in range(k + 1)])) <= k)
+
+
+def test_inner_dimension_zero_gives_zero_matrix():
+    assert QMatrix(2, 0, []) * QMatrix(0, 2, []) == QMatrix.zeros(2, 2)
+    assert QMatrix(0, 0, []) * QMatrix(0, 3, []) == QMatrix.zeros(0, 3)
+
+
+def test_rat_kernels_match_fraction_loops():
+    rng = random.Random(59)
+    dims = (0, 1, 3)
+    for n in dims:
+        for m in dims:
+            for p in dims:
+                for den in (1, 12):
+                    a = rat_matrix(rng, n, m, den=den)
+                    b = rat_matrix(rng, m, p, zero_rows=[0] if m else (), den=den)
+                    assert (a * b).data == fraction_mul(a, b)
+                    assert (a * b).rows == n and (a * b).cols == p
+                    k = kron(a, b)
+                    assert (k.rows, k.cols) == (n * m, m * p)
+                    assert k.data == fraction_kron(a, b)
+
+
+def test_rat_inverse_matches_adjugate_oracle():
+    rng = random.Random(61)
+    assert mat_inverse(QMatrix(0, 0, [])) == QMatrix(0, 0, [])
+    assert mat_inverse(QMatrix.from_rows([["-3/7"]])) == QMatrix.from_rows([["-7/3"]])
+    assert mat_inverse(QMatrix.from_rows([[0, 2], [3, 0]])) == \
+        QMatrix.from_rows([[0, "1/3"], ["1/2", 0]])
+    checked = 0
+    while checked < 20:
+        n = rng.randint(1, 5)
+        m = rat_matrix(rng, n, n, den=rng.choice((1, 30)))
+        if det(m) == 0:
+            continue
+        assert mat_inverse(m).data == adjugate_inverse(m)
+        checked += 1
+
+
+def test_rat_inverse_singular_names_first_dependent_column():
+    rng = random.Random(67)
+    with pytest.raises(Singular, match="no nonzero pivot in column 0$"):
+        mat_inverse(QMatrix.zeros(1, 1))
+    with pytest.raises(Singular, match="no nonzero pivot in column 1$"):
+        mat_inverse(rat_matrix(rng, 3, 3, zero_rows=[1, 2], den=5))
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        m = rat_matrix(rng, n, n, den=rng.choice((1, 7)))
+        k = rng.randrange(n)
+        coef = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(k)]
+        data = list(m.data)
+        for i in range(n):
+            data[i * n + k] = sum((c * m[i, j] for j, c in enumerate(coef)),
+                                  Fraction(0))
+        if rng.random() < 0.3:
+            row = rng.randrange(n)
+            data[row * n:(row + 1) * n] = [Fraction(0)] * n
+        m = QMatrix(n, n, data)
+        want = first_dependent_column(m)
+        assert want <= k
+        with pytest.raises(Singular, match=f"no nonzero pivot in column {want}$"):
+            mat_inverse(m)

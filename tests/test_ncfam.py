@@ -1,5 +1,6 @@
 """Tensor-leg families: brackets, minors, Hamiltonians, proof identities."""
 
+import itertools
 import random
 
 import pytest
@@ -212,3 +213,104 @@ def test_sample_family_logs_exhaustion_for_constant_legs():
     assert outcome.exhausted
     assert outcome.resamples == 5
     assert outcome.family is None
+
+
+# ---------------------------------------------------------------------------
+# The subset recursion of _general_bracket against the n!-term permutation
+# expansion it replaced, kept here as the reference.
+
+
+def bracket_by_permutations(rows, indices, legs, n, d):
+    indices, legs = sorted(indices), sorted(legs)
+    k = len(indices)
+    total = None
+    for perm in itertools.permutations(range(k)):
+        placement = {legs[perm[t]]: rows[indices[t]][legs[perm[t]] - 1]
+                     for t in range(k)}
+        term = ncfam.embed_legs(placement, n, d)
+        if ncfam.perm_sign(perm) < 0:
+            term = -term
+        total = term if total is None else total + term
+    if total is None:
+        total = TensorElem.identity(n, d)
+    return total
+
+
+def test_general_bracket_matches_permutation_expansion():
+    rng = random.Random(71)
+    for n in range(0, 5):
+        for d in (1, 2):
+            rows = varying_rows(rng, n + 1, n, d, bound=3)
+            cases = [(list(range(n)), list(range(1, n + 1)))]
+            if n:
+                cases += [([t for t in range(n) if t != skip], list(range(1, n)))
+                          for skip in range(n)]
+            for k in range(n + 1):
+                legs = rng.sample(range(1, n + 1), k)
+                cases.append((rng.sample(range(n + 1), k), legs))
+            for indices, legs in cases:
+                got = ncfam._general_bracket(rows, indices, legs, n, d)
+                want = bracket_by_permutations(rows, indices, legs, n, d)
+                assert got == want, (n, d, indices, legs)
+
+
+# ---------------------------------------------------------------------------
+# Negative controls: one Delta or leg factor off by one in one entry must turn
+# each identity check into a failure whose witness names the entry.
+
+
+def off_by_one(elem):
+    data = list(elem.mat.data)
+    data[0] += 1
+    return TensorElem(elem.n, elem.d, QMatrix(elem.mat.rows, elem.mat.cols, data))
+
+
+def perturb_first_call(monkeypatch, name):
+    original = getattr(ncfam, name)
+    calls = itertools.count()
+
+    def perturbed(*args):
+        out = original(*args)
+        return off_by_one(out) if next(calls) == 0 else out
+
+    monkeypatch.setattr(ncfam, name, perturbed)
+
+
+@pytest.fixture
+def family_n3():
+    return sample_family(random.Random(31), 3, 2).family
+
+
+def assert_fails_with_entry(record):
+    assert record.status == "fail"
+    assert "entry" in record.witness
+
+
+def test_negative_control_identity_2a(monkeypatch, family_n3):
+    rows = [list(family_n3.entries[i]) for i in (1, 2, 3)]
+    assert check_identity_2a(rows).status == "pass"
+    perturb_first_call(monkeypatch, "leg_embed")
+    assert_fails_with_entry(check_identity_2a(rows))
+
+
+def test_negative_control_identity_2b(monkeypatch, family_n3):
+    rows = [list(family_n3.entries[i]) for i in (1, 2, 3)]
+    assert check_identity_2b(rows, 1).status == "pass"
+    perturb_first_call(monkeypatch, "leg_embed")
+    assert_fails_with_entry(check_identity_2b(rows, 1))
+
+
+def test_negative_control_laplace_expansion(monkeypatch, family_n3):
+    rows = [list(family_n3.entries[i]) for i in (1, 2, 3)]
+    assert check_laplace_expansion(rows).status == "pass"
+    perturb_first_call(monkeypatch, "_general_bracket")  # the full bracket
+    assert_fails_with_entry(check_laplace_expansion(rows))
+
+
+def test_negative_control_main_id(monkeypatch, family_n3):
+    rows = [list(r) for r in family_n3.entries]
+    assert check_main_id(rows).status == "pass"
+    original = ncfam.family_minors
+    monkeypatch.setattr(ncfam, "family_minors", lambda fam: [
+        off_by_one(m) if i == 1 else m for i, m in enumerate(original(fam))])
+    assert_fails_with_entry(check_main_id(rows))
