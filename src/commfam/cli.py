@@ -11,10 +11,14 @@ written in brackets, rationals as ``p/q``.  Example::
     points = [0, 1]
     trials = 5
 
-Reports are JSON documents (see ``reports``).  Identical (kind, params, seed)
-produce byte-identical reports apart from the duration field.  Trials are
-seeded independently through SplitMix64, so they are order-independent and
-``--jobs`` can fan them out across processes without changing any result.
+A bad config raises ``ConfigError`` in ``scenario_from_config``, before any
+trial runs.  Each kind has a per-trial function ``(params, rng, t) -> records``;
+``run_scenario`` alone seeds each trial through SplitMix64, appends ``-t<k>``
+to its record names, turns a declared precondition error of trial k into one
+skipped record ``precondition-t<k>``, and with ``--jobs`` fans trials out
+across processes.  Reports are JSON documents (see ``reports``); identical
+(kind, params, seed) give byte-identical reports apart from the duration
+field, whatever the job count.
 
 Seed-operator grammar for ``T``: ``d`` or ``d<k>`` for the k-th derivative,
 ``z*d1+<c>`` for the first-order operator z d/dz + c with rational c.
@@ -34,7 +38,7 @@ from . import __version__, exact, ncfam, poisson, quantize, weyl
 from .exact import QMatrix, Rat, RatFunc, Singular, det, mat_inverse
 from .reports import (CheckRecord, Report, emit_report, failed, passed,
                       skipped)
-from .rng import trial_rng
+from .rng import resample, trial_rng
 
 
 class ConfigError(ValueError):
@@ -56,9 +60,7 @@ def _parse_scalar(text: str):
     text = text.strip()
     if re.fullmatch(r"-?\d+", text):
         return int(text)
-    if re.fullmatch(r"-?\d+/\d+", text):
-        return text  # keep rationals as strings; runners convert with Fraction
-    return text
+    return text  # rationals stay strings; runners convert with Fraction
 
 
 def parse_config_text(text: str) -> dict:
@@ -104,13 +106,40 @@ def scenario_from_config(config: dict, seed_override: int | None = None,
     for key, value in config.items():
         if key not in spec:
             raise ConfigError(f"field {key!r}: not a parameter of kind {kind!r}")
+        # each parameter has the type of its default; required ones are integers
+        expected = int if spec[key] is REQUIRED else type(spec[key])
+        if not isinstance(value, expected):
+            raise ConfigError(f"field {key!r}: expected {expected.__name__}, got {value!r}")
         params[key] = value
     for key, default in spec.items():
         if key not in params:
             if default is REQUIRED:
                 raise ConfigError(f"field {key!r}: required for kind {kind!r}")
             params[key] = default
+    _check_params(kind, params)
     return Scenario(kind, params, seed)
+
+
+def _check_params(kind: str, params: dict) -> None:
+    """The checks of one kind's parameters that need no random draw."""
+    if params["trials"] < 1:  # a report without checks would pass vacuously
+        raise ConfigError("field 'trials': must be at least 1")
+    if kind == "grassmann":
+        if params["arity"] not in (2, 3, 4):
+            raise ConfigError("field 'arity': supported arities are 2, 3, 4")
+        if params["dim"] < params["arity"]:
+            raise ConfigError("field 'dim': must be at least the arity")
+    elif kind == "corollary-legs" and params["legs"] not in ("varying", "constant"):
+        raise ConfigError("field 'legs': expected varying or constant")
+    elif kind == "hbar-localization":
+        _localized_element(params["f"])
+    elif "T" in params:  # weyl-rational, weyl-basis
+        T = parse_operator_spec(params["T"])
+        if params["points"]:
+            try:
+                weyl.OpFamilySpec(params["N"], tuple(map(Fraction, params["points"])), T)
+            except (ValueError, TypeError) as exc:  # not rationals, wrong count, repeated
+                raise ConfigError(f"field 'points': {exc} (N = {params['N']})") from exc
 
 
 def load_scenario(path, seed_override=None, trials_override=None) -> Scenario:
@@ -138,99 +167,81 @@ def parse_operator_spec(text: str) -> weyl.RatDiffOp:
     raise ConfigError(f"field 'T': cannot parse operator spec {text!r}")
 
 
-def _as_fraction(value, field: str) -> Fraction:
-    try:
-        return Fraction(value)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"field {field!r}: expected a rational, got {value!r}") from exc
+def _localized_element(text) -> RatFunc:
+    """The localized element f of hbar-localization: ``x`` or ``x^2+1``."""
+    f_text = str(text).replace(" ", "")
+    z = RatFunc.var(1, 0)
+    if f_text == "x":
+        return z
+    if f_text in ("x^2+1", "x**2+1"):
+        return z * z + RatFunc.const(1, 1)
+    raise ConfigError(f"field 'f': supported localized elements are x and x^2+1, got {text!r}")
 
 
 # ---------------------------------------------------------------------------
-# Runners.  Each consumes a list of trial indices; every trial draws its own
-# generator, so any partition of the trial list yields identical records.
+# Per-trial runners.  Each takes the validated params, the trial's own
+# generator and the trial index, and returns that trial's records with
+# untagged names; ``run_scenario`` appends the ``-t<k>`` suffix.
 
 
-def _run_skew_matrix(params, seed, trials) -> list[CheckRecord]:
-    size = params["size"]
-    bound = params["bound"]
-    records = []
-    for t in trials:
-        rng = trial_rng(seed, t)
-        m = QMatrix(size, size,
-                    [Rat(rng.randint(-bound, bound)) for _ in range(size * size)])
-        determinant = det(m)
-        if determinant == 0:
-            try:
-                mat_inverse(m)
-                records.append(failed(f"inverse-t{t}", "det(m) = 0 => Singular",
-                                      "inverse returned for a singular matrix"))
-            except Singular:
-                records.append(passed(f"inverse-t{t}", "det(m) = 0 => Singular"))
-            continue
-        inv = mat_inverse(m)
-        if (m * inv).is_identity() and (inv * m).is_identity():
-            records.append(passed(f"inverse-t{t}", "m m^-1 = m^-1 m = 1"))
-        else:
-            records.append(failed(f"inverse-t{t}", "m m^-1 = m^-1 m = 1",
-                                  "product is not the identity"))
+def _resample_log(anchor: str, resamples: int, found: bool) -> list[CheckRecord]:
+    """The record of a trial that had to redraw its family; none otherwise."""
+    if not resamples:
+        return []
+    return [CheckRecord("resample-log", anchor, "pass" if found else "fail",
+                        f"resamples = {resamples}")]
+
+
+def _trial_skew_matrix(params, rng, t) -> list[CheckRecord]:
+    size, bound = params["size"], params["bound"]
+    m = QMatrix(size, size,
+                [Rat(rng.randint(-bound, bound)) for _ in range(size * size)])
+    if det(m) == 0:
+        try:
+            mat_inverse(m)
+        except Singular:
+            return [passed("inverse", "det(m) = 0 => Singular")]
+        return [failed("inverse", "det(m) = 0 => Singular",
+                       "inverse returned for a singular matrix")]
+    inv = mat_inverse(m)
+    if (m * inv).is_identity() and (inv * m).is_identity():
+        return [passed("inverse", "m m^-1 = m^-1 m = 1")]
+    return [failed("inverse", "m m^-1 = m^-1 m = 1", "product is not the identity")]
+
+
+def _trial_identity_suite(params, rng, t) -> list[CheckRecord]:
+    n = params["n"]
+    outcome = ncfam.sample_family(rng, n, params["d"], params["bound"])
+    records = _resample_log("invertible [f_1..f_n] found", outcome.resamples,
+                            not outcome.exhausted)
+    if outcome.exhausted:
+        return records + [failed("identity-suite", "precondition",
+                                 f"no invertible bracket after {outcome.resamples} draws")]
+    fam = outcome.family
+    fs = [list(fam.entries[i]) for i in range(1, n + 1)]
+    records.append(ncfam.check_identity_2a(fs))
+    admissible = list(range(1, n - 1)) if n >= 3 else [1]
+    records.extend(ncfam.check_identity_2b(fs, a) for a in admissible)
+    records.append(ncfam.check_laplace_expansion(fs))
+    records.append(ncfam.check_main_id([list(row) for row in fam.entries]))
     return records
 
 
-def _run_identity_suite(params, seed, trials) -> list[CheckRecord]:
-    n, d, bound = params["n"], params["d"], params["bound"]
-    records = []
-    for t in trials:
-        rng = trial_rng(seed, t)
-        outcome = ncfam.sample_family(rng, n, d, bound)
-        if outcome.resamples:
-            records.append(CheckRecord(f"resample-log-t{t}",
-                                       "invertible [f_1..f_n] found",
-                                       "pass" if not outcome.exhausted else "fail",
-                                       f"resamples = {outcome.resamples}"))
-        if outcome.exhausted:
-            records.append(failed(f"identity-suite-t{t}", "precondition",
-                                  f"no invertible bracket after {outcome.resamples} draws"))
-            continue
-        fam = outcome.family
-        fs = [list(fam.entries[i]) for i in range(1, n + 1)]
-        records.append(_tag(ncfam.check_identity_2a(fs), t))
-        admissible = list(range(1, n - 1)) if n >= 3 else [1]
-        for a in admissible:
-            records.append(_tag(ncfam.check_identity_2b(fs, a), t))
-        records.append(_tag(ncfam.check_laplace_expansion(fs), t))
-        records.append(_tag(ncfam.check_main_id([list(row) for row in fam.entries]), t))
-    return records
-
-
-def _tag(record: CheckRecord, trial: int) -> CheckRecord:
-    return CheckRecord(f"{record.name}-t{trial}", record.anchor,
-                       record.status, record.witness)
-
-
-def _run_corollary_legs(params, seed, trials) -> list[CheckRecord]:
-    n, d, bound = params["n"], params["d"], params["bound"]
+def _trial_corollary_legs(params, rng, t) -> list[CheckRecord]:
+    n = params["n"]
     constant = params["legs"] == "constant"
-    records = []
-    for t in trials:
-        rng = trial_rng(seed, t)
-        outcome = ncfam.sample_family(rng, n, d, bound, constant_legs=constant)
-        if outcome.resamples and not outcome.exhausted:
-            records.append(CheckRecord(
-                f"resample-log-t{t}", "invertible Delta_0 found", "pass",
-                f"resamples = {outcome.resamples}"))
-        if outcome.exhausted:
-            if constant and n >= 2:
-                # structural: constant-leg Delta_0 is singular for every draw;
-                # the required behaviour is an explicit Singular report
-                records.append(passed(f"singular-reported-t{t}",
-                                      "constant-leg Delta_0 raises Singular"))
-            else:
-                records.append(failed(f"commute-t{t}", ncfam.ANCHOR_COMMUTE,
-                                      f"Delta_0 singular for all {outcome.resamples} draws"))
-            continue
-        hs = ncfam.hamiltonians(outcome.family)
-        records.append(_tag(ncfam.check_pairwise_commute(hs), t))
-    return records
+    outcome = ncfam.sample_family(rng, n, params["d"], params["bound"],
+                                  constant_legs=constant)
+    if outcome.exhausted:
+        if constant and n >= 2:
+            # structural: constant-leg Delta_0 is singular for every draw;
+            # the required behaviour is an explicit Singular report
+            return [passed("singular-reported", "constant-leg Delta_0 raises Singular")]
+        return [failed("commute", ncfam.ANCHOR_COMMUTE,
+                       f"Delta_0 singular for all {outcome.resamples} draws")]
+    hs = ncfam.hamiltonians(outcome.family)
+    return (_resample_log("invertible Delta_0 found", outcome.resamples, True)
+            + [ncfam.check_pairwise_commute(hs)])
 
 
 def _random_poly_2vars(rng, degree, bound) -> RatFunc:
@@ -245,73 +256,49 @@ def _random_poly_2vars(rng, degree, bound) -> RatFunc:
     return RatFunc(exact.MPoly.from_terms(2, terms))
 
 
-def _run_poisson_classical(params, seed, trials) -> list[CheckRecord]:
-    n, degree, bound = params["n"], params["degree"], params["bound"]
-    records = []
-    for t in trials:
-        rng = trial_rng(seed, t)
-        resamples = 0
-        hs = None
-        while hs is None and resamples <= 20:
-            fs = [_random_poly_2vars(rng, degree, bound) for _ in range(n + 1)]
-            try:
-                hs = poisson.classical_hamiltonians(fs)
-            except (poisson.DependentFamily, poisson.ZeroDelta0):
-                resamples += 1
-        if resamples:
-            records.append(CheckRecord(
-                f"resample-log-t{t}", "independent family with Delta_0 != 0",
-                "pass" if hs is not None else "fail", f"resamples = {resamples}"))
-        if hs is None:
-            records.append(failed(f"poisson-commute-t{t}",
-                                  poisson.ANCHOR_POISSON_COMMUTE,
-                                  "no usable family after 20 draws"))
-            continue
-        records.append(_tag(poisson.check_poisson_commute(hs), t))
-    return records
+def _classical_family(rng, n, degree, bound, retries):
+    """Draw n + 1 leg functions until they are independent with Delta_0 != 0:
+    ``((fs, hs) or None, rejected draws)``."""
+    def attempt():
+        fs = [_random_poly_2vars(rng, degree, bound) for _ in range(n + 1)]
+        return fs, poisson.classical_hamiltonians(fs)
+
+    return resample(attempt, (poisson.DependentFamily, poisson.ZeroDelta0), retries)
 
 
-def _run_grassmann(params, seed, trials) -> list[CheckRecord]:
+def _trial_poisson_classical(params, rng, t) -> list[CheckRecord]:
+    drawn, rejected = _classical_family(rng, params["n"], params["degree"],
+                                        params["bound"], retries=20)
+    records = _resample_log("independent family with Delta_0 != 0", rejected,
+                            drawn is not None)
+    if drawn is None:
+        return records + [failed("poisson-commute", poisson.ANCHOR_POISSON_COMMUTE,
+                                 f"no usable family after {rejected} draws")]
+    return records + [poisson.check_poisson_commute(drawn[1])]
+
+
+def _trial_grassmann(params, rng, t) -> list[CheckRecord]:
     arity, dim, bound = params["arity"], params["dim"], params["bound"]
-    if arity not in (2, 3, 4):
-        raise ConfigError("field 'arity': supported arities are 2, 3, 4")
-    if dim < arity:
-        raise ConfigError("field 'dim': must be at least the arity")
-    count = {2: 4, 3: 5, 4: 6}[arity]
-    records = []
-    for t in trials:
-        rng = trial_rng(seed, t)
-        form = poisson.random_decomposable(rng, dim, arity, bound)
-        vectors = [poisson.random_vector(rng, dim, bound) for _ in range(count)]
-        records.append(_tag(poisson.check_grassmann(form, vectors,
-                                                    name=f"grassmann-{arity}"), t))
-    return records
+    form = poisson.random_decomposable(rng, dim, arity, bound)
+    vectors = [poisson.random_vector(rng, dim, bound) for _ in range(arity + 2)]
+    return [poisson.check_grassmann(form, vectors, name=f"grassmann-{arity}")]
 
 
-def _run_hyperplane(params, seed, trials) -> list[CheckRecord]:
+def _trial_hyperplane(params, rng, t) -> list[CheckRecord]:
     g, bound = params["g"], params["bound"]
-    records = []
-    for t in trials:
-        rng = trial_rng(seed, t)
-        resamples = 0
-        hs = points = None
-        while hs is None and resamples <= 20:
-            points = [[Fraction(rng.randint(-bound, bound)) for _ in range(g)]
-                      for _ in range(g)]
-            try:
-                hs = poisson.hyperplane_coefficients(points)
-            except poisson.ZeroDelta0:
-                resamples += 1
-        if resamples:
-            records.append(CheckRecord(
-                f"resample-log-t{t}", "points in general position found",
-                "pass" if hs is not None else "fail", f"resamples = {resamples}"))
-        if hs is None:
-            records.append(failed(f"hyperplane-t{t}", poisson.ANCHOR_INCIDENCE,
-                                  "degenerate points for every draw"))
-            continue
-        records.append(_tag(poisson.check_hyperplane_incidence(points, hs), t))
-    return records
+
+    def attempt():
+        points = [[Fraction(rng.randint(-bound, bound)) for _ in range(g)]
+                  for _ in range(g)]
+        return points, poisson.hyperplane_coefficients(points)
+
+    drawn, rejected = resample(attempt, poisson.ZeroDelta0, retries=20)
+    records = _resample_log("points in general position found", rejected,
+                            drawn is not None)
+    if drawn is None:
+        return records + [failed("hyperplane", poisson.ANCHOR_INCIDENCE,
+                                 f"degenerate points in all {rejected} draws")]
+    return records + [poisson.check_hyperplane_incidence(*drawn)]
 
 
 def _random_cone_diff(rng, bound=4, max_weight=3) -> poisson.ConeDifferential:
@@ -327,88 +314,71 @@ def _random_cone_diff(rng, bound=4, max_weight=3) -> poisson.ConeDifferential:
     return poisson.ConeDifferential(RatFunc(num, den), weight)
 
 
-def _run_cone_p1(params, seed, trials) -> list[CheckRecord]:
+def _trial_cone_p1(params, rng, t) -> list[CheckRecord]:
     bound = params["bound"]
-    records = []
     z = RatFunc.var(1, 0)
-    for t in trials:
-        rng = trial_rng(seed, t)
-        w1 = _random_cone_diff(rng, bound)
-        w2 = _random_cone_diff(rng, bound)
-        alphas = [
-            poisson.ConeDifferential(RatFunc.const(1, 1), 1),
-            poisson.ConeDifferential(z + RatFunc.const(1, rng.randint(1, bound)), 1),
-            poisson.ConeDifferential(z * z + RatFunc.const(1, 1), 1),
-        ]
-        records.append(_tag(poisson.check_alpha_independence(w1, w2, alphas), t))
-        anti = poisson.cone_bracket(w1, w1, alphas[0])
-        records.append(CheckRecord(
-            f"cone-antisymmetry-t{t}", "{w, w} = 0",
-            "pass" if anti.is_zero else "fail",
-            None if anti.is_zero else anti.f.to_text()))
-        w3 = _random_cone_diff(rng, bound)
-        jac = (poisson.cone_bracket(w1, poisson.cone_bracket(w2, w3, alphas[0]), alphas[0])
-               + poisson.cone_bracket(w2, poisson.cone_bracket(w3, w1, alphas[0]), alphas[0])
-               + poisson.cone_bracket(w3, poisson.cone_bracket(w1, w2, alphas[0]), alphas[0]))
-        records.append(CheckRecord(
-            f"cone-jacobi-t{t}", "{a,{b,c}} + {b,{c,a}} + {c,{a,b}} = 0",
-            "pass" if jac.is_zero else "fail",
-            None if jac.is_zero else jac.f.to_text()))
-        lhs = poisson.cone_to_symplectic(poisson.cone_bracket(w1, w2, alphas[1]))
-        sym1 = poisson.PoissonElem(1, poisson.cone_to_symplectic(w1))
-        sym2 = poisson.PoissonElem(1, poisson.cone_to_symplectic(w2))
-        rhs = poisson.poisson_bracket(sym1, sym2).value
-        records.append(CheckRecord(
-            f"cone-vs-canonical-t{t}",
-            "cone bracket = canonical (z, xi) bracket under f (dz)^i <-> f xi^-i",
-            "pass" if lhs == rhs else "fail"))
+    w1 = _random_cone_diff(rng, bound)
+    w2 = _random_cone_diff(rng, bound)
+    alphas = [
+        poisson.ConeDifferential(RatFunc.const(1, 1), 1),
+        poisson.ConeDifferential(z + RatFunc.const(1, rng.randint(1, bound)), 1),
+        poisson.ConeDifferential(z * z + RatFunc.const(1, 1), 1),
+    ]
+    records = [poisson.check_alpha_independence(w1, w2, alphas)]
+    anti = poisson.cone_bracket(w1, w1, alphas[0])
+    records.append(CheckRecord(
+        "cone-antisymmetry", "{w, w} = 0",
+        "pass" if anti.is_zero else "fail",
+        None if anti.is_zero else anti.f.to_text()))
+    w3 = _random_cone_diff(rng, bound)
+    jac = (poisson.cone_bracket(w1, poisson.cone_bracket(w2, w3, alphas[0]), alphas[0])
+           + poisson.cone_bracket(w2, poisson.cone_bracket(w3, w1, alphas[0]), alphas[0])
+           + poisson.cone_bracket(w3, poisson.cone_bracket(w1, w2, alphas[0]), alphas[0]))
+    records.append(CheckRecord(
+        "cone-jacobi", "{a,{b,c}} + {b,{c,a}} + {c,{a,b}} = 0",
+        "pass" if jac.is_zero else "fail",
+        None if jac.is_zero else jac.f.to_text()))
+    lhs = poisson.cone_to_symplectic(poisson.cone_bracket(w1, w2, alphas[1]))
+    sym1 = poisson.PoissonElem(1, poisson.cone_to_symplectic(w1))
+    sym2 = poisson.PoissonElem(1, poisson.cone_to_symplectic(w2))
+    rhs = poisson.poisson_bracket(sym1, sym2).value
+    records.append(CheckRecord(
+        "cone-vs-canonical",
+        "cone bracket = canonical (z, xi) bracket under f (dz)^i <-> f xi^-i",
+        "pass" if lhs == rhs else "fail"))
     return records
 
 
-def _run_dual_number(params, seed, trials) -> list[CheckRecord]:
+def _trial_dual_number(params, rng, t) -> list[CheckRecord]:
     n, degree, bound = params["n"], params["degree"], params["bound"]
-    family_every = params["family_every"]
-    records = []
-    for t in trials:
-        rng = trial_rng(seed, t)
-        elems = []
-        for _ in range(3):
-            body = poisson.PoissonElem(n, _random_poly_2vars(rng, degree, bound)
-                                       .embed(2 * n, [0, 1]))
-            soul = poisson.PoissonElem(n, _random_poly_2vars(rng, degree, bound)
-                                       .embed(2 * n, [0, 1]))
-            elems.append(quantize.DualNum(body, soul))
-        a, b, c = elems
-        lhs = quantize.dual_mul(quantize.dual_mul(a, b), c)
-        rhs = quantize.dual_mul(a, quantize.dual_mul(b, c))
-        diff = lhs - rhs
-        records.append(CheckRecord(
-            f"dual-assoc-t{t}", quantize.ANCHOR_DUAL_ASSOC,
-            "pass" if diff.is_zero else "fail"))
-        ab = quantize.dual_mul(quantize.DualNum.classical(a.body),
-                               quantize.DualNum.classical(b.body))
-        ba = quantize.dual_mul(quantize.DualNum.classical(b.body),
-                               quantize.DualNum.classical(a.body))
-        soul = (ab - ba).soul
-        want = poisson.poisson_bracket(a.body, b.body) * 2
-        records.append(CheckRecord(
-            f"dual-soul-factor-t{t}", quantize.ANCHOR_SOUL_FACTOR,
-            "pass" if soul == want else "fail"))
-        if t % family_every == 0:
-            fs = None
-            for _ in range(20):
-                cand = [_random_poly_2vars(rng, degree, bound) for _ in range(n + 1)]
-                try:
-                    poisson.classical_hamiltonians(cand)
-                    fs = cand
-                    break
-                except (poisson.DependentFamily, poisson.ZeroDelta0):
-                    continue
-            if fs is None:
-                records.append(failed(f"dual-family-t{t}", quantize.ANCHOR_DUAL_COMM,
-                                      "no usable family after 20 draws"))
-            else:
-                records.extend(_tag(r, t) for r in quantize.dual_commuting_family(fs))
+    elems = []
+    for _ in range(3):
+        body = poisson.PoissonElem(n, _random_poly_2vars(rng, degree, bound)
+                                   .embed(2 * n, [0, 1]))
+        soul = poisson.PoissonElem(n, _random_poly_2vars(rng, degree, bound)
+                                   .embed(2 * n, [0, 1]))
+        elems.append(quantize.DualNum(body, soul))
+    a, b, c = elems
+    lhs = quantize.dual_mul(quantize.dual_mul(a, b), c)
+    rhs = quantize.dual_mul(a, quantize.dual_mul(b, c))
+    diff = lhs - rhs
+    records = [CheckRecord("dual-assoc", quantize.ANCHOR_DUAL_ASSOC,
+                           "pass" if diff.is_zero else "fail")]
+    ab = quantize.dual_mul(quantize.DualNum.classical(a.body),
+                           quantize.DualNum.classical(b.body))
+    ba = quantize.dual_mul(quantize.DualNum.classical(b.body),
+                           quantize.DualNum.classical(a.body))
+    soul = (ab - ba).soul
+    want = poisson.poisson_bracket(a.body, b.body) * 2
+    records.append(CheckRecord("dual-soul-factor", quantize.ANCHOR_SOUL_FACTOR,
+                               "pass" if soul == want else "fail"))
+    if t % params["family_every"] == 0:
+        drawn, rejected = _classical_family(rng, n, degree, bound, retries=19)
+        if drawn is None:
+            records.append(failed("dual-family", quantize.ANCHOR_DUAL_COMM,
+                                  f"no usable family after {rejected} draws"))
+        else:
+            records.extend(quantize.dual_commuting_family(drawn[0]))
     return records
 
 
@@ -419,77 +389,54 @@ def _distinct_points(rng, count, bound=6) -> list[Fraction]:
     return sorted(points)
 
 
-def _run_weyl_rational(params, seed, trials) -> list[CheckRecord]:
-    N = params["N"]
-    T = parse_operator_spec(params["T"])
-    fixed_points = params["points"]
-    records = []
-    for t in trials:
-        rng = trial_rng(seed, t)
-        if fixed_points:
-            pts = [_as_fraction(p, "points") for p in fixed_points]
-        else:
-            pts = _distinct_points(rng, N)
-        spec = weyl.OpFamilySpec.make(pts, T)
-        hs = weyl.rational_hamiltonians(spec)
-        records.append(_tag(weyl.check_commute(hs), t))
-        if params["symbols"]:
-            records.extend(_tag(r, t)
-                           for r in weyl.check_symbol_matches_classical(hs, spec))
+def _op_family_spec(params, rng) -> weyl.OpFamilySpec:
+    """The configured marked points, or N distinct ones drawn, with seed T."""
+    points = ([Fraction(p) for p in params["points"]] if params["points"]
+              else _distinct_points(rng, params["N"]))
+    return weyl.OpFamilySpec.make(points, parse_operator_spec(params["T"]))
+
+
+def _trial_weyl_rational(params, rng, t) -> list[CheckRecord]:
+    spec = _op_family_spec(params, rng)
+    hs = weyl.rational_hamiltonians(spec)
+    records = [weyl.check_commute(hs)]
+    if params["symbols"]:
+        records.extend(weyl.check_symbol_matches_classical(hs, spec))
     return records
 
 
-def _run_weyl_basis(params, seed, trials) -> list[CheckRecord]:
-    N = params["N"]
-    T = parse_operator_spec(params["T"])
-    fixed_points = params["points"]
-    records = []
-    for t in trials:
-        rng = trial_rng(seed, t)
-        if fixed_points:
-            pts = [_as_fraction(p, "points") for p in fixed_points]
-        else:
-            pts = _distinct_points(rng, N)
-        spec = weyl.OpFamilySpec.make(pts, T)
-        records.extend(_tag(r, t) for r in weyl.check_basis_matches_closed_form(spec))
-        one = RatFunc.const(1, 1)
-        z = RatFunc.var(1, 0)
-        degenerate = [one / (z - RatFunc.const(1, pts[0]))] * N
-        try:
-            weyl.hamiltonians_from_basis(degenerate, T)
-            if N > 1:
-                records.append(failed(f"zero-phi-t{t}", "repeated f_i => ZeroPhi",
-                                      "degenerate basis accepted"))
-            else:
-                records.append(passed(f"zero-phi-t{t}", "repeated f_i => ZeroPhi"))
-        except weyl.ZeroPhi:
-            records.append(passed(f"zero-phi-t{t}", "repeated f_i => ZeroPhi"))
-    return records
-
-
-def _run_hbar_localization(params, seed, trials) -> list[CheckRecord]:
-    trunc = params["M"]
-    f_text = str(params["f"]).replace(" ", "")
+def _trial_weyl_basis(params, rng, t) -> list[CheckRecord]:
+    spec = _op_family_spec(params, rng)
+    records = weyl.check_basis_matches_closed_form(spec)
+    one = RatFunc.const(1, 1)
     z = RatFunc.var(1, 0)
-    if f_text == "x":
-        f_func = z
-    elif f_text in ("x^2+1", "x**2+1"):
-        f_func = z * z + RatFunc.const(1, 1)
-    else:
-        raise ConfigError(f"field 'f': supported localized elements are x and x^2+1, got {params['f']!r}")
-    f = quantize.HElem.function(f_func, trunc)
-    records = []
-    for t in trials:
-        rng = trial_rng(seed, t)
-        records.extend(_tag(r, t)
-                       for r in quantize.check_localization_axioms(f, rng, triples=1))
-        if t == 0:  # one-time checks, pinned to trial 0 so --jobs cannot duplicate them
-            records.append(quantize.check_x_derivative_identity(trunc))
-            g = quantize.random_helem(rng, trunc)
-            records.append(quantize.check_lift_independence(f, g))
-            a = quantize.random_helem(rng, trunc)
-            b = quantize.random_helem(rng, trunc)
-            records.append(quantize.check_degeneration(a, b))
+    degenerate = [one / (z - RatFunc.const(1, spec.points[0]))] * spec.N
+    try:
+        weyl.hamiltonians_from_basis(degenerate, spec.T)
+        if spec.N > 1:
+            return records + [failed("zero-phi", "repeated f_i => ZeroPhi",
+                                     "degenerate basis accepted")]
+    except weyl.ZeroPhi:
+        pass
+    return records + [passed("zero-phi", "repeated f_i => ZeroPhi")]
+
+
+def _trial_hbar_localization(params, rng, t) -> list[CheckRecord]:
+    f = quantize.HElem.function(_localized_element(params["f"]), params["M"])
+    return quantize.check_localization_axioms(f, rng, triples=1)
+
+
+def _trial_zero_hbar_localization(params, rng) -> list[CheckRecord]:
+    """One-time checks: they run once, after trial 0 with its generator, so
+    ``--jobs`` cannot duplicate them, and keep their untagged names."""
+    trunc = params["M"]
+    f = quantize.HElem.function(_localized_element(params["f"]), trunc)
+    records = [quantize.check_x_derivative_identity(trunc)]
+    g = quantize.random_helem(rng, trunc)
+    records.append(quantize.check_lift_independence(f, g))
+    a = quantize.random_helem(rng, trunc)
+    b = quantize.random_helem(rng, trunc)
+    records.append(quantize.check_degeneration(a, b))
     return records
 
 
@@ -513,122 +460,111 @@ SCENARIO_PARAMS: dict[str, dict] = {
 }
 
 RUNNERS = {
-    "skew-matrix": _run_skew_matrix,
-    "corollary-legs": _run_corollary_legs,
-    "identity-suite": _run_identity_suite,
-    "poisson-classical": _run_poisson_classical,
-    "grassmann": _run_grassmann,
-    "hyperplane": _run_hyperplane,
-    "cone-p1": _run_cone_p1,
-    "dual-number": _run_dual_number,
-    "weyl-rational": _run_weyl_rational,
-    "weyl-basis": _run_weyl_basis,
-    "hbar-localization": _run_hbar_localization,
+    "skew-matrix": _trial_skew_matrix,
+    "corollary-legs": _trial_corollary_legs,
+    "identity-suite": _trial_identity_suite,
+    "poisson-classical": _trial_poisson_classical,
+    "grassmann": _trial_grassmann,
+    "hyperplane": _trial_hyperplane,
+    "cone-p1": _trial_cone_p1,
+    "dual-number": _trial_dual_number,
+    "weyl-rational": _trial_weyl_rational,
+    "weyl-basis": _trial_weyl_basis,
+    "hbar-localization": _trial_hbar_localization,
 }
 
+# kind -> (params, rng) -> untagged records, run once after trial 0
+TRIAL_ZERO_HOOKS = {"hbar-localization": _trial_zero_hbar_localization}
 
-def _run_trial_chunk(kind: str, params: dict, seed: int, trials: list[int]):
-    return RUNNERS[kind](params, seed, trials)
+# Errors a library function raises when a drawn sample breaks a stated
+# hypothesis.  The trial that raises one becomes a single skipped record.
+DECLARED_ERRORS = (Singular, poisson.DependentFamily, poisson.ZeroDelta0,
+                   poisson.ZeroAlpha, weyl.ZeroOperator, weyl.ZeroPhi,
+                   quantize.ZeroBody, quantize.TruncationMismatch)
+
+
+def _run_trials(kind: str, params: dict, seed: int,
+                trials) -> list[tuple[int, list[CheckRecord]]]:
+    """``(t, records)`` for each trial t, every trial with its own generator."""
+    out = []
+    for t in trials:
+        rng = trial_rng(seed, t)
+        try:
+            records = [CheckRecord(f"{r.name}-t{t}", r.anchor, r.status, r.witness)
+                       for r in RUNNERS[kind](params, rng, t)]
+            if t == 0 and kind in TRIAL_ZERO_HOOKS:
+                records += TRIAL_ZERO_HOOKS[kind](params, rng)
+        except DECLARED_ERRORS as exc:
+            records = [skipped(f"precondition-t{t}", "declared error surfaced",
+                               f"{type(exc).__name__}: {exc}")]
+        out.append((t, records))
+    return out
 
 
 def run_scenario(scenario: Scenario, jobs: int = 1) -> Report:
-    """Execute a scenario deterministically; precondition failures become
-    skipped/fail records, never exceptions."""
-    if scenario.kind not in RUNNERS:
-        raise ConfigError(f"field 'kind': unknown scenario kind {scenario.kind!r}")
+    """Execute a scenario deterministically; a trial whose sample breaks a
+    precondition gives one skipped record, never an exception."""
     start = time.monotonic()
-    trials = list(range(int(scenario.params.get("trials", 1))))
-    records: list[CheckRecord] = []
-    try:
-        if jobs > 1 and len(trials) > 1:
-            chunks = [trials[i::jobs] for i in range(jobs)]
-            chunks = [c for c in chunks if c]
-            with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-                futures = [pool.submit(_run_trial_chunk, scenario.kind,
-                                       scenario.params, scenario.seed, chunk)
-                           for chunk in chunks]
-                per_chunk = [f.result() for f in futures]
-            tagged: list[tuple[int, int, CheckRecord]] = []
-            for chunk, recs in zip(chunks, per_chunk):
-                split = _split_records_by_trial(chunk, recs)
-                for trial, trial_records in split.items():
-                    for pos, record in enumerate(trial_records):
-                        tagged.append((trial, pos, record))
-            tagged.sort(key=lambda item: (item[0], item[1]))
-            records = [record for _, _, record in tagged]
-        else:
-            records = RUNNERS[scenario.kind](scenario.params, scenario.seed, trials)
-    except ConfigError:
-        raise
-    except (Singular, poisson.DependentFamily, poisson.ZeroDelta0,
-            poisson.ZeroAlpha, weyl.ZeroOperator, weyl.ZeroPhi,
-            quantize.ZeroBody, quantize.TruncationMismatch) as exc:
-        records.append(skipped("precondition", "declared error surfaced",
-                               f"{type(exc).__name__}: {exc}"))
+    trials = range(scenario.params["trials"])
+    job = (scenario.kind, scenario.params, scenario.seed)
+    if jobs > 1 and len(trials) > 1:
+        workers = min(jobs, len(trials))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = [pool.submit(_run_trials, *job, trials[i::workers])
+                      for i in range(workers)]
+            by_trial = sorted((pair for chunk in chunks for pair in chunk.result()),
+                              key=lambda pair: pair[0])
+    else:
+        by_trial = _run_trials(*job, trials)
     duration_ms = int((time.monotonic() - start) * 1000)
     return Report(scenario={"kind": scenario.kind, "params": scenario.params,
                             "seed": scenario.seed},
-                  seed=scenario.seed, checks=records,
+                  seed=scenario.seed,
+                  checks=[r for _, records in by_trial for r in records],
                   duration_ms=duration_ms, version=__version__)
 
 
-def _split_records_by_trial(chunk: list[int], records: list[CheckRecord]):
-    """Group chunk output by trial using the -t<k> suffix convention."""
-    by_trial: dict[int, list[CheckRecord]] = {t: [] for t in chunk}
-    current = None
-    for record in records:
-        m = re.search(r"-t(\d+)\b", record.name)
-        trial = int(m.group(1)) if m else current
-        if trial is None or trial not in by_trial:
-            trial = chunk[0]
-        current = trial
-        by_trial[trial].append(record)
-    return by_trial
-
-
 # ---------------------------------------------------------------------------
-# The full verification sweep (mirrors the acceptance suite).
+# The acceptance grid: rows (criterion, kind, params).  ``--verify-all`` runs
+# every row at one seed; acceptance test k runs criterion k's rows at seed
+# 101 k.  The trailing skew-matrix row belongs to no criterion.
 
+_LEG_GRID = ((2, 2), (3, 2), (4, 2), (2, 3), (3, 3))
 
-def verify_all_scenarios(seed: int = 1) -> list[Scenario]:
-    out = []
-
-    def add(kind, _seed=None, **params):
-        merged = dict(SCENARIO_PARAMS[kind])
-        for key in list(merged):
-            if merged[key] is REQUIRED:
-                del merged[key]
-        merged.update(params)
-        out.append(scenario_from_config(
-            {"kind": kind, "seed": seed if _seed is None else _seed, **merged}))
-
-    for n, d in ((2, 2), (3, 2), (4, 2), (2, 3), (3, 3)):
-        add("corollary-legs", n=n, d=d, legs="varying", trials=30)
-    for n in (2, 3, 4):
-        add("identity-suite", n=n, d=2, trials=10)
+ACCEPTANCE_GRID: tuple[tuple[int | None, str, dict], ...] = (
+    *((1, "corollary-legs", {"n": n, "d": d, "trials": 30}) for n, d in _LEG_GRID),
+    *((2, "identity-suite", {"n": n, "d": 2, "trials": 10}) for n in (2, 3, 4)),
     # fresh samples for the per-leg generalization, plus the structural
     # singular witness (constant legs) that must be reported, never passed
-    for n, d in ((2, 2), (3, 2), (4, 2), (2, 3), (3, 3)):
-        add("corollary-legs", _seed=seed + 1, n=n, d=d, legs="varying", trials=30)
-    add("corollary-legs", n=2, d=2, legs="constant", trials=3)
-    for n in (2, 3):
-        add("poisson-classical", n=n, trials=20)
-    for arity in (2, 3, 4):
-        add("grassmann", arity=arity, dim=6, trials=100)
-    for g in (1, 2, 3, 4):
-        add("hyperplane", g=g, trials=20)
-    add("dual-number", n=2, trials=50)
-    add("dual-number", n=3, trials=10, family_every=5)
-    for N in (2, 3):
-        for T in ("d1", "d2", "z*d1+1"):
-            add("weyl-rational", N=N, T=T, trials=10)
-    for N in (2, 3):
-        add("weyl-basis", N=N, trials=5)
-    for f in ("x", "x^2+1"):
-        for M in (3, 4, 5):
-            add("hbar-localization", f=f, M=M, trials=20)
-    add("cone-p1", trials=20)
-    add("skew-matrix", trials=5)
+    *((3, "corollary-legs", {"n": n, "d": d, "trials": 30}) for n, d in _LEG_GRID),
+    (3, "corollary-legs", {"n": 2, "d": 2, "trials": 3, "legs": "constant"}),
+    *((4, "poisson-classical", {"n": n, "trials": 20}) for n in (2, 3)),
+    *((5, "grassmann", {"arity": arity, "dim": 6, "trials": 100})
+      for arity in (2, 3, 4)),
+    *((6, "hyperplane", {"g": g, "trials": 20}) for g in (1, 2, 3, 4)),
+    (7, "dual-number", {"n": 2, "trials": 50}),
+    (7, "dual-number", {"n": 3, "trials": 10, "family_every": 5}),
+    *((8, "weyl-rational", {"N": N, "T": T, "trials": 10})
+      for N in (2, 3) for T in ("d1", "d2", "z*d1+1")),
+    *((9, "weyl-basis", {"N": N, "trials": 5}) for N in (2, 3)),
+    *((10, "hbar-localization", {"f": f, "M": M, "trials": 20})
+      for f in ("x", "x^2+1") for M in (3, 4, 5)),
+    (11, "cone-p1", {"trials": 20}),
+    (None, "skew-matrix", {"trials": 5}),
+)
+
+
+def verify_all_scenarios(seed: int = 1, criterion: int | None = None) -> list[Scenario]:
+    """The grid's rows at ``seed``, or only criterion ``criterion``'s.  A row
+    repeating an earlier one (criterion 3 re-runs criterion 1's grid) draws
+    fresh samples at seed + 1."""
+    out: list[Scenario] = []
+    for number, kind, params in ACCEPTANCE_GRID:
+        if criterion in (None, number):
+            scenario = scenario_from_config({"kind": kind, "seed": seed, **params})
+            if scenario in out:
+                scenario = scenario_from_config({"kind": kind, "seed": seed + 1, **params})
+            out.append(scenario)
     return out
 
 
@@ -655,15 +591,17 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the scenario seed")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for independent trials/scenarios")
+                        help="worker processes for the trials of each scenario "
+                             "(--verify-all runs its scenarios one after another)")
     sub = parser.add_subparsers(dest="command")
     run_p = sub.add_parser("run", help="run one scenario from a config file")
     run_p.add_argument("config", help="path to a key = value config file")
     run_p.add_argument("--out", default=None, help="write the JSON report here")
     run_p.add_argument("--trials", type=int, default=None,
                        help="override the trial count")
-    run_p.add_argument("--seed", type=int, default=None, dest="run_seed")
-    run_p.add_argument("--jobs", type=int, default=None, dest="run_jobs")
+    # given after ``run``, these override the top-level options
+    run_p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    run_p.add_argument("--jobs", type=int, default=argparse.SUPPRESS)
     sub.add_parser("list-scenarios", help="list scenario kinds and parameters")
     args = parser.parse_args(argv)
 
@@ -687,11 +625,9 @@ def main(argv=None) -> int:
 
     if args.command == "run":
         try:
-            scenario = load_scenario(args.config,
-                                     seed_override=args.run_seed if args.run_seed is not None else args.seed,
+            scenario = load_scenario(args.config, seed_override=args.seed,
                                      trials_override=args.trials)
-            jobs = args.run_jobs if args.run_jobs is not None else args.jobs
-            report = run_scenario(scenario, jobs=jobs)
+            report = run_scenario(scenario, jobs=args.jobs)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2

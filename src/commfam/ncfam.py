@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 from .exact import QMatrix, Rat, Singular, kron, mat_inverse
 from .reports import CheckRecord, failed, passed
+from .rng import resample
 
 ANCHOR_COMMUTE = "H_i H_j = H_j H_i"
 ANCHOR_MAIN_ID = "Delta_i Delta_0^-1 Delta_j = Delta_j Delta_0^-1 Delta_i"
@@ -428,8 +429,7 @@ def sample_family(rng: random.Random, n: int, d: int, bound: int = 5,
     Delta_0 is singular for every draw once n >= 2; it exists so callers can
     demonstrate that the failure is reported, not silently passed.
     """
-    resamples = 0
-    for _ in range(retries + 1):
+    def attempt():
         if constant_legs:
             fam = LegFamily.from_generators(
                 [random_matrix(rng, d, bound) for _ in range(n + 1)], n)
@@ -437,10 +437,8 @@ def sample_family(rng: random.Random, n: int, d: int, bound: int = 5,
             fam = LegFamily(n, d, tuple(
                 tuple(random_matrix(rng, d, bound) for _ in range(n))
                 for _ in range(n + 1)))
-        try:
-            delta(fam, range(1, n + 1), range(1, n + 1)).inverse()
-        except Singular:
-            resamples += 1
-            continue
-        return SampleOutcome(fam, resamples)
-    return SampleOutcome(None, resamples, exhausted=True)
+        delta(fam, range(1, n + 1), range(1, n + 1)).inverse()
+        return fam
+
+    fam, resamples = resample(attempt, Singular, retries)
+    return SampleOutcome(fam, resamples, exhausted=fam is None)

@@ -29,3 +29,19 @@ def trial_seed(seed: int, trial: int) -> int:
 def trial_rng(seed: int, trial: int) -> random.Random:
     """Independent generator for one trial; splittable by trial index."""
     return random.Random(trial_seed(seed, trial))
+
+
+def resample(attempt, rejects, retries: int = 20):
+    """Call ``attempt()`` until it raises none of ``rejects``, at most
+    ``retries + 1`` times.
+
+    Returns ``(value, rejected)``: the first accepted value and the number of
+    draws rejected before it, or ``(None, retries + 1)`` when every draw was
+    rejected.
+    """
+    for rejected in range(retries + 1):
+        try:
+            return attempt(), rejected
+        except rejects:
+            pass
+    return None, retries + 1

@@ -12,9 +12,10 @@ from commfam import cli
 from commfam.reports import Report
 
 
-def run(kind, seed=1, **params):
-    scenario = cli.scenario_from_config({"kind": kind, "seed": seed, **params})
-    return cli.run_scenario(scenario)
+def run_criterion(number):
+    """Run criterion ``number``'s rows of the grid at seed 101 * number."""
+    return [cli.run_scenario(scenario)
+            for scenario in cli.verify_all_scenarios(101 * number, criterion=number)]
 
 
 def assert_all_passed(reports: list[Report], label: str):
@@ -39,13 +40,10 @@ def _criterion(number, label, reports, started, time_cap=None):
         assert elapsed < time_cap, f"{label}: {elapsed:.1f}s exceeds {time_cap}s"
 
 
-GRID = ((2, 2), (3, 2), (4, 2), (2, 3), (3, 3))
-
-
 def test_01_tensor_leg_commutation():
     started = time.time()
-    reports = [run("corollary-legs", seed=101, n=n, d=d, trials=30)
-               for n, d in GRID]
+    reports = run_criterion(1)
+    assert len(reports) == 5
     for report in reports:
         commute = [c for c in report.checks if c.name.startswith("pairwise-commute")]
         assert len(commute) == 30
@@ -55,8 +53,8 @@ def test_01_tensor_leg_commutation():
 
 def test_02_proof_identity_suite():
     started = time.time()
-    reports = [run("identity-suite", seed=202, n=n, d=2, trials=10)
-               for n in (2, 3, 4)]
+    reports = run_criterion(2)
+    assert [r.scenario["params"]["n"] for r in reports] == [2, 3, 4]
     for report, n in zip(reports, (2, 3, 4)):
         two_b = [c for c in report.checks if c.name.startswith("identity-2b")]
         wanted = 10 * (len(range(1, n - 1)) if n >= 3 else 1)
@@ -67,10 +65,10 @@ def test_02_proof_identity_suite():
 
 def test_03_per_leg_generalization_and_singular_reporting():
     started = time.time()
-    reports = [run("corollary-legs", seed=303, n=n, d=d, trials=30,
-                   legs="varying") for n, d in GRID]
-    constant = run("corollary-legs", seed=303, n=2, d=2, trials=3,
-                   legs="constant")
+    *reports, constant = run_criterion(3)
+    assert len(reports) == 5
+    assert all(r.scenario["params"]["legs"] == "varying" for r in reports)
+    assert constant.scenario["params"]["legs"] == "constant"
     # the skew-field-shaped draws are singular by structure; they must be
     # reported through the Singular path, never silently passed
     assert all(c.name.startswith("singular-reported") for c in constant.checks)
@@ -81,16 +79,16 @@ def test_03_per_leg_generalization_and_singular_reporting():
 
 def test_04_classical_poisson_commutation():
     started = time.time()
-    reports = [run("poisson-classical", seed=404, n=n, degree=2, trials=20)
-               for n in (2, 3)]
+    reports = run_criterion(4)
+    assert len(reports) == 2
     _criterion(4, "{H_i^cl, H_j^cl} = 0 for degree <= 2 families, 20 seeds",
                reports, started, time_cap=60)
 
 
 def test_05_grassmann_identities():
     started = time.time()
-    reports = [run("grassmann", seed=505, arity=arity, dim=6, trials=100)
-               for arity in (2, 3, 4)]
+    reports = run_criterion(5)
+    assert len(reports) == 3
     for report in reports:
         assert len(report.checks) == 100
     _criterion(5, "alternating-form identities, arities 2/3/4, 100 tuples",
@@ -99,35 +97,35 @@ def test_05_grassmann_identities():
 
 def test_06_hyperplane_incidence():
     started = time.time()
-    reports = [run("hyperplane", seed=606, g=g, trials=20)
-               for g in (1, 2, 3, 4)]
+    reports = run_criterion(6)
+    assert len(reports) == 4
     _criterion(6, "1 + sum (-1)^i h_i x_i(P_j) = 0 for g in 1..4, 20 seeds",
                reports, started)
 
 
 def test_07_dual_number_degeneration():
     started = time.time()
-    r2 = run("dual-number", seed=707, n=2, trials=50, family_every=10)
-    r3 = run("dual-number", seed=707, n=3, trials=10, family_every=5)
-    assoc = [c for c in r2.checks + r3.checks if "dual-assoc" in c.name]
-    souls = [c for c in r2.checks + r3.checks if "dual-soul-factor" in c.name]
-    families = [c for c in r2.checks + r3.checks if "dual-commutator" in c.name]
+    reports = run_criterion(7)
+    assert len(reports) == 2
+    checks = [c for report in reports for c in report.checks]
+    assoc = [c for c in checks if "dual-assoc" in c.name]
+    souls = [c for c in checks if "dual-soul-factor" in c.name]
+    families = [c for c in checks if "dual-commutator" in c.name]
     assert len(assoc) >= 50 and len(souls) >= 50 and families
     _criterion(7, "eps-product associativity, commutators, soul = 2{.,.}",
-               [r2, r3], started)
+               reports, started)
 
 
 def test_08_quantum_commutation_and_symbols():
     started = time.time()
     reports = []
     heavy = None
-    for N in (2, 3):
-        for T in ("d1", "d2", "z*d1+1"):
-            t0 = time.time()
-            report = run("weyl-rational", seed=808, N=N, T=T, trials=10)
-            if (N, T) == (3, "d2"):
-                heavy = time.time() - t0
-            reports.append(report)
+    for scenario in cli.verify_all_scenarios(808, criterion=8):
+        t0 = time.time()
+        reports.append(cli.run_scenario(scenario))
+        if (scenario.params["N"], scenario.params["T"]) == (3, "d2"):
+            heavy = time.time() - t0
+    assert len(reports) == 6
     assert heavy is not None and heavy < 300, f"N=3, T=d2 took {heavy:.1f}s"
     _criterion(8, "[H_k, H_l] = 0 and symbol(H_k) matches the classical family",
                reports, started)
@@ -135,7 +133,8 @@ def test_08_quantum_commutation_and_symbols():
 
 def test_09_cross_construction():
     started = time.time()
-    reports = [run("weyl-basis", seed=909, N=N, trials=5) for N in (2, 3)]
+    reports = run_criterion(9)
+    assert len(reports) == 2
     for report in reports:
         matches = [c for c in report.checks if "basis-vs-closed-form" in c.name]
         assert matches
@@ -145,8 +144,8 @@ def test_09_cross_construction():
 
 def test_10_hbar_localization():
     started = time.time()
-    reports = [run("hbar-localization", seed=1010, f=f, M=M, trials=20)
-               for f in ("x", "x^2+1") for M in (3, 4, 5)]
+    reports = run_criterion(10)
+    assert len(reports) == 6
     for report in reports:
         assert any("x-derivative" in c.name for c in report.checks)
         assoc = [c for c in report.checks if "localize-assoc" in c.name]
@@ -157,7 +156,7 @@ def test_10_hbar_localization():
 
 def test_11_cone_bracket():
     started = time.time()
-    report = run("cone-p1", seed=1111, trials=20)
+    [report] = run_criterion(11)
     alpha_free = [c for c in report.checks if "alpha-independence" in c.name]
     jacobi = [c for c in report.checks if "jacobi" in c.name]
     assert len(alpha_free) == 20 and len(jacobi) == 20

@@ -4,10 +4,11 @@ import json
 
 import pytest
 
-from commfam import cli
+from commfam import cli, poisson
 from commfam.cli import (ConfigError, parse_config_text, parse_operator_spec,
                          run_scenario, scenario_from_config)
 from commfam.reports import emit_report, parse_report
+from commfam.rng import resample
 
 
 def make_scenario(kind, seed=1, **params):
@@ -127,12 +128,94 @@ def test_report_determinism_modulo_duration():
     assert a.to_json() == b.to_json()
 
 
-def test_jobs_preserve_records():
-    s = make_scenario("grassmann", arity=2, dim=4, trials=6, seed=5)
+@pytest.mark.parametrize("kind,params", SMOKE, ids=[f"{k}-{i}" for i, (k, _) in enumerate(SMOKE)])
+def test_jobs_preserve_records(kind, params):
+    s = make_scenario(kind, seed=5, **params)
     serial = run_scenario(s, jobs=1)
     parallel = run_scenario(s, jobs=2)
     serial.duration_ms = parallel.duration_ms = 0
     assert serial.to_json() == parallel.to_json()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_declared_error_skips_only_its_trial(monkeypatch, jobs):
+    s = make_scenario("grassmann", arity=2, dim=4, trials=5, seed=5)
+    clean = run_scenario(s).checks
+    runner = cli.RUNNERS["grassmann"]
+
+    def raise_at_trial_3(params, rng, t):
+        if t == 3:
+            raise poisson.ZeroDelta0("injected at trial 3")
+        return runner(params, rng, t)
+
+    # worker processes are forked after the patch, so they see it too
+    monkeypatch.setitem(cli.RUNNERS, "grassmann", raise_at_trial_3)
+    checks = run_scenario(s, jobs=jobs).checks
+    assert [c.name for c in checks] == ["grassmann-2-t0", "grassmann-2-t1",
+                                        "grassmann-2-t2", "precondition-t3",
+                                        "grassmann-2-t4"]
+    assert checks[3].status == "skipped"
+    assert checks[3].witness == "ZeroDelta0: injected at trial 3"
+    assert checks[:3] + checks[4:] == clean[:3] + clean[4:]
+
+
+@pytest.mark.parametrize("kind,params,witness", [
+    ("poisson-classical", {"n": 2}, "no usable family after 21 draws"),
+    ("hyperplane", {"g": 2}, "degenerate points in all 21 draws"),
+], ids=["poisson-classical", "hyperplane"])
+def test_exhaustion_witness_states_the_draw_count(kind, params, witness):
+    # bound = 0 makes every draw degenerate: the budget of 21 draws is spent
+    report = run_scenario(make_scenario(kind, bound=0, trials=1, **params))
+    log, verdict = report.checks
+    assert (log.name, log.status, log.witness) == ("resample-log-t0", "fail",
+                                                   "resamples = 21")
+    assert verdict.status == "fail" and verdict.witness == witness
+
+
+def test_resample_counts_rejected_draws():
+    draws = iter(range(10))
+
+    def attempt():
+        value = next(draws)
+        if value < 3:
+            raise ZeroDivisionError
+        return value
+
+    assert resample(attempt, ZeroDivisionError, retries=5) == (3, 3)
+    assert resample(attempt, ZeroDivisionError, retries=0) == (4, 0)
+
+    def never():
+        raise ZeroDivisionError
+
+    assert resample(never, ZeroDivisionError, retries=4) == (None, 5)
+
+
+BAD_CONFIGS = {
+    "trials-not-integer": "kind = grassmann\nseed = 1\narity = 2\ntrials = x\n",
+    "trials-zero": "kind = grassmann\nseed = 1\narity = 2\ntrials = 0\n",
+    "points-fewer-than-N": "kind = weyl-rational\nseed = 1\nN = 3\npoints = [0, 1]\n",
+    "points-repeated": "kind = weyl-rational\nseed = 1\nN = 2\npoints = [0, 0]\n",
+    "points-not-rational": "kind = weyl-basis\nseed = 1\nN = 2\npoints = [0, a]\n",
+    "legs-unknown": "kind = corollary-legs\nseed = 1\nn = 2\nd = 2\nlegs = constnat\n",
+    "grassmann-arity": "kind = grassmann\nseed = 1\narity = 5\n",
+    "grassmann-dim": "kind = grassmann\nseed = 1\narity = 4\ndim = 3\n",
+    "hbar-f": "kind = hbar-localization\nseed = 1\nf = x^3\n",
+    "T-grammar": "kind = weyl-basis\nseed = 1\nN = 2\nT = e3\n",
+}
+
+
+@pytest.mark.parametrize("text", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
+def test_bad_config_is_refused_before_any_trial(tmp_path, monkeypatch, capsys, text):
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "_run_trials", no_trials)
+    cfg = tmp_path / "bad.conf"
+    cfg.write_text(text)
+    with pytest.raises(ConfigError):
+        cli.load_scenario(cfg)
+    assert cli.main(["run", str(cfg)]) == 2
+    assert "config error: field" in capsys.readouterr().err
 
 
 def test_every_check_has_anchor():
