@@ -15,10 +15,12 @@ with zero tolerance:
   simplest-pivot preference.  An independent determinant oracle cross-checks
   both.
 
-Monomial order: graded lexicographic, fixed once.  Monomials are compared
-first by total degree, ties broken by the packed exponent integer, which reads
-the variables from the highest index down.  This order is used only to pick a
-deterministic sign normalisation for denominators; it is not configurable.
+Sign normalisation: a polynomial's integer coefficients are made positive on
+its largest packed exponent key (the packed integer reads the variables from
+the highest index down).  Any fixed choice gives the same equality decisions;
+this one costs a single ``max`` over the keys.  Graded lexicographic order --
+total degree first, ties broken by the packed key -- is used only to print
+terms.
 """
 
 from __future__ import annotations
@@ -63,8 +65,10 @@ _SHIFT = 10
 _MASK = (1 << _SHIFT) - 1
 _MAX_EXP = _MASK  # 1023
 
-# numpy fast-path thresholds for polynomial multiplication
-_NP_PAIR_CUTOFF = 50_000
+# numpy fast-path thresholds for polynomial multiplication.  Timed on the
+# products of one rational-ops and one small-algebra benchmark pass (2-core
+# Xeon VM), numpy overtakes the Python double loop at 400-500 term pairs.
+_NP_PAIR_CUTOFF = 500
 _NP_COEF_BOUND = 1 << 62
 
 
@@ -106,16 +110,14 @@ def _dict_mul_np(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     vb = np.fromiter(b.values(), dtype=np.int64, count=len(b))
     keys = np.add.outer(ka, kb).ravel()
     vals = np.multiply.outer(va, vb).ravel()
-    order = np.argsort(keys, kind="stable")
+    # Integer sums are exact in any order, so the sort need not be stable.
+    order = np.argsort(keys)
     keys = keys[order]
     vals = vals[order]
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(keys)) + 1))
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     sums = np.add.reduceat(vals, starts)
-    out: dict[int, int] = {}
-    for k, v in zip(keys[starts].tolist(), sums.tolist()):
-        if v:
-            out[k] = v
-    return out
+    nonzero = sums != 0
+    return dict(zip(keys[starts][nonzero].tolist(), sums[nonzero].tolist()))
 
 
 def _dict_mul(a: dict[int, int], b: dict[int, int], nvars: int,
@@ -134,8 +136,8 @@ class MPoly:
 
     Internally a polynomial is stored as ``content * primitive`` where
     ``content`` is a single rational scalar and ``primitive`` maps packed
-    exponent keys to integers with gcd one and positive leading coefficient
-    (graded-lex order).  This keeps the hot convolution kernels in machine/big
+    exponent keys to integers with gcd one and a positive coefficient on the
+    largest packed key.  This keeps the hot convolution kernels in machine/big
     integer arithmetic; ``terms()`` exposes the conventional view of the
     polynomial as a map from exponent vectors to nonzero rationals.
     """
@@ -156,16 +158,12 @@ class MPoly:
 
     @staticmethod
     def _build(nvars: int, raw: dict[int, int], content: Fraction) -> "MPoly":
-        raw = {k: v for k, v in raw.items() if v}
+        if 0 in raw.values():
+            raw = {k: v for k, v in raw.items() if v}
         if not raw or content == 0:
             return MPoly(nvars, Fraction(0), {}, _internal=True)
-        g = 0
-        for v in raw.values():
-            g = math.gcd(g, v)
-            if g == 1:
-                break
-        lead = max(raw, key=lambda k: (_key_degree(k), k))
-        if raw[lead] < 0:
+        g = math.gcd(*raw.values())
+        if raw[max(raw)] < 0:
             g = -g
         if g != 1:
             raw = {k: v // g for k, v in raw.items()}
@@ -259,13 +257,6 @@ class MPoly:
         if not self._coeffs:
             return 0
         return max(abs(v) for v in self._coeffs.values())
-
-    def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
-        """Leading (monomial, coefficient) under the fixed graded-lex order."""
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading term")
-        lead = max(self._coeffs, key=lambda k: (_key_degree(k), k))
-        return _unpack(lead, self.nvars), self.content * self._coeffs[lead]
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -459,10 +450,11 @@ class MPoly:
 class RatFunc:
     """Quotient of two polynomials over the same variable set.
 
-    The representation keeps the denominator primitive with positive leading
-    coefficient (graded-lex) and cancels the rational content and any common
-    monomial factor.  No full polynomial-GCD reduction is performed: equality
-    is decided by cross-multiplication, which needs no canonical form.
+    The representation keeps the denominator primitive, with a positive
+    coefficient on its largest packed exponent key, and cancels the rational
+    content and any common monomial factor.  No full polynomial-GCD
+    reduction is performed: equality is decided by cross-multiplication,
+    which needs no canonical form.
     """
 
     __slots__ = ("num", "den")
@@ -626,19 +618,14 @@ class RatFunc:
 
 def _common_monomial_key(a: MPoly, b: MPoly) -> int:
     """Packed exponent vector of the largest monomial dividing every term."""
-    mins: list[int] | None = None
-    for poly in (a, b):
-        if 0 in poly._coeffs:
-            return 0
-        for k in poly._coeffs:
-            exps = list(_unpack(k, poly.nvars))
-            if mins is None:
-                mins = exps
-            else:
-                mins = [min(x, y) for x, y in zip(mins, exps)]
-            if not any(mins):
-                return 0
-    return _pack(mins) if mins else 0
+    if 0 in a._coeffs or 0 in b._coeffs:
+        return 0
+    keys = [*a._coeffs, *b._coeffs]
+    shifts = range(0, _SHIFT * a.nvars, _SHIFT)
+    if _SHIFT * a.nvars > 62:  # packed keys exceed int64
+        return _pack([min((k >> s) & _MASK for k in keys) for s in shifts])
+    fields = np.array(keys, dtype=np.int64)[:, None] >> np.array(shifts, dtype=np.int64)
+    return _pack((fields & _MASK).min(axis=0).tolist())
 
 
 def _shift_down(poly: MPoly, shift_key: int) -> MPoly:
@@ -658,10 +645,6 @@ def partial_derivative(f: RatFunc, var: int) -> RatFunc:
 
 # ---------------------------------------------------------------------------
 # Dense exact matrices.
-
-
-def _zero_like(entry):
-    return entry * 0
 
 
 def _complexity(entry) -> int:

@@ -172,6 +172,30 @@ def test_exhaustion_witness_states_the_draw_count(kind, params, witness):
     assert verdict.status == "fail" and verdict.witness == witness
 
 
+def test_zero_phi_record_passes_on_the_zero_function_at_n1():
+    # one function makes det(f_i(z_j)) vanish only if it is zero
+    report = run_scenario(make_scenario("weyl-basis", N=1, trials=1))
+    assert report.checks[-1].name == "zero-phi-t0"
+    assert report.checks[-1].status == "pass"
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_zero_phi_record_fails_when_degenerate_basis_is_accepted(monkeypatch, N):
+    original = cli.weyl.hamiltonians_from_basis
+
+    def never_raises_zero_phi(fs, T):
+        try:
+            return original(fs, T)
+        except cli.weyl.ZeroPhi:
+            return []
+
+    monkeypatch.setattr(cli.weyl, "hamiltonians_from_basis", never_raises_zero_phi)
+    report = run_scenario(make_scenario("weyl-basis", N=N, trials=1))
+    zero_phi = report.checks[-1]
+    assert (zero_phi.name, zero_phi.status, zero_phi.witness) == (
+        "zero-phi-t0", "fail", "degenerate basis accepted")
+
+
 def test_resample_counts_rejected_draws():
     draws = iter(range(10))
 

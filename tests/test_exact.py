@@ -1,14 +1,18 @@
 """Exact arithmetic tower: rationals, polynomials, fractions, matrices."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from commfam import exact
 from commfam.exact import (MPoly, QMatrix, Rat, RatFunc, Singular, det, kron,
                            mat_inverse, partial_derivative, rank,
                            ratfunc_equal)
-from commfam.exact import _dict_mul_np, _dict_mul_py
+from commfam.exact import (_MAX_EXP, _NP_COEF_BOUND, _NP_PAIR_CUTOFF,
+                           _common_monomial_key, _dict_mul_np, _dict_mul_py,
+                           _pack, _unpack)
 
 
 def rand_rat(rng, bound=40):
@@ -105,6 +109,132 @@ def test_dict_mul_kernels_agree():
         py = {k: v for k, v in _dict_mul_py(a, b).items() if v}
         np_ = {k: v for k, v in _dict_mul_np(a, b).items() if v}
         assert py == np_
+
+
+def nonzero(terms):
+    return {k: v for k, v in terms.items() if v}
+
+
+def routed_mul(monkeypatch, a, b, nvars):
+    """``exact._dict_mul(a, b)`` and the name of the kernel it took."""
+    taken = []
+    with monkeypatch.context() as m:
+        for name in ("_dict_mul_np", "_dict_mul_py"):
+            kernel = getattr(exact, name)
+            m.setattr(exact, name,
+                      lambda x, y, k=kernel, n=name: taken.append(n) or k(x, y))
+        bound = lambda d: max(abs(v) for v in d.values())
+        out = exact._dict_mul(a, b, nvars, bound(a), bound(b))
+    assert len(taken) == 1
+    return out, taken[0]
+
+
+def rand_keys(rng, nvars, count):
+    keys = set()
+    while len(keys) < count:
+        keys.add(_pack([rng.randint(0, _MAX_EXP // 2) for _ in range(nvars)]))
+    return list(keys)
+
+
+@pytest.mark.parametrize("nvars", [6, 7])
+def test_dict_mul_kernels_agree_across_the_cutoff(monkeypatch, nvars):
+    # 6 variables pack into 60 bits and may take numpy; 7 need 70 bits and
+    # must stay in Python however many pairs there are
+    rng = random.Random(nvars)
+    wide = -(-_NP_PAIR_CUTOFF // 20)  # 20 * wide >= cutoff > 20 * (wide - 1)
+    for la, lb in [(1, 3), (20, wide - 1), (20, wide), (40, wide)]:
+        for _ in range(3):
+            a = {k: rng.randint(-50, 50) or 1 for k in rand_keys(rng, nvars, la)}
+            b = {k: rng.randint(-50, 50) or 1 for k in rand_keys(rng, nvars, lb)}
+            out, kernel = routed_mul(monkeypatch, a, b, nvars)
+            big = la * lb >= _NP_PAIR_CUTOFF and nvars == 6
+            assert kernel == ("_dict_mul_np" if big else "_dict_mul_py")
+            assert nonzero(out) == nonzero(_dict_mul_py(a, b))
+
+
+def test_dict_mul_np_drops_cancelled_terms(monkeypatch):
+    # (1 - x)(1 + x + ... + x^(n-1)) = 1 - x^n: every collided key cancels
+    n = _NP_PAIR_CUTOFF
+    a = {0: 1, 1: -1}
+    b = {k: 1 for k in range(n)}
+    out, kernel = routed_mul(monkeypatch, a, b, 1)
+    assert kernel == "_dict_mul_np"
+    assert out == {0: 1, n: -1} == nonzero(_dict_mul_py(a, b))
+
+
+@pytest.mark.parametrize("offset,m,ca,cb", [
+    (-1, 3, 715827883, 2147483647),
+    (0, 4, 1 << 29, 1 << 31),
+    (1, 5, 5581 * 8681, 49477 * 384773),
+], ids=["bound-1", "bound", "bound+1"])
+def test_dict_mul_coefficient_bound(monkeypatch, offset, m, ca, cb):
+    assert m * ca * cb == _NP_COEF_BOUND + offset
+    # a has m terms, so m products meet on every inner key: the worst sum
+    a = {k: -ca for k in range(m)}
+    b = {k: cb for k in range(-(-_NP_PAIR_CUTOFF // m) + m)}
+    out, kernel = routed_mul(monkeypatch, a, b, 1)
+    assert kernel == ("_dict_mul_np" if offset < 0 else "_dict_mul_py")
+    assert out == nonzero(_dict_mul_py(a, b))
+    assert min(out.values()) == -m * ca * cb
+
+
+def common_monomial_oracle(a, b):
+    exps = [e for poly in (a, b) for e, _ in poly.terms()]
+    return tuple(min(column) for column in zip(*exps))
+
+
+@pytest.mark.parametrize("nvars", [1, 3, 6, 7, 8])
+def test_common_monomial_key_matches_per_term_loop(nvars):
+    # at 7 and 8 variables packed keys exceed int64
+    rng = random.Random(nvars)
+    for terms in (1, 4, 40):
+        for _ in range(10):
+            shift = [rng.choice([0, 1, 5, 900]) for _ in range(nvars)]
+            polys = []
+            for _ in range(2):
+                data = {}
+                for _ in range(terms):
+                    exps = tuple(s + rng.randint(0, 3) for s in shift)
+                    data[exps] = rng.randint(1, 9)
+                polys.append(MPoly.from_terms(nvars, data))
+            key = _common_monomial_key(*polys)
+            assert _unpack(key, nvars) == common_monomial_oracle(*polys)
+
+
+def test_build_normal_form_is_independent_of_term_order():
+    rng = random.Random(23)
+    for nvars in (1, 3, 7):
+        for terms in (3, 12, 30):  # at 3 variables 30 x 30 takes numpy
+            items = [(tuple(rng.randint(0, 4) for _ in range(nvars)),
+                      Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+                     for _ in range(terms)]
+            shuffled = items[:]
+            rng.shuffle(shuffled)
+            p = MPoly.from_terms(nvars, items)
+            q = MPoly.from_terms(nvars, shuffled)
+            assert (p.content, p._coeffs) == (q.content, q._coeffs)
+            b = rand_poly(rng, nvars, terms=terms)
+            pb, bp = p * b, b * p
+            assert (pb.content, pb._coeffs) == (bp.content, bp._coeffs)
+            for poly in (p, pb):
+                if not poly.is_zero:
+                    assert math.gcd(*poly._coeffs.values()) == 1
+                    assert poly._coeffs[max(poly._coeffs)] > 0
+
+
+def test_exponent_packing_boundaries():
+    assert MPoly.var(3, 2, _MAX_EXP).total_degree() == _MAX_EXP
+    with pytest.raises(ValueError):
+        MPoly.var(3, 2, _MAX_EXP + 1)
+    with pytest.raises(ValueError):
+        MPoly.from_terms(2, {(0, _MAX_EXP + 1): 1})
+    x, y = MPoly.var(2, 0), MPoly.var(2, 1)
+    assert MPoly.var(2, 0, 512) * MPoly.var(2, 0, 511) == MPoly.var(2, 0, _MAX_EXP)
+    assert MPoly.var(2, 0, _MAX_EXP) * y == MPoly.from_terms(2, {(_MAX_EXP, 1): 1})
+    with pytest.raises(OverflowError):
+        MPoly.var(2, 0, _MAX_EXP) * x
+    with pytest.raises(OverflowError):
+        (MPoly.var(2, 1, 512) + x) ** 2
 
 
 def test_ratfunc_equality_by_cross_multiplication():
