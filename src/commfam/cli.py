@@ -120,10 +120,32 @@ def scenario_from_config(config: dict, seed_override: int | None = None,
     return Scenario(kind, params, seed)
 
 
+# Least and greatest value of each integer parameter (None: unbounded).
+# Outside them a trial crashes, never ends (grassmann at bound 0 redraws an
+# all-zero form), or passes without deciding anything (n = 1 is one
+# Hamiltonian; d, size, g, N or M = 0 leave nothing to check).
+PARAM_RANGES = {
+    "trials": (1, None), "n": (2, None), "d": (1, None), "size": (1, None),
+    "g": (1, None), "N": (1, None), "M": (1, None), "bound": (0, None),
+    "family_every": (1, None),
+}
+KIND_RANGES = {
+    "corollary-legs": {"n": (2, ncfam.MAX_LEGS)},
+    "identity-suite": {"n": (2, ncfam.MAX_LEGS)},
+    "cone-p1": {"bound": (1, None)},
+    "grassmann": {"bound": (1, None)},
+}
+
+
 def _check_params(kind: str, params: dict) -> None:
     """The checks of one kind's parameters that need no random draw."""
-    if params["trials"] < 1:  # a report without checks would pass vacuously
-        raise ConfigError("field 'trials': must be at least 1")
+    for key, (least, greatest) in {**PARAM_RANGES, **KIND_RANGES.get(kind, {})}.items():
+        if key not in params:
+            continue
+        if params[key] < least:
+            raise ConfigError(f"field {key!r}: must be at least {least}")
+        if greatest is not None and params[key] > greatest:
+            raise ConfigError(f"field {key!r}: must be at most {greatest}")
     if kind == "grassmann":
         if params["arity"] not in (2, 3, 4):
             raise ConfigError("field 'arity': supported arities are 2, 3, 4")
@@ -233,7 +255,7 @@ def _trial_corollary_legs(params, rng, t) -> list[CheckRecord]:
     outcome = ncfam.sample_family(rng, n, params["d"], params["bound"],
                                   constant_legs=constant)
     if outcome.exhausted:
-        if constant and n >= 2:
+        if constant:
             # structural: constant-leg Delta_0 is singular for every draw;
             # the required behaviour is an explicit Singular report
             return [passed("singular-reported", "constant-leg Delta_0 raises Singular")]

@@ -14,6 +14,10 @@ with zero tolerance:
   elimination.  Other entries (``RatFunc``) take Gaussian elimination with a
   simplest-pivot preference.  An independent determinant oracle cross-checks
   both.
+* ``signed_minors`` -- the one signed-bijection kernel: every determinant
+  and every family of maximal minors Delta_0..Delta_k, whatever the entries
+  (``Rat``, ``MPoly``, ``RatFunc``, dual numbers, Kronecker-placed matrices),
+  is this column-ordered subset expansion with a caller-supplied product.
 
 Sign normalisation: a polynomial's integer coefficients are made positive on
 its largest packed exponent key (the packed integer reads the variables from
@@ -42,6 +46,8 @@ __all__ = [
     "QMatrix",
     "mat_inverse",
     "det",
+    "signed_minors",
+    "maximal_minors",
     "rank",
     "kron",
     "ratfunc_equal",
@@ -906,37 +912,67 @@ def _rat_inverse(m: QMatrix) -> QMatrix:
     return QMatrix(n, n, [Fraction(den * x, prev) for row in rows for x in row])
 
 
-def det(m: QMatrix):
-    """Determinant by column-subset expansion (independent of elimination).
+def signed_minors(a: Sequence[Sequence], mul=operator.mul, one=Rat(1)) -> dict:
+    """Signed bijection sums of an m x k array, one per k-subset of its rows.
 
-    Dynamic programming over row subsets: O(2^n * n) field operations.  Used
-    as the oracle that cross-checks ``mat_inverse`` singularity decisions.
+    Maps the bitmask S of each k-subset of rows to
+
+        sum_s sign(s) mul(...mul(a[s(0)][0], a[s(1)][1])..., a[s(k-1)][k-1])
+
+    over the bijections s from the columns onto S, the sign taken relative to
+    increasing row order.  With m = k the one value is the determinant; with
+    m = k + 1 the subset omitting row i gives the maximal minor Delta_i.
+
+    Dynamic programming over the columns: after column c, each (c+1)-subset
+    holds the signed sum of the products that place exactly its rows.
+    Extending a subset by row r multiplies by a[r][c] on the right, with the
+    sign (-1)^(used rows after r).  O(2^m m) products in place of k! k per
+    subset; factors meet in column order, so ``mul`` (``*``, ``kron``,
+    ``dual_mul``) need not commute.  The first column enters as it is; ``one``
+    is the value of the empty product, returned only when k = 0.
     """
-    if not m.is_square():
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
-    # level k: map (bitmask of rows used, over first k columns) -> minor value
-    current = {0: Fraction(1)}
-    for col in range(n):
+    k = len(a[0]) if a else 0
+    if any(len(row) != k for row in a):
+        raise ValueError("ragged array")
+    if k == 0:
+        return {0: one}
+    partial = {1 << r: row[0] for r, row in enumerate(a)}
+    for c in range(1, k):
         nxt: dict[int, object] = {}
-        for mask, value in current.items():
-            sign_toggle = 1
-            for r in range(n):
+        for mask, acc in partial.items():
+            for r, row in enumerate(a):
                 bit = 1 << r
                 if mask & bit:
                     continue
-                entry = m[r, col]
-                term = value * entry if sign_toggle > 0 else -(value * entry)
+                term = mul(acc, row[c])
+                odd = (mask >> r).bit_count() & 1
                 key = mask | bit
                 if key in nxt:
-                    nxt[key] = nxt[key] + term
+                    nxt[key] = nxt[key] - term if odd else nxt[key] + term
                 else:
-                    nxt[key] = term
-                sign_toggle = -sign_toggle
-        current = nxt
-    return current[(1 << n) - 1]
+                    nxt[key] = -term if odd else term
+        partial = nxt
+    return partial
+
+
+def maximal_minors(a: Sequence[Sequence], mul=operator.mul, one=Rat(1)) -> list:
+    """Delta_0..Delta_k of a (k+1) x k array: Delta_i omits row i."""
+    if a and len(a[0]) != len(a) - 1:
+        raise ValueError("need a (k+1) x k array")
+    sums = signed_minors(a, mul, one)
+    full = (1 << len(a)) - 1
+    return [sums[full ^ (1 << i)] for i in range(len(a))]
+
+
+def det(m: QMatrix):
+    """Determinant by ``signed_minors`` (independent of elimination).
+
+    O(2^n n) field operations.  Used as the oracle that cross-checks
+    ``mat_inverse`` singularity decisions.
+    """
+    if not m.is_square():
+        raise ValueError("determinant of a non-square matrix")
+    return signed_minors([m.row(i) for i in range(m.rows)])[(1 << m.rows) - 1]
 
 
 def rank(m: QMatrix) -> int:

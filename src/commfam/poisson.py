@@ -13,13 +13,11 @@ cross-multiplication; nothing is approximated.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import MPoly, QMatrix, RatFunc, det, rank
-from .ncfam import perm_sign
+from .exact import MPoly, QMatrix, RatFunc, maximal_minors, rank, signed_minors
 from .reports import CheckRecord, failed, passed
 
 ANCHOR_POISSON_COMMUTE = "{H_i, H_j} = 0"
@@ -208,41 +206,17 @@ def classical_hamiltonians(fs: list[RatFunc]) -> list[PoissonElem]:
         if f.nvars != 2:
             raise ValueError("family functions live in two variables (x, xi)")
     _assert_independent(fs)
-    nv = 2 * n
-    if all(f.is_polynomial() for f in fs):
-        # determinants stay polynomial; every H_i shares the Delta_0 denominator
-        embedded = [[f.num.embed(nv, [2 * j, 2 * j + 1]) for j in range(n)] for f in fs]
-        minors = [_poly_minor_det(embedded, skip, n) for skip in range(n + 1)]
-        if minors[0].is_zero:
-            raise ZeroDelta0("Delta_0 = 0")
-        return [PoissonElem(n, RatFunc(minors[i], minors[0])) for i in range(1, n + 1)]
-    embedded = [[f.embed(nv, [2 * j, 2 * j + 1]) for j in range(n)] for f in fs]
-    minors = [_ratfunc_minor_det(embedded, skip, n, nv) for skip in range(n + 1)]
+    # polynomial functions: determinants stay polynomial, and every H_i
+    # shares the Delta_0 denominator
+    polynomial = all(f.is_polynomial() for f in fs)
+    entries = [[(f.num if polynomial else f).embed(2 * n, [2 * j, 2 * j + 1])
+                for j in range(n)] for f in fs]
+    minors = maximal_minors(entries)
     if minors[0].is_zero:
         raise ZeroDelta0("Delta_0 = 0")
-    return [PoissonElem(n, minors[i] / minors[0]) for i in range(1, n + 1)]
-
-
-def _poly_minor_det(embedded: list[list[MPoly]], skip: int, n: int) -> MPoly:
-    rows = [r for r in range(n + 1) if r != skip]
-    total = MPoly.zero(2 * n)
-    for perm in itertools.permutations(range(n)):
-        term = MPoly.one(2 * n)
-        for t in range(n):
-            term = term * embedded[rows[t]][perm[t]]
-        total = total + (term if perm_sign(perm) > 0 else -term)
-    return total
-
-
-def _ratfunc_minor_det(embedded: list[list[RatFunc]], skip: int, n: int, nv: int) -> RatFunc:
-    rows = [r for r in range(n + 1) if r != skip]
-    total = RatFunc.const(nv, 0)
-    for perm in itertools.permutations(range(n)):
-        term = RatFunc.const(nv, 1)
-        for t in range(n):
-            term = term * embedded[rows[t]][perm[t]]
-        total = total + (term if perm_sign(perm) > 0 else -term)
-    return total
+    if polynomial:
+        return [PoissonElem(n, RatFunc(m, minors[0])) for m in minors[1:]]
+    return [PoissonElem(n, m / minors[0]) for m in minors[1:]]
 
 
 def check_poisson_commute(hs: list[PoissonElem],
@@ -290,14 +264,10 @@ class WedgeForm:
     @classmethod
     def from_covectors(cls, ws: list[list[Fraction]]) -> "WedgeForm":
         """The decomposable form w_1 ^ ... ^ w_k."""
-        k = len(ws)
         m = len(ws[0])
-        coeffs = {}
-        for idx in itertools.combinations(range(m), k):
-            minor = _small_det([[w[i] for i in idx] for w in ws])
-            if minor != 0:
-                coeffs[idx] = minor
-        return cls(m, k, coeffs)
+        minors = signed_minors(list(zip(*ws)))
+        coeffs = {_indices(mask, m): c for mask, c in minors.items() if c != 0}
+        return cls(m, len(ws), coeffs)
 
     def __call__(self, *vectors) -> Fraction:
         if len(vectors) != self.arity:
@@ -305,21 +275,13 @@ class WedgeForm:
         for v in vectors:
             if len(v) != self.dim:
                 raise ValueError("vector dimension mismatch")
-        total = Fraction(0)
-        for idx, c in self.coeffs.items():
-            total += c * _small_det([[v[i] for i in idx] for v in vectors])
-        return total
+        minors = signed_minors(list(zip(*vectors)))
+        return sum((c * minors[sum(1 << i for i in idx)]
+                    for idx, c in self.coeffs.items()), Fraction(0))
 
 
-def _small_det(rows) -> Fraction:
-    k = len(rows)
-    total = Fraction(0)
-    for perm in itertools.permutations(range(k)):
-        term = Fraction(1)
-        for i in range(k):
-            term *= rows[i][perm[i]]
-        total += term if perm_sign(perm) > 0 else -term
-    return total
+def _indices(mask: int, m: int) -> tuple[int, ...]:
+    return tuple(i for i in range(m) if mask >> i & 1)
 
 
 def check_grassmann(form: WedgeForm, vectors: list[list[Fraction]],
@@ -388,10 +350,7 @@ def hyperplane_coefficients(points: list[list]) -> list[Fraction]:
         if any(len(p) != g for p in points):
             raise ValueError("points must have g coordinates")
         rows.append([Fraction(p[alpha - 1]) for p in points])
-    minors = []
-    for skip in range(g + 1):
-        m = QMatrix.from_rows([rows[r] for r in range(g + 1) if r != skip])
-        minors.append(det(m))
+    minors = maximal_minors(rows)
     if minors[0] == 0:
         raise ZeroDelta0("the points do not span (Delta_0 = 0)")
     return [minors[i] / minors[0] for i in range(1, g + 1)]

@@ -34,8 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import MPoly, RatFunc
-from .ncfam import perm_sign
+from .exact import MPoly, RatFunc, maximal_minors, signed_minors
 from .poisson import PoissonElem, classical_hamiltonians, poisson_bracket
 from .reports import CheckRecord, failed, passed
 
@@ -352,18 +351,19 @@ def hamiltonians_from_basis(fs: list[RatFunc], T: RatDiffOp) -> list[RatDiffOp]:
     if T.nvars != 1:
         raise ValueError("the seed operator acts on one variable")
     table = [[fs[i].embed(N, [j]) for j in range(N)] for i in range(N)]
-    phi = _det_ratfunc(table, list(range(N)), list(range(N)), N)
+    one = RatFunc.const(N, 1)
+    phi = signed_minors(table, one=one)[(1 << N) - 1]
     if phi.is_zero:
         raise ZeroPhi("function determinant det(f_i(z_j)) = 0")
     lifted = [T.lift_to_leg(j, N) for j in range(1, N + 1)]
+    # cofactors[j][i] = F_i^(j): the maximal minors of the table without column j
+    cofactors = [maximal_minors([row[:j] + row[j + 1:] for row in table], one=one)
+                 for j in range(N)]
     out = []
     for i in range(N):
         h = RatDiffOp.zero(N)
         for j in range(N):
-            minor = _det_ratfunc(table,
-                                 [r for r in range(N) if r != i],
-                                 [c for c in range(N) if c != j], N)
-            coeff = minor / phi
+            coeff = cofactors[j][i] / phi
             if j % 2 == 1:
                 coeff = -coeff
             if coeff.is_zero:
@@ -371,17 +371,6 @@ def hamiltonians_from_basis(fs: list[RatFunc], T: RatDiffOp) -> list[RatDiffOp]:
             h = h + do_compose(RatDiffOp.multiplication(coeff), lifted[j])
         out.append(h)
     return out
-
-
-def _det_ratfunc(table, rows, cols, nvars) -> RatFunc:
-    k = len(rows)
-    total = RatFunc.const(nvars, 0)
-    for perm in itertools.permutations(range(k)):
-        term = RatFunc.const(nvars, 1)
-        for t in range(k):
-            term = term * table[rows[t]][cols[perm[t]]]
-        total = total + (term if perm_sign(perm) > 0 else -term)
-    return total
 
 
 def basis_match_constant(points, k: int) -> Fraction:

@@ -225,7 +225,42 @@ BAD_CONFIGS = {
     "grassmann-dim": "kind = grassmann\nseed = 1\narity = 4\ndim = 3\n",
     "hbar-f": "kind = hbar-localization\nseed = 1\nf = x^3\n",
     "T-grammar": "kind = weyl-basis\nseed = 1\nN = 2\nT = e3\n",
+    # size parameters out of range: each crashed in trial 0, passed without
+    # deciding anything, or (grassmann bound = 0) never finished drawing
+    "poisson-n-0": "kind = poisson-classical\nseed = 1\nn = 0\n",
+    "poisson-n-1": "kind = poisson-classical\nseed = 1\nn = 1\n",
+    "poisson-bound-negative": "kind = poisson-classical\nseed = 1\nn = 2\nbound = -1\n",
+    "dual-n-0": "kind = dual-number\nseed = 1\nn = 0\n",
+    "dual-n-1": "kind = dual-number\nseed = 1\nn = 1\n",
+    "dual-family-every-0": "kind = dual-number\nseed = 1\nn = 2\nfamily_every = 0\n",
+    "identity-n-0": "kind = identity-suite\nseed = 1\nn = 0\nd = 2\n",
+    "identity-n-1": "kind = identity-suite\nseed = 1\nn = 1\nd = 2\n",
+    "identity-n-above-max-legs": "kind = identity-suite\nseed = 1\nn = 7\nd = 1\n",
+    "identity-d-0": "kind = identity-suite\nseed = 1\nn = 2\nd = 0\n",
+    "legs-n-1": "kind = corollary-legs\nseed = 1\nn = 1\nd = 2\n",
+    "legs-n-above-max-legs": "kind = corollary-legs\nseed = 1\nn = 7\nd = 1\n",
+    "legs-d-0": "kind = corollary-legs\nseed = 1\nn = 2\nd = 0\n",
+    "weyl-rational-N-0": "kind = weyl-rational\nseed = 1\nN = 0\n",
+    "weyl-basis-N-0": "kind = weyl-basis\nseed = 1\nN = 0\n",
+    "hbar-M-0": "kind = hbar-localization\nseed = 1\nM = 0\n",
+    "hyperplane-g-0": "kind = hyperplane\nseed = 1\ng = 0\n",
+    "skew-size-0": "kind = skew-matrix\nseed = 1\nsize = 0\n",
+    "skew-bound-negative": "kind = skew-matrix\nseed = 1\nbound = -1\n",
+    "cone-bound-0": "kind = cone-p1\nseed = 1\nbound = 0\n",
+    "grassmann-bound-0": "kind = grassmann\nseed = 1\narity = 2\nbound = 0\n",
 }
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("corollary-legs", {"n": 6, "d": 1}), ("identity-suite", {"n": 2, "d": 1}),
+    ("poisson-classical", {"n": 2, "bound": 1}), ("dual-number", {"n": 2, "family_every": 1}),
+    ("weyl-basis", {"N": 1}), ("hbar-localization", {"M": 1}), ("hyperplane", {"g": 1}),
+    ("skew-matrix", {"size": 1, "bound": 0}), ("cone-p1", {"bound": 1}),
+    ("grassmann", {"arity": 2, "bound": 1})],
+    ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}{x}" for k, x in v.items()))
+def test_least_accepted_sizes_run_and_pass(kind, params):
+    report = run_scenario(make_scenario(kind, trials=1, **params))
+    assert report.checks and report.all_passed()
 
 
 @pytest.mark.parametrize("text", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())

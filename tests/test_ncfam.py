@@ -11,6 +11,7 @@ from commfam.ncfam import (LegFamily, TensorElem, bracket, check_identity_2a,
                            check_identity_2b, check_laplace_expansion,
                            check_main_id, check_pairwise_commute, delta,
                            hamiltonians, leg_embed, sample_family)
+from permutation_oracle import perm_sign
 
 E11 = QMatrix.from_rows([[1, 0], [0, 0]])
 E12 = QMatrix.from_rows([[0, 1], [0, 0]])
@@ -216,8 +217,9 @@ def test_sample_family_logs_exhaustion_for_constant_legs():
 
 
 # ---------------------------------------------------------------------------
-# The subset recursion of _general_bracket against the n!-term permutation
-# expansion it replaced, kept here as the reference.
+# _general_bracket and family_minors (the exact.signed_minors kernel with kron
+# as the product) against the n!-term permutation expansion they replaced,
+# kept here as the reference.
 
 
 def bracket_by_permutations(rows, indices, legs, n, d):
@@ -228,7 +230,7 @@ def bracket_by_permutations(rows, indices, legs, n, d):
         placement = {legs[perm[t]]: rows[indices[t]][legs[perm[t]] - 1]
                      for t in range(k)}
         term = ncfam.embed_legs(placement, n, d)
-        if ncfam.perm_sign(perm) < 0:
+        if perm_sign(perm) < 0:
             term = -term
         total = term if total is None else total + term
     if total is None:
@@ -252,6 +254,27 @@ def test_general_bracket_matches_permutation_expansion():
                 got = ncfam._general_bracket(rows, indices, legs, n, d)
                 want = bracket_by_permutations(rows, indices, legs, n, d)
                 assert got == want, (n, d, indices, legs)
+
+
+def test_family_minors_match_permutation_expansion():
+    rng = random.Random(73)
+    for n in range(0, 5):
+        for d in (1, 2):
+            fam = LegFamily(n, d, tuple(map(tuple, varying_rows(rng, n + 1, n, d, 3))))
+            want = [bracket_by_permutations(list(fam.entries),
+                                            [r for r in range(n + 1) if r != i],
+                                            list(range(1, n + 1)), n, d)
+                    for i in range(n + 1)]
+            assert ncfam.family_minors(fam) == want, (n, d)
+
+
+def test_leg_count_is_bounded():
+    eye = QMatrix.identity(1)
+    n = ncfam.MAX_LEGS + 1
+    with pytest.raises(ValueError, match="exceeds"):
+        LegFamily(n, 1, tuple(tuple(eye for _ in range(n)) for _ in range(n + 1)))
+    with pytest.raises(ValueError, match="exceeds"):
+        ncfam._general_bracket([[eye] * n], [0], [1], n, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Canonical brackets, determinant Hamiltonians, Grassmann identities,
 hyperplanes, and the cone bracket on the line."""
 
+import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ from commfam.poisson import (ConeDifferential, DependentFamily, PoissonElem,
                              cone_bracket, cone_to_symplectic,
                              hyperplane_coefficients, nabla, poisson_bracket,
                              random_decomposable, random_vector)
+from permutation_oracle import det_by_rows
 
 
 def rand_poly_elem(rng, n, degree=2, bound=5):
@@ -137,6 +140,36 @@ def test_classical_hamiltonians_commute_random():
             done += 1
 
 
+def old_classical_hamiltonians(fs):
+    """The permutation expansion classical_hamiltonians used before the
+    shared kernel, one minor at a time."""
+    n = len(fs) - 1
+    nv = 2 * n
+    if all(f.is_polynomial() for f in fs):
+        emb = [[f.num.embed(nv, [2 * j, 2 * j + 1]) for j in range(n)] for f in fs]
+        one, zero = MPoly.one(nv), MPoly.zero(nv)
+    else:
+        emb = [[f.embed(nv, [2 * j, 2 * j + 1]) for j in range(n)] for f in fs]
+        one, zero = RatFunc.const(nv, 1), RatFunc.const(nv, 0)
+    minors = [det_by_rows([emb[r] for r in range(n + 1) if r != skip],
+                          operator.mul, one, zero) for skip in range(n + 1)]
+    return [RatFunc(m) / RatFunc(minors[0]) if isinstance(m, MPoly) else m / minors[0]
+            for m in minors[1:]]
+
+
+def test_classical_hamiltonians_match_permutation_expansion():
+    import commfam.cli as cli
+    rng = random.Random(29)
+    x = RatFunc.var(2, 0)
+    # rational minors at n = 3 reach ~50k terms, too many to cross-multiply
+    for n, rational in [(1, False), (2, False), (3, False), (1, True), (2, True)]:
+        fs = [cli._random_poly_2vars(rng, 2, 5) for _ in range(n + 1)]
+        if rational:
+            fs = [f / (x + RatFunc.const(2, i + 1)) for i, f in enumerate(fs)]
+        hs = classical_hamiltonians(fs)
+        assert [h.value for h in hs] == old_classical_hamiltonians(fs), (n, rational)
+
+
 def test_check_poisson_commute_witness():
     x1 = PoissonElem.x(1, 1)
     xi1 = PoissonElem.xi(1, 1)
@@ -188,6 +221,29 @@ def test_grassmann_randomised_decomposable():
             assert check_grassmann(form, vectors).status == "pass"
 
 
+def test_wedge_form_matches_permutation_expansion():
+    """from_covectors and evaluation against the per-tuple permutation
+    determinants they used before the shared kernel."""
+    def small_det(rows):
+        return det_by_rows(rows, operator.mul, Fraction(1), Fraction(0))
+
+    rng = random.Random(19)
+    for arity in (1, 2, 3, 4):
+        for dim in range(arity, 7):
+            ws = [random_vector(rng, dim, 3) for _ in range(arity)]
+            form = WedgeForm.from_covectors(ws)
+            want = {}
+            for idx in itertools.combinations(range(dim), arity):
+                minor = small_det([[w[i] for i in idx] for w in ws])
+                if minor != 0:
+                    want[idx] = minor
+            assert form.coeffs == want
+            vectors = [random_vector(rng, dim, 3) for _ in range(arity)]
+            assert form(*vectors) == sum(
+                c * small_det([[v[i] for i in idx] for v in vectors])
+                for idx, c in form.coeffs.items())
+
+
 def test_wedge_form_validation():
     with pytest.raises(ValueError):
         WedgeForm(3, 2, {(1, 0): Fraction(1)})
@@ -207,6 +263,21 @@ def test_hyperplane_frozen_two_points():
     # pinned by the incidence identity: 1 - h1 x1 + h2 x2 = 0 at both points
     assert hs == [Fraction(1), Fraction(-1)]
     assert check_hyperplane_incidence(points, hs).status == "pass"
+
+
+def test_hyperplane_matches_permutation_expansion():
+    rng = random.Random(23)
+    for g in range(1, 6):
+        points = [[Fraction(rng.randint(-5, 5)) for _ in range(g)] for _ in range(g)]
+        rows = [[Fraction(1)] * g] + [[p[a] for p in points] for a in range(g)]
+        minors = [det_by_rows([rows[r] for r in range(g + 1) if r != skip],
+                              operator.mul, Fraction(1), Fraction(0))
+                  for skip in range(g + 1)]
+        if minors[0] == 0:
+            with pytest.raises(ZeroDelta0):
+                hyperplane_coefficients(points)
+            continue
+        assert hyperplane_coefficients(points) == [m / minors[0] for m in minors[1:]]
 
 
 def test_hyperplane_degenerate_points():

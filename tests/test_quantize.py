@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from commfam.exact import RatFunc
+from commfam.exact import RatFunc, maximal_minors
 from commfam.poisson import PoissonElem, poisson_bracket
 from commfam import quantize
 from commfam.quantize import (DualNum, HElem, LocalSeries, TruncationMismatch,
@@ -14,6 +14,7 @@ from commfam.quantize import (DualNum, HElem, LocalSeries, TruncationMismatch,
                               check_x_derivative_identity,
                               dual_commuting_family, dual_inverse, dual_mul,
                               h_ad, h_inverse, localize_product, random_helem)
+from permutation_oracle import det_by_rows
 
 
 def x_elem(n=1):
@@ -89,11 +90,35 @@ def test_soul_factor_identity():
         assert comm.soul == poisson_bracket(a.body, b.body) * 2
 
 
-def test_dual_commuting_family_single():
+def test_dual_commuting_family_refuses_one_hamiltonian():
+    # a single H_1 has nothing to commute with
     one = RatFunc.const(2, 1)
     x = RatFunc.var(2, 0)
-    records = dual_commuting_family([one, x])
-    assert [r.status for r in records] == ["pass"]
+    with pytest.raises(ValueError, match="at least three"):
+        dual_commuting_family([one, x])
+
+
+def test_dual_minors_match_permutation_expansion(monkeypatch):
+    """The minors dual_commuting_family builds with the shared kernel equal
+    the per-minor dual-product permutation expansion it used before."""
+    seen = []
+
+    def recording(a, mul):
+        seen.append((a, maximal_minors(a, mul)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(quantize, "maximal_minors", recording)
+    one = RatFunc.const(2, 1)
+    x = RatFunc.var(2, 0)
+    xi = RatFunc.var(2, 1)
+    for fs in ([one, x, xi], [one, x, xi, x * xi + x * x]):
+        assert all(r.status == "pass" for r in dual_commuting_family(fs))
+        lifts, minors = seen.pop()
+        n = len(fs) - 1
+        assert minors == [det_by_rows([lifts[r] for r in range(n + 1) if r != skip],
+                                      dual_mul, DualNum.const(n, 1),
+                                      DualNum.const(n, 0))
+                          for skip in range(n + 1)]
 
 
 def test_dual_commuting_family_linear():

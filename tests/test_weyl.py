@@ -1,5 +1,6 @@
 """Rational differential operators: composition, symbols, both families."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from commfam.weyl import (OpFamilySpec, RatDiffOp, ZeroOperator, ZeroPhi,
                           check_commute, check_symbol_matches_classical,
                           do_commutator, do_compose, hamiltonians_from_basis,
                           principal_symbol_1var, rational_hamiltonians, symbol)
+from permutation_oracle import det_by_rows
 
 
 def d_op(order=1):
@@ -177,6 +179,47 @@ def test_basis_matches_closed_form_constant(points):
     for k in range(1, spec.N + 1):
         c = basis_match_constant(spec.points, k)
         assert from_basis[k - 1].scale(c) == closed[k - 1]
+
+
+def old_hamiltonians_from_basis(fs, T):
+    """The cofactor family as built before the shared kernel: every minor
+    by its own permutation expansion."""
+    N = len(fs)
+    table = [[f.embed(N, [j]) for j in range(N)] for f in fs]
+
+    def minor(rows, cols):
+        return det_by_rows([[table[r][c] for c in cols] for r in rows], operator.mul,
+                           RatFunc.const(N, 1), RatFunc.const(N, 0))
+
+    phi = minor(range(N), range(N))
+    lifted = [T.lift_to_leg(j, N) for j in range(1, N + 1)]
+    out = []
+    for i in range(N):
+        h = RatDiffOp.zero(N)
+        for j in range(N):
+            coeff = minor([r for r in range(N) if r != i],
+                          [c for c in range(N) if c != j]) / phi
+            if j % 2 == 1:
+                coeff = -coeff
+            if not coeff.is_zero:
+                h = h + do_compose(RatDiffOp.multiplication(coeff), lifted[j])
+        out.append(h)
+    return out
+
+
+def test_hamiltonians_from_basis_match_permutation_expansion():
+    rng = random.Random(37)
+    z = RatFunc.var(1, 0)
+    one = RatFunc.const(1, 1)
+    for N in (1, 2):  # random functions and seeds; N = 3 is slow to compare
+        fs = [(z ** rng.randint(0, 2) + RatFunc.const(1, rng.randint(-3, 3)))
+              / (z - RatFunc.const(1, rng.randint(-3, 3))) for _ in range(N)]
+        T = rand_1var_op(rng, max_order=1)
+        if T.is_zero:
+            T = d_op()
+        assert hamiltonians_from_basis(fs, T) == old_hamiltonians_from_basis(fs, T), N
+    fs = [one / (z - RatFunc.const(1, p)) for p in (-2, 1, 3)]
+    assert hamiltonians_from_basis(fs, d_op(2)) == old_hamiltonians_from_basis(fs, d_op(2))
 
 
 def test_hamiltonians_from_basis_zero_phi():
