@@ -346,29 +346,11 @@ def _trial_cone_p1(params, rng, t) -> list[CheckRecord]:
         poisson.ConeDifferential(z + RatFunc.const(1, rng.randint(1, bound)), 1),
         poisson.ConeDifferential(z * z + RatFunc.const(1, 1), 1),
     ]
-    records = [poisson.check_alpha_independence(w1, w2, alphas)]
-    anti = poisson.cone_bracket(w1, w1, alphas[0])
-    records.append(CheckRecord(
-        "cone-antisymmetry", "{w, w} = 0",
-        "pass" if anti.is_zero else "fail",
-        None if anti.is_zero else anti.f.to_text()))
+    records = [poisson.check_alpha_independence(w1, w2, alphas),
+               poisson.check_cone_antisymmetry(w1, alphas[0])]
     w3 = _random_cone_diff(rng, bound)
-    jac = (poisson.cone_bracket(w1, poisson.cone_bracket(w2, w3, alphas[0]), alphas[0])
-           + poisson.cone_bracket(w2, poisson.cone_bracket(w3, w1, alphas[0]), alphas[0])
-           + poisson.cone_bracket(w3, poisson.cone_bracket(w1, w2, alphas[0]), alphas[0]))
-    records.append(CheckRecord(
-        "cone-jacobi", "{a,{b,c}} + {b,{c,a}} + {c,{a,b}} = 0",
-        "pass" if jac.is_zero else "fail",
-        None if jac.is_zero else jac.f.to_text()))
-    lhs = poisson.cone_to_symplectic(poisson.cone_bracket(w1, w2, alphas[1]))
-    sym1 = poisson.PoissonElem(1, poisson.cone_to_symplectic(w1))
-    sym2 = poisson.PoissonElem(1, poisson.cone_to_symplectic(w2))
-    rhs = poisson.poisson_bracket(sym1, sym2).value
-    records.append(CheckRecord(
-        "cone-vs-canonical",
-        "cone bracket = canonical (z, xi) bracket under f (dz)^i <-> f xi^-i",
-        "pass" if lhs == rhs else "fail"))
-    return records
+    return records + [poisson.check_cone_jacobi(w1, w2, w3, alphas[0]),
+                      poisson.check_cone_vs_canonical(w1, w2, alphas[1])]
 
 
 def _trial_dual_number(params, rng, t) -> list[CheckRecord]:
@@ -381,19 +363,8 @@ def _trial_dual_number(params, rng, t) -> list[CheckRecord]:
                                    .embed(2 * n, [0, 1]))
         elems.append(quantize.DualNum(body, soul))
     a, b, c = elems
-    lhs = quantize.dual_mul(quantize.dual_mul(a, b), c)
-    rhs = quantize.dual_mul(a, quantize.dual_mul(b, c))
-    diff = lhs - rhs
-    records = [CheckRecord("dual-assoc", quantize.ANCHOR_DUAL_ASSOC,
-                           "pass" if diff.is_zero else "fail")]
-    ab = quantize.dual_mul(quantize.DualNum.classical(a.body),
-                           quantize.DualNum.classical(b.body))
-    ba = quantize.dual_mul(quantize.DualNum.classical(b.body),
-                           quantize.DualNum.classical(a.body))
-    soul = (ab - ba).soul
-    want = poisson.poisson_bracket(a.body, b.body) * 2
-    records.append(CheckRecord("dual-soul-factor", quantize.ANCHOR_SOUL_FACTOR,
-                               "pass" if soul == want else "fail"))
+    records = [quantize.check_dual_assoc(a, b, c),
+               quantize.check_soul_factor(a.body, b.body)]
     if t % params["family_every"] == 0:
         drawn, rejected = _classical_family(rng, n, degree, bound, retries=19)
         if drawn is None:

@@ -19,12 +19,29 @@ with zero tolerance:
   (``Rat``, ``MPoly``, ``RatFunc``, dual numbers, Kronecker-placed matrices),
   is this column-ordered subset expansion with a caller-supplied product.
 
-Sign normalisation: a polynomial's integer coefficients are made positive on
-its largest packed exponent key (the packed integer reads the variables from
-the highest index down).  Any fixed choice gives the same equality decisions;
-this one costs a single ``max`` over the keys.  Graded lexicographic order --
-total degree first, ties broken by the packed key -- is used only to print
-terms.
+Normal form: a nonzero ``MPoly`` is ``content * primitive``, where the
+primitive part maps packed exponent keys to integers with gcd one and a
+positive coefficient on the largest packed key (the packed integer reads the
+variables from the highest index down); zero has no terms and content 0.
+Any fixed sign choice gives the same equality decisions; this one costs a
+single ``max`` over the keys.  Every internal constructor must keep the
+form -- ``_build`` makes it, and ``embed`` re-signs when relabelling changes
+the largest key -- because ``==`` compares stored forms and the per-call
+paths of the product rely on it:
+
+* a one-term primitive part is exactly ``{key: 1}``, so a product with a
+  monomial adds ``key`` to every key of the other factor, keeping its gcd
+  and its largest key, with no ``_build``;
+* each polynomial carries an upper bound on any single exponent (exact for
+  ``var``/``const``/``one``/``zero``, summed by ``*``, the maximum for
+  ``+``); the product walks the exact per-variable maxima only when two
+  bounds add past ``_MAX_EXP``, so it raises ``OverflowError`` on exactly
+  the products whose exponents leave the packing range;
+* the coefficient bound that guards the numpy kernel is computed only for
+  products of at least ``_NP_PAIR_CUTOFF`` term pairs.
+
+Graded lexicographic order -- total degree first, ties broken by the packed
+key -- is used only to print terms.
 """
 
 from __future__ import annotations
@@ -148,47 +165,52 @@ class MPoly:
     polynomial as a map from exponent vectors to nonzero rationals.
     """
 
-    __slots__ = ("nvars", "content", "_coeffs", "_vmax", "_tdeg")
+    __slots__ = ("nvars", "content", "_coeffs", "_ebound", "_vmax", "_tdeg")
 
     def __init__(self, nvars: int, content: Fraction, coeffs: dict[int, int],
-                 _internal: bool = False):
+                 _internal: bool = False, ebound: int = _MAX_EXP,
+                 vmax: tuple[int, ...] | None = None):
         if not _internal:
             raise TypeError("use MPoly.zero/const/var/from_terms to build polynomials")
         self.nvars = nvars
         self.content = content
         self._coeffs = coeffs
-        self._vmax: tuple[int, ...] | None = None
+        # upper bound on every single exponent; _vmax holds the exact maxima
+        self._ebound = ebound
+        self._vmax = vmax
         self._tdeg: int | None = None
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def _build(nvars: int, raw: dict[int, int], content: Fraction) -> "MPoly":
+    def _build(nvars: int, raw: dict[int, int], content: Fraction,
+               ebound: int = _MAX_EXP) -> "MPoly":
         if 0 in raw.values():
             raw = {k: v for k, v in raw.items() if v}
         if not raw or content == 0:
-            return MPoly(nvars, Fraction(0), {}, _internal=True)
+            return MPoly.zero(nvars)
         g = math.gcd(*raw.values())
         if raw[max(raw)] < 0:
             g = -g
         if g != 1:
             raw = {k: v // g for k, v in raw.items()}
-        return MPoly(nvars, content * g, raw, _internal=True)
+            content = -content if g == -1 else content * g
+        return MPoly(nvars, content, raw, _internal=True, ebound=ebound)
 
     @classmethod
     def zero(cls, nvars: int) -> "MPoly":
-        return cls(nvars, Fraction(0), {}, _internal=True)
+        return cls(nvars, Fraction(0), {}, _internal=True, ebound=0)
 
     @classmethod
     def one(cls, nvars: int) -> "MPoly":
-        return cls(nvars, Fraction(1), {0: 1}, _internal=True)
+        return cls(nvars, Fraction(1), {0: 1}, _internal=True, ebound=0)
 
     @classmethod
     def const(cls, nvars: int, c) -> "MPoly":
         c = Fraction(c)
         if c == 0:
             return cls.zero(nvars)
-        return cls(nvars, c, {0: 1}, _internal=True)
+        return cls(nvars, c, {0: 1}, _internal=True, ebound=0)
 
     @classmethod
     def var(cls, nvars: int, i: int, power: int = 1) -> "MPoly":
@@ -198,19 +220,22 @@ class MPoly:
             raise ValueError(f"exponent {power} out of supported range")
         if power == 0:
             return cls.one(nvars)
-        return cls(nvars, Fraction(1), {power << (_SHIFT * i): 1}, _internal=True)
+        return cls(nvars, Fraction(1), {power << (_SHIFT * i): 1}, _internal=True,
+                   ebound=power)
 
     @classmethod
     def from_terms(cls, nvars: int, terms: Mapping[Sequence[int], object] |
                    Iterable[tuple[Sequence[int], object]]) -> "MPoly":
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[int, Fraction] = {}
+        top = 0
         for exps, coeff in items:
             exps = tuple(exps)
             if len(exps) != nvars:
                 raise ValueError(f"exponent vector {exps} has length {len(exps)}, expected {nvars}")
             if any(e < 0 or e > _MAX_EXP for e in exps):
                 raise ValueError(f"exponent vector {exps} out of supported range")
+            top = max(top, max(exps, default=0))
             key = _pack(exps)
             acc[key] = acc.get(key, Fraction(0)) + Fraction(coeff)
         acc = {k: v for k, v in acc.items() if v}
@@ -220,7 +245,7 @@ class MPoly:
         for v in acc.values():
             den_lcm = den_lcm * v.denominator // math.gcd(den_lcm, v.denominator)
         raw = {k: int(v * den_lcm) for k, v in acc.items()}
-        return cls._build(nvars, raw, Fraction(1, den_lcm))
+        return cls._build(nvars, raw, Fraction(1, den_lcm), top)
 
     # -- views --------------------------------------------------------------
 
@@ -271,59 +296,89 @@ class MPoly:
             raise ValueError(f"variable-count mismatch: {self.nvars} vs {other.nvars}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MPoly.const(self.nvars, other)
-        if not isinstance(other, MPoly):
-            return NotImplemented
+        if type(other) is not MPoly:
+            if isinstance(other, (int, Fraction)):
+                other = MPoly.const(self.nvars, other)
+            elif not isinstance(other, MPoly):
+                return NotImplemented
         self._check_compat(other)
-        if self.is_zero:
+        if not self._coeffs:
             return other
-        if other.is_zero:
+        if not other._coeffs:
             return self
-        ca, cb = self.content, other.content
-        den = ca.denominator * cb.denominator // math.gcd(ca.denominator, cb.denominator)
-        sa = ca.numerator * (den // ca.denominator)
+        ebound = max(self._ebound, other._ebound)
+        # copy the larger operand and merge the smaller one into it
+        big, small = ((self, other) if len(self._coeffs) >= len(other._coeffs)
+                      else (other, self))
+        cb, cs = big.content, small.content
+        den = cb.denominator * cs.denominator // math.gcd(cb.denominator, cs.denominator)
         sb = cb.numerator * (den // cb.denominator)
-        raw = {k: sa * v for k, v in self._coeffs.items()}
+        ss = cs.numerator * (den // cs.denominator)
+        raw = big._coeffs.copy() if sb == 1 else {k: sb * v for k, v in big._coeffs.items()}
         get = raw.get
-        for k, v in other._coeffs.items():
-            raw[k] = get(k, 0) + sb * v
-        return MPoly._build(self.nvars, raw, Fraction(1, den))
+        if ss == 1:
+            for k, v in small._coeffs.items():
+                raw[k] = get(k, 0) + v
+        else:
+            for k, v in small._coeffs.items():
+                raw[k] = get(k, 0) + ss * v
+        return MPoly._build(self.nvars, raw, Fraction(1, den), ebound)
 
     __radd__ = __add__
 
     def __neg__(self):
         if self.is_zero:
             return self
-        return MPoly(self.nvars, -self.content, self._coeffs, _internal=True)
+        return MPoly(self.nvars, -self.content, self._coeffs, _internal=True,
+                     ebound=self._ebound, vmax=self._vmax)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MPoly.const(self.nvars, other)
-        if not isinstance(other, MPoly):
-            return NotImplemented
+        if type(other) is not MPoly:
+            if isinstance(other, (int, Fraction)):
+                other = MPoly.const(self.nvars, other)
+            elif not isinstance(other, MPoly):
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0 or self.is_zero:
-                return MPoly.zero(self.nvars)
-            return MPoly(self.nvars, self.content * c, self._coeffs, _internal=True)
-        if not isinstance(other, MPoly):
-            return NotImplemented
+        if type(other) is not MPoly:
+            if isinstance(other, (int, Fraction)):
+                if other == 1:
+                    return self
+                if other == 0 or self.is_zero:
+                    return MPoly.zero(self.nvars)
+                return MPoly(self.nvars, self.content * other, self._coeffs,
+                             _internal=True, ebound=self._ebound, vmax=self._vmax)
+            if not isinstance(other, MPoly):
+                return NotImplemented
         self._check_compat(other)
-        if self.is_zero or other.is_zero:
+        a, b = self._coeffs, other._coeffs
+        if not a or not b:
             return MPoly.zero(self.nvars)
-        va, vb = self._var_maxima(), other._var_maxima()
-        if any(x + y > _MAX_EXP for x, y in zip(va, vb)):
-            raise OverflowError("per-variable degree exceeds supported packing range")
-        raw = _dict_mul(self._coeffs, other._coeffs, self.nvars,
-                        self._max_abs_coeff(), other._max_abs_coeff())
-        return MPoly._build(self.nvars, raw, self.content * other.content)
+        ebound = self._ebound + other._ebound
+        if ebound > _MAX_EXP:  # the bounds are loose: decide on the exact maxima
+            sums = [x + y for x, y in zip(self._var_maxima(), other._var_maxima())]
+            ebound = max(sums)
+            if ebound > _MAX_EXP:
+                raise OverflowError("per-variable degree exceeds supported packing range")
+        ca, cb = self.content, other.content
+        content = cb if ca == 1 else ca if cb == 1 else ca * cb
+        if len(a) == 1 or len(b) == 1:
+            # a primitive monomial has coefficient 1: multiplying by it adds
+            # its key to every key, which keeps gcd 1 and the largest key
+            if len(a) > len(b):
+                a, b = b, a
+            (shift,) = a
+            return MPoly(self.nvars, content, {k + shift: v for k, v in b.items()},
+                         _internal=True, ebound=ebound)
+        if len(a) * len(b) < _NP_PAIR_CUTOFF:
+            raw = _dict_mul_py(a, b)
+        else:
+            raw = _dict_mul(a, b, self.nvars, self._max_abs_coeff(), other._max_abs_coeff())
+        return MPoly._build(self.nvars, raw, content, ebound)
 
     __rmul__ = __mul__
 
@@ -352,7 +407,7 @@ class MPoly:
             e = (k >> shift) & _MASK
             if e:
                 raw[k - step] = raw.get(k - step, 0) + e * v
-        return MPoly._build(self.nvars, raw, self.content)
+        return MPoly._build(self.nvars, raw, self.content, self._ebound)
 
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != self.nvars:
@@ -392,15 +447,20 @@ class MPoly:
                 k >>= _SHIFT
                 i += 1
             raw[new_key] = v
-        return MPoly(nvars, self.content, raw, _internal=True)
+        content = self.content
+        if raw and raw[max(raw)] < 0:  # relabelling can change the largest key
+            raw = {k: -v for k, v in raw.items()}
+            content = -content
+        return MPoly(nvars, content, raw, _internal=True, ebound=self._ebound)
 
     # -- comparison / display -----------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MPoly.const(self.nvars, other)
-        if not isinstance(other, MPoly):
-            return NotImplemented
+        if type(other) is not MPoly:
+            if isinstance(other, (int, Fraction)):
+                other = MPoly.const(self.nvars, other)
+            elif not isinstance(other, MPoly):
+                return NotImplemented
         return (self.nvars == other.nvars and self.content == other.content
                 and self._coeffs == other._coeffs)
 
@@ -482,8 +542,11 @@ class RatFunc:
         if shift_key:
             num = _shift_down(num, shift_key)
             den = _shift_down(den, shift_key)
-        self.num = num * (1 / den.content)
-        self.den = MPoly(den.nvars, Fraction(1), den._coeffs, _internal=True)
+        c = den.content
+        self.num = num * (1 if c == 1 else 1 / c)
+        self.den = den if c == 1 else MPoly(den.nvars, Fraction(1), den._coeffs,
+                                            _internal=True, ebound=den._ebound,
+                                            vmax=den._vmax)
 
     # -- constructors -------------------------------------------------------
 
@@ -544,6 +607,8 @@ class RatFunc:
         return (-self) + other
 
     def __mul__(self, other):
+        if type(other) is RatFunc:
+            return RatFunc(self.num * other.num, self.den * other.den)
         if isinstance(other, (int, Fraction)):
             out = RatFunc.__new__(RatFunc)
             out.num = self.num * other
@@ -626,6 +691,8 @@ def _common_monomial_key(a: MPoly, b: MPoly) -> int:
     """Packed exponent vector of the largest monomial dividing every term."""
     if 0 in a._coeffs or 0 in b._coeffs:
         return 0
+    if a.nvars == 1:  # the key is the exponent
+        return min(min(a._coeffs), min(b._coeffs))
     keys = [*a._coeffs, *b._coeffs]
     shifts = range(0, _SHIFT * a.nvars, _SHIFT)
     if _SHIFT * a.nvars > 62:  # packed keys exceed int64
@@ -636,7 +703,7 @@ def _common_monomial_key(a: MPoly, b: MPoly) -> int:
 
 def _shift_down(poly: MPoly, shift_key: int) -> MPoly:
     coeffs = {k - shift_key: v for k, v in poly._coeffs.items()}
-    return MPoly(poly.nvars, poly.content, coeffs, _internal=True)
+    return MPoly(poly.nvars, poly.content, coeffs, _internal=True, ebound=poly._ebound)
 
 
 def ratfunc_equal(a: RatFunc, b: RatFunc) -> bool:

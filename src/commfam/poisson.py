@@ -31,6 +31,10 @@ ANCHOR_GRASSMANN = {
 }
 ANCHOR_INCIDENCE = "1 + sum_{i=1..g} (-1)^i h_i x_i(P_j) = 0"
 ANCHOR_CONE_ALPHA = "i w grad_a(w') - i' w' grad_a(w) independent of a"
+ANCHOR_CONE_ANTISYM = "{w, w} = 0"
+ANCHOR_CONE_JACOBI = "{a,{b,c}} + {b,{c,a}} + {c,{a,b}} = 0"
+ANCHOR_CONE_CANONICAL = ("cone bracket = canonical (z, xi) bracket under "
+                         "f (dz)^i <-> f xi^-i")
 
 
 class DependentFamily(ValueError):
@@ -452,3 +456,33 @@ def check_alpha_independence(omega: ConeDifferential, omega2: ConeDifferential,
             return failed(name, ANCHOR_CONE_ALPHA,
                           f"brackets differ: {first.f.to_text()} vs {other.f.to_text()}")
     return passed(name, ANCHOR_CONE_ALPHA)
+
+
+def check_cone_antisymmetry(omega: ConeDifferential, alpha: ConeDifferential,
+                            name: str = "cone-antisymmetry") -> CheckRecord:
+    anti = cone_bracket(omega, omega, alpha)
+    if anti.is_zero:
+        return passed(name, ANCHOR_CONE_ANTISYM)
+    return failed(name, ANCHOR_CONE_ANTISYM, anti.f.to_text())
+
+
+def check_cone_jacobi(a: ConeDifferential, b: ConeDifferential, c: ConeDifferential,
+                      alpha: ConeDifferential, name: str = "cone-jacobi") -> CheckRecord:
+    jac = (cone_bracket(a, cone_bracket(b, c, alpha), alpha)
+           + cone_bracket(b, cone_bracket(c, a, alpha), alpha)
+           + cone_bracket(c, cone_bracket(a, b, alpha), alpha))
+    if jac.is_zero:
+        return passed(name, ANCHOR_CONE_JACOBI)
+    return failed(name, ANCHOR_CONE_JACOBI, jac.f.to_text())
+
+
+def check_cone_vs_canonical(omega: ConeDifferential, omega2: ConeDifferential,
+                            alpha: ConeDifferential,
+                            name: str = "cone-vs-canonical") -> CheckRecord:
+    """The cone bracket, carried to (x, xi), is the canonical bracket."""
+    lhs = cone_to_symplectic(cone_bracket(omega, omega2, alpha))
+    rhs = poisson_bracket(PoissonElem(1, cone_to_symplectic(omega)),
+                          PoissonElem(1, cone_to_symplectic(omega2))).value
+    if lhs == rhs:
+        return passed(name, ANCHOR_CONE_CANONICAL)
+    return failed(name, ANCHOR_CONE_CANONICAL, f"cone - canonical = {(lhs - rhs).to_text()}")

@@ -100,6 +100,33 @@ def dual_mul(a: DualNum, b: DualNum) -> DualNum:
     return DualNum(body, soul)
 
 
+def _nonzero_part(d: DualNum) -> str:
+    """The first nonzero part of ``d`` and its text, as a failure witness."""
+    part = "body" if not d.body.is_zero else "soul"
+    return f"nonzero {part}: {getattr(d, part).value.to_text()}"
+
+
+def check_dual_assoc(a: DualNum, b: DualNum, c: DualNum,
+                     name: str = "dual-assoc") -> CheckRecord:
+    diff = dual_mul(dual_mul(a, b), c) - dual_mul(a, dual_mul(b, c))
+    if diff.is_zero:
+        return passed(name, ANCHOR_DUAL_ASSOC)
+    return failed(name, ANCHOR_DUAL_ASSOC, _nonzero_part(diff))
+
+
+def check_soul_factor(a: PoissonElem, b: PoissonElem,
+                      name: str = "dual-soul-factor") -> CheckRecord:
+    """The soul of the commutator of two body-only elements is 2 {a, b}."""
+    ab = dual_mul(DualNum.classical(a), DualNum.classical(b))
+    ba = dual_mul(DualNum.classical(b), DualNum.classical(a))
+    soul = (ab - ba).soul
+    want = poisson_bracket(a, b) * 2
+    if soul == want:
+        return passed(name, ANCHOR_SOUL_FACTOR)
+    return failed(name, ANCHOR_SOUL_FACTOR,
+                  f"soul - 2 {{a, b}} = {(soul - want).value.to_text()}")
+
+
 def dual_inverse(a: DualNum) -> DualNum:
     """Two-sided inverse: (1/body, -soul/body^2).
 
@@ -133,9 +160,8 @@ def dual_commuting_family(fs: list[RatFunc]) -> list[CheckRecord]:
                 records.append(passed(f"dual-commutator-{i + 1}{j + 1}",
                                       ANCHOR_DUAL_COMM))
             else:
-                part = "body" if not comm.body.is_zero else "soul"
                 records.append(failed(f"dual-commutator-{i + 1}{j + 1}",
-                                      ANCHOR_DUAL_COMM, f"nonzero {part}"))
+                                      ANCHOR_DUAL_COMM, _nonzero_part(comm)))
     classical = classical_hamiltonians(fs)
     for i in range(len(hs)):
         for j in range(i + 1, len(hs)):

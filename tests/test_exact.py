@@ -94,6 +94,15 @@ def test_mpoly_embed_relabels_variables():
     assert q == z2 * z2 + z0
 
 
+def test_mpoly_embed_keeps_the_normal_form():
+    # a decreasing var_map changes which key is largest: embed re-signs
+    x0, x1 = MPoly.var(2, 0), MPoly.var(2, 1)
+    swapped = (x0 - x1).embed(2, [1, 0])
+    assert swapped == x1 - x0
+    assert swapped._coeffs[max(swapped._coeffs)] > 0
+    assert RatFunc(x0 - x1, x0 + 1).embed(2, [1, 0]) == RatFunc(x1 - x0, x1 + 1)
+
+
 def test_mpoly_text_round_trip():
     rng = random.Random(5)
     for _ in range(20):
@@ -235,6 +244,65 @@ def test_exponent_packing_boundaries():
         MPoly.var(2, 0, _MAX_EXP) * x
     with pytest.raises(OverflowError):
         (MPoly.var(2, 1, 512) + x) ** 2
+
+
+def test_loose_exponent_bound_never_raises_falsely():
+    # the difference is 1, but its carried bound is still 600
+    x = MPoly.var(1, 0)
+    x600 = MPoly.var(1, 0, 600)
+    one = (x600 + 1) - x600
+    assert one == MPoly.one(1)
+    assert one * x600 == x600
+    assert (one * x) * x600 == x * x600
+    # bounds that add past the limit on different variables do not raise
+    assert MPoly.var(2, 0, 600) * MPoly.var(2, 1, 600) == MPoly.from_terms(2, {(600, 600): 1})
+
+
+def test_chained_products_raise_at_exactly_1024():
+    x, y = MPoly.var(2, 0), MPoly.var(2, 1)
+    p = MPoly.var(2, 0, 300) * MPoly.var(2, 0, 300) * (MPoly.var(2, 0, 300) + y)
+    top = p * MPoly.var(2, 0, _MAX_EXP - 900)
+    assert top.coeff((_MAX_EXP, 0)) == 1
+    with pytest.raises(OverflowError):
+        top * x
+    with pytest.raises(OverflowError):
+        p * MPoly.var(2, 0, _MAX_EXP - 899)
+    chain = x
+    for _ in range(_MAX_EXP - 1):
+        chain = chain * x
+    assert chain == MPoly.var(2, 0, _MAX_EXP)
+    with pytest.raises(OverflowError):
+        chain * (x + y)
+
+
+@pytest.mark.parametrize("nvars", [1, 4, 7])
+def test_monomial_shift_matches_the_product_kernel(nvars):
+    rng = random.Random(31 + nvars)
+    for _ in range(20):
+        exps = tuple(rng.randint(0, 5) for _ in range(nvars))
+        m = MPoly.from_terms(nvars, {exps: Fraction(rng.randint(-9, 9) or 1,
+                                                    rng.randint(1, 5))})
+        p = rand_poly(rng, nvars, terms=rng.randint(1, 12))
+        if p.is_zero:
+            continue
+        want = MPoly._build(nvars, _dict_mul_py(m._coeffs, p._coeffs),
+                            m.content * p.content)
+        for got in (m * p, p * m):
+            assert (got.content, got._coeffs) == (want.content, want._coeffs)
+
+
+def test_max_abs_coeff_is_not_computed_below_the_cutoff(monkeypatch):
+    calls = []
+    original = MPoly._max_abs_coeff
+    monkeypatch.setattr(MPoly, "_max_abs_coeff",
+                        lambda self: calls.append(1) or original(self))
+    a = MPoly.from_terms(1, {(k,): k + 1 for k in range(20)})
+    below = MPoly.from_terms(1, {(k,): 1 for k in range(-(-_NP_PAIR_CUTOFF // 20) - 1)})
+    at = MPoly.from_terms(1, {(k,): 1 for k in range(-(-_NP_PAIR_CUTOFF // 20))})
+    a * below
+    assert not calls
+    a * at
+    assert calls
 
 
 def test_ratfunc_equality_by_cross_multiplication():

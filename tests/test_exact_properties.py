@@ -48,6 +48,21 @@ def test_mpoly_ring_axioms(nvars, data):
 @pytest.mark.parametrize("nvars", [2, 6])
 @FIXED
 @given(data=st.data())
+def test_embed_is_a_ring_map_onto_the_normal_form(nvars, data):
+    a, b = (data.draw(polys(nvars)) for _ in range(2))
+    target = nvars + data.draw(st.integers(0, 1))
+    var_map = data.draw(st.permutations(range(target)))[:nvars]
+    ea, eb = a.embed(target, var_map), b.embed(target, var_map)
+    # == compares the stored normal forms, so a wrong sign would show
+    assert (a * b).embed(target, var_map) == ea * eb
+    assert (a + b).embed(target, var_map) == ea + eb
+    for poly in (ea, eb):
+        assert poly.is_zero or poly._coeffs[max(poly._coeffs)] > 0
+
+
+@pytest.mark.parametrize("nvars", [2, 6])
+@FIXED
+@given(data=st.data())
 def test_dict_mul_matches_python_kernel(nvars, data):
     a, b = (data.draw(polys(nvars)) for _ in range(2))
     if a.is_zero or b.is_zero:

@@ -1,4 +1,5 @@
-"""Negative controls for the checks fed by the signed-bijection kernel.
+"""Negative controls for the checks fed by the signed-bijection kernel and
+by the quantization bridges (dual numbers, hbar-localization, cone bracket).
 
 Each entry names an anchor, a true instance whose records for that anchor
 pass, and one documented perturbation.  Under the perturbation the same
@@ -6,6 +7,7 @@ instance must give at least one ``fail`` record for the anchor, and every
 such record must carry a witness.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,12 +15,21 @@ import pytest
 
 from commfam import poisson, quantize, weyl
 from commfam.exact import RatFunc, maximal_minors
-from commfam.poisson import (ANCHOR_GRASSMANN, ANCHOR_INCIDENCE, WedgeForm,
-                             check_grassmann, check_hyperplane_incidence,
-                             hyperplane_coefficients, random_decomposable,
-                             random_vector)
-from commfam.quantize import (ANCHOR_DUAL_COMM, ANCHOR_SOUL_MATCH, DualNum,
-                              dual_commuting_family)
+from commfam.poisson import (ANCHOR_CONE_ALPHA, ANCHOR_CONE_ANTISYM,
+                             ANCHOR_CONE_CANONICAL, ANCHOR_CONE_JACOBI,
+                             ANCHOR_GRASSMANN, ANCHOR_INCIDENCE, ConeDifferential,
+                             PoissonElem, WedgeForm, check_alpha_independence,
+                             check_cone_antisymmetry, check_cone_jacobi,
+                             check_cone_vs_canonical, check_grassmann,
+                             check_hyperplane_incidence, hyperplane_coefficients,
+                             random_decomposable, random_vector)
+from commfam.quantize import (ANCHOR_DEGEN, ANCHOR_DUAL_ASSOC, ANCHOR_DUAL_COMM,
+                              ANCHOR_LIFT_FREE, ANCHOR_LOCAL_ASSOC, ANCHOR_LOCAL_INV,
+                              ANCHOR_SOUL_FACTOR, ANCHOR_SOUL_MATCH, ANCHOR_XD,
+                              DualNum, HElem, check_degeneration, check_dual_assoc,
+                              check_lift_independence, check_localization_axioms,
+                              check_soul_factor, check_x_derivative_identity,
+                              dual_commuting_family, random_helem)
 from commfam.weyl import (ANCHOR_BASIS_MATCH, OpFamilySpec, RatDiffOp,
                           check_basis_matches_closed_form)
 
@@ -88,6 +99,92 @@ def negate_c1(monkeypatch):
                         else original(points, k))
 
 
+def dual_elems():
+    x, xi = PoissonElem.x(1, 1), PoissonElem.xi(1, 1)
+    return [DualNum(x * x + xi, x), DualNum(x * xi, xi * xi + 1), DualNum(xi + 2, x * xi)]
+
+
+def dual_assoc_instance():
+    return [check_dual_assoc(*dual_elems())]
+
+
+def soul_factor_instance():
+    a, b, _ = dual_elems()
+    return [check_soul_factor(a.body, b.body)]
+
+
+def drop_eps_bracket(monkeypatch):
+    monkeypatch.setattr(quantize, "dual_mul", lambda a, b: DualNum(
+        a.body * b.body, a.body * b.soul + a.soul * b.body))
+
+
+def localization_instance(hbar_term):
+    """Localize at z^2 + 1, plus hbar d/dz when ``hbar_term``: then X -> f^-1
+    needs the whole geometric series."""
+    def run():
+        z = RatFunc.var(1, 0)
+        f = HElem.function(z * z + RatFunc.const(1, 1), 3)
+        if hbar_term:
+            f = f + HElem.hbar_derivative(3)
+        return check_localization_axioms(f, random.Random(7), triples=2)
+    return run
+
+
+def first_term_inverse(monkeypatch):
+    monkeypatch.setattr(quantize, "h_inverse", lambda f: HElem.function(
+        RatFunc.const(1, 1) / f.body(), f.trunc))
+
+
+def positive_binomial(monkeypatch):
+    monkeypatch.setattr(quantize, "_neg_binomial", math.comb)
+
+
+def lift_instance():
+    z = RatFunc.var(1, 0)
+    f = HElem.function(z * z + RatFunc.const(1, 1), 4)
+    return [check_lift_independence(f, random_helem(random.Random(17), 4))]
+
+
+def degeneration_instance():
+    rng = random.Random(19)
+    return [check_degeneration(random_helem(rng, 5), random_helem(rng, 5))]
+
+
+def swapped_bracket(monkeypatch):
+    original = quantize.poisson_bracket
+    monkeypatch.setattr(quantize, "poisson_bracket", lambda f, g: original(g, f))
+
+
+def cone_instance():
+    # distinct weights: swapping i and i' changes the bracket
+    z = RatFunc.var(1, 0)
+    one = RatFunc.const(1, 1)
+    w1 = ConeDifferential(z * z + one, 2)
+    w2 = ConeDifferential(one / (z + one), -1)
+    w3 = ConeDifferential(z + RatFunc.const(1, 3), 0)
+    alphas = [ConeDifferential(one, 1), ConeDifferential(z + RatFunc.const(1, 2), 1)]
+    return [check_alpha_independence(w1, w2, alphas),
+            check_cone_antisymmetry(w1, alphas[0]),
+            check_cone_jacobi(w1, w2, w3, alphas[0]),
+            check_cone_vs_canonical(w1, w2, alphas[1])]
+
+
+def cone_bracket_with(weights):
+    """``cone_bracket`` with the weight factors (i, i') taken as ``weights(i, i')``."""
+    def perturb(monkeypatch):
+        def perturbed(omega, omega2, alpha):
+            i, i2 = weights(omega.weight, omega2.weight)
+            lhs = omega.f * poisson.nabla(alpha, omega2).f * i
+            rhs = omega2.f * poisson.nabla(alpha, omega).f * i2
+            return ConeDifferential(lhs - rhs, omega.weight + omega2.weight + 1)
+        monkeypatch.setattr(poisson, "cone_bracket", perturbed)
+    return perturb
+
+
+SWAP_I = ("i and i' swapped in cone_bracket", cone_instance,
+          cone_bracket_with(lambda i, i2: (i2, i)))
+
+
 # anchor -> (perturbation as documented, true instance, perturbation)
 NEGATIVE_CONTROLS = {
     ANCHOR_DUAL_COMM: ("Delta_1 + 1 among the dual-number minors", dual_family,
@@ -102,12 +199,34 @@ NEGATIVE_CONTROLS = {
                        delta1_plus_one(poisson, lambda n: Fraction(1))),
     ANCHOR_BASIS_MATCH: ("c_1 negated in basis_match_constant", basis_instance,
                          negate_c1),
+    ANCHOR_DUAL_ASSOC: ("the Poisson bracket the dual-number module sees is "
+                        "{f, g} + 1", dual_assoc_instance, bracket_plus_one),
+    ANCHOR_SOUL_FACTOR: ("the eps-bracket dropped from dual_mul", soul_factor_instance,
+                         drop_eps_bracket),
+    ANCHOR_LOCAL_INV: ("h_inverse cut after its first term 1/body",
+                       localization_instance(True), first_term_inverse),
+    ANCHOR_LOCAL_ASSOC: ("C(n, alpha) for C(-n, alpha) in localize_product",
+                         localization_instance(False), positive_binomial),
+    ANCHOR_XD: ("C(n, alpha) for C(-n, alpha) in localize_product",
+                lambda: [check_x_derivative_identity(4)], positive_binomial),
+    ANCHOR_LIFT_FREE: ("C(n, alpha) for C(-n, alpha) in localize_product",
+                       lift_instance, positive_binomial),
+    ANCHOR_DEGEN: ("the Poisson bracket the hbar module sees is {g, f}",
+                   degeneration_instance, swapped_bracket),
+    ANCHOR_CONE_ALPHA: SWAP_I,
+    ANCHOR_CONE_ANTISYM: ("the first weight factor of cone_bracket is i + 1",
+                          cone_instance, cone_bracket_with(lambda i, i2: (i + 1, i2))),
+    ANCHOR_CONE_JACOBI: SWAP_I,
+    ANCHOR_CONE_CANONICAL: SWAP_I,
 }
 
 
 @pytest.mark.parametrize("anchor", NEGATIVE_CONTROLS,
                          ids=["dual-comm", "soul-match", "grassmann-2", "grassmann-3",
-                              "grassmann-4", "incidence", "basis-match"])
+                              "grassmann-4", "incidence", "basis-match", "dual-assoc",
+                              "soul-factor", "local-inv", "local-assoc", "x-derivative",
+                              "lift-free", "degeneration", "cone-alpha",
+                              "cone-antisymmetry", "cone-jacobi", "cone-canonical"])
 def test_perturbation_turns_pass_into_fail(monkeypatch, anchor):
     _, instance, perturb = NEGATIVE_CONTROLS[anchor]
     clean = [r for r in instance() if r.anchor == anchor]
