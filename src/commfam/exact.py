@@ -8,10 +8,11 @@ with zero tolerance:
 * ``MPoly`` -- sparse multivariate polynomials with rational coefficients.
 * ``RatFunc`` -- quotients of polynomials; equality is decided by
   cross-multiplication, never by normalisation to a canonical form.
-* ``QMatrix`` -- dense matrices over an exact field.  When every entry is a
-  ``Rat``, products, Kronecker products and inverses run in Python integers
-  over one common denominator; the inverse uses fraction-free Bareiss
-  elimination.  Other entries (``RatFunc``) take Gaussian elimination with a
+* ``QMatrix`` -- dense matrices over an exact field.  A matrix of ``Rat``
+  entries is stored as integer numerators over one canonical common
+  denominator, so sums, products, Kronecker products and inverses run in
+  Python integers; the inverse uses fraction-free Bareiss elimination.
+  Other entries (``RatFunc``) take Gaussian elimination with a
   simplest-pivot preference.  An independent determinant oracle cross-checks
   both.
 * ``signed_minors`` -- the one signed-bijection kernel: every determinant
@@ -436,6 +437,8 @@ class MPoly:
             raise ValueError("var_map must cover every old variable")
         if len(set(var_map)) != len(var_map):
             raise ValueError("var_map must be injective")
+        if not all(0 <= j < nvars for j in var_map):
+            raise ValueError(f"var_map entries must lie in 0..{nvars - 1}")
         raw: dict[int, int] = {}
         for k, v in self._coeffs.items():
             new_key = 0
@@ -727,30 +730,20 @@ def _complexity(entry) -> int:
     return 1
 
 
-def _all_rat(*mats: "QMatrix") -> bool:
-    """True when every entry is a ``Rat``: the integer kernels apply."""
-    return all(type(x) is Fraction for m in mats for x in m.data)
-
-
-def _scaled(data: list[Fraction]) -> tuple[list[int], int]:
-    """``data`` as integer numerators over the lcm of its denominators."""
-    den = math.lcm(*{x.denominator for x in data})
-    if den == 1:
-        return [x.numerator for x in data], 1
-    return [x.numerator * (den // x.denominator) for x in data], den
-
-
-def _unscaled(nums: list[int], den: int) -> list[Fraction]:
-    """One reduced ``Rat`` per integer numerator over ``den``."""
-    if den == 1:
-        return [Fraction(x) for x in nums]
-    return [Fraction(x, den) for x in nums]
-
-
 class QMatrix:
-    """Dense matrix over an exact field (``Rat`` or ``RatFunc`` entries)."""
+    """Dense matrix over an exact field (``Rat`` or ``RatFunc`` entries).
 
-    __slots__ = ("rows", "cols", "data")
+    A matrix whose entries are all ``Rat`` is stored as integer numerators
+    ``_nums`` (row-major) over one common denominator ``_den``, in the
+    canonical form ``_den > 0`` and ``gcd(_den, *_nums) == 1``.  Sums,
+    products, Kronecker products, inverses, scaling by a ``Rat`` and
+    comparisons work on these integers; because the form is canonical,
+    ``==`` compares two integer lists and one denominator.  ``data``,
+    ``row`` and ``[i, j]`` give the reduced ``Rat`` entries, built on first
+    read.  Any other matrix (``_nums is None``) keeps its entry list.
+    """
+
+    __slots__ = ("rows", "cols", "_nums", "_den", "_data")
 
     def __init__(self, rows: int, cols: int, data: Sequence):
         data = [Fraction(e) if isinstance(e, int) else e for e in data]
@@ -758,7 +751,32 @@ class QMatrix:
             raise ValueError(f"need {rows * cols} entries, got {len(data)}")
         self.rows = rows
         self.cols = cols
-        self.data = data
+        self._data = data
+        self._nums = self._den = None
+        if all(type(x) is Fraction for x in data):
+            # reduced entries over the lcm of their denominators are canonical
+            den = math.lcm(*{x.denominator for x in data})
+            self._nums = [x.numerator * (den // x.denominator) for x in data]
+            self._den = den
+
+    @classmethod
+    def _of_ints(cls, rows: int, cols: int, nums: list[int], den: int) -> "QMatrix":
+        """``nums / den`` brought to the canonical form."""
+        if den < 0:
+            nums = [-x for x in nums]
+            den = -den
+        if den != 1:
+            g = math.gcd(den, *nums)
+            if g != 1:
+                nums = [x // g for x in nums]
+                den //= g
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m._nums = nums
+        m._den = den
+        m._data = None
+        return m
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "QMatrix":
@@ -773,11 +791,18 @@ class QMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
+        return cls._of_ints(n, n, [int(i == j) for i in range(n) for j in range(n)], 1)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "QMatrix":
-        return cls(rows, cols, [Fraction(0)] * (rows * cols))
+        return cls._of_ints(rows, cols, [0] * (rows * cols), 1)
+
+    @property
+    def data(self) -> list:
+        """The entries in row-major order."""
+        if self._data is None:
+            self._data = [Fraction(x, self._den) for x in self._nums]
+        return self._data
 
     def __getitem__(self, ij: tuple[int, int]):
         i, j = ij
@@ -789,23 +814,41 @@ class QMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def __add__(self, other: "QMatrix") -> "QMatrix":
+    def _combine(self, other: "QMatrix", op) -> "QMatrix":
+        """Entrywise ``op`` (``+`` or ``-``) of two equal-shape matrices."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return QMatrix(self.rows, self.cols,
-                       [a + b for a, b in zip(self.data, other.data)])
+        a, b = self._nums, other._nums
+        if a is None or b is None:
+            return QMatrix(self.rows, self.cols, list(map(op, self.data, other.data)))
+        # bring both over lcm(da, db) = da * sa = db * sb
+        da, db = self._den, other._den
+        g = math.gcd(da, db)
+        sa, sb = db // g, da // g
+        if sa != 1:
+            a = [x * sa for x in a]
+        if sb != 1:
+            b = [x * sb for x in b]
+        return QMatrix._of_ints(self.rows, self.cols, list(map(op, a, b)), da * sa)
+
+    def __add__(self, other: "QMatrix") -> "QMatrix":
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return QMatrix(self.rows, self.cols,
-                       [a - b for a, b in zip(self.data, other.data)])
+        return self._combine(other, operator.sub)
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix(self.rows, self.cols, [-a for a in self.data])
+        if self._nums is None:
+            return QMatrix(self.rows, self.cols, [-a for a in self.data])
+        return QMatrix._of_ints(self.rows, self.cols, [-x for x in self._nums], self._den)
 
     def scale(self, c) -> "QMatrix":
-        return QMatrix(self.rows, self.cols, [a * c for a in self.data])
+        if self._nums is None or not isinstance(c, (int, Fraction)):
+            return QMatrix(self.rows, self.cols, [a * c for a in self.data])
+        c = Fraction(c)
+        return QMatrix._of_ints(self.rows, self.cols,
+                                [x * c.numerator for x in self._nums],
+                                self._den * c.denominator)
 
     def __mul__(self, other):
         if not isinstance(other, QMatrix):
@@ -813,14 +856,13 @@ class QMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch for matrix product")
         n, m, p = self.rows, self.cols, other.cols
-        if _all_rat(self, other):
+        a, b = self._nums, other._nums
+        if a is not None and b is not None:
             # an operand with no entries lands here too, so m = 0 gives zeros
-            a, da = _scaled(self.data)
-            b, db = _scaled(other.data)
+            arows = [a[i * m:(i + 1) * m] for i in range(n)]
             bcols = [b[j::p] for j in range(p)]
-            out = [sum(map(operator.mul, a[i * m:(i + 1) * m], col))
-                   for i in range(n) for col in bcols]
-            return QMatrix(n, p, _unscaled(out, da * db))
+            out = [sum(map(operator.mul, arow, col)) for arow in arows for col in bcols]
+            return QMatrix._of_ints(n, p, out, self._den * other._den)
         a, b = self.data, other.data
         out = []
         for i in range(n):
@@ -837,16 +879,23 @@ class QMatrix:
     def __eq__(self, other):
         if not isinstance(other, QMatrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and all(
-            a == b for a, b in zip(self.data, other.data))
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            return False
+        if self._nums is not None and other._nums is not None:
+            return self._den == other._den and self._nums == other._nums
+        return all(a == b for a, b in zip(self.data, other.data))
 
     __hash__ = None
 
     def is_identity(self) -> bool:
         if not self.is_square():
             return False
-        for i in range(self.rows):
-            for j in range(self.cols):
+        n = self.rows
+        if self._nums is not None:
+            return self._den == 1 and self._nums == [int(k % (n + 1) == 0)
+                                                     for k in range(n * n)]
+        for i in range(n):
+            for j in range(n):
                 want = 1 if i == j else 0
                 if self[i, j] != want:
                     return False
@@ -854,6 +903,11 @@ class QMatrix:
 
     def first_nonzero(self) -> tuple[int, int, object] | None:
         """Row-major first nonzero entry, as a failure witness."""
+        if self._nums is not None:
+            k = next((k for k, x in enumerate(self._nums) if x), None)
+            if k is None:
+                return None
+            return k // self.cols, k % self.cols, Fraction(self._nums[k], self._den)
         for i in range(self.rows):
             for j in range(self.cols):
                 e = self[i, j]
@@ -869,9 +923,8 @@ class QMatrix:
 
 def kron(a: QMatrix, b: QMatrix) -> QMatrix:
     """Kronecker product, first factor on the slower index."""
-    if _all_rat(a, b):
-        na, da = _scaled(a.data)
-        nb, db = _scaled(b.data)
+    na, nb = a._nums, b._nums
+    if na is not None and nb is not None:
         brows = [nb[k * b.cols:(k + 1) * b.cols] for k in range(b.rows)]
         out = []
         for i in range(a.rows):
@@ -879,7 +932,7 @@ def kron(a: QMatrix, b: QMatrix) -> QMatrix:
             for brow in brows:
                 for x in arow:
                     out.extend([x * y for y in brow])
-        return QMatrix(a.rows * b.rows, a.cols * b.cols, _unscaled(out, da * db))
+        return QMatrix._of_ints(a.rows * b.rows, a.cols * b.cols, out, a._den * b._den)
     out = []
     for i in range(a.rows):
         for k in range(b.rows):
@@ -903,7 +956,7 @@ def mat_inverse(m: QMatrix) -> QMatrix:
     """
     if not m.is_square():
         raise ValueError("inverse of a non-square matrix")
-    if _all_rat(m):
+    if m._nums is not None:
         return _rat_inverse(m)
     n = m.rows
     a = [m.row(i) for i in range(n)]
@@ -944,14 +997,15 @@ def mat_inverse(m: QMatrix) -> QMatrix:
 def _rat_inverse(m: QMatrix) -> QMatrix:
     """Bareiss fraction-free Gauss-Jordan elimination on [N | I].
 
-    N is m scaled to integers over the lcm denominator den.  Every
-    intermediate entry is a minor of [N | I], so each division by the
-    previous pivot is exact (Bareiss 1968, Math. Comp. 22:565-578).  The
-    elimination ends as [c I | c N^-1], where c is the last pivot, so
-    m^-1 = den * (c N^-1) / c needs no sign tracking for the row swaps.
+    N is the integer numerator matrix of m = N / den.  Every intermediate
+    entry is a minor of [N | I], so each division by the previous pivot is
+    exact (Bareiss 1968, Math. Comp. 22:565-578).  The elimination ends as
+    [c I | c N^-1], where c is the last pivot, so m^-1 = den * (c N^-1) / c
+    needs no sign tracking for the row swaps: the result is the integer
+    matrix den * (c N^-1) over c, brought to the canonical form.
     """
     n = m.rows
-    nums, den = _scaled(m.data)
+    nums, den = m._nums, m._den
     # rows[i]: columns k..n-1 of the left block, then the right block; a
     # column leaves once it is eliminated (its entries are 0 off the
     # diagonal, and every diagonal entry ends equal to c).
@@ -976,7 +1030,7 @@ def _rat_inverse(m: QMatrix) -> QMatrix:
                 rows[i] = [pivot * x // prev for x in rows[i][1:]]
         rows[k] = tail
         prev = pivot
-    return QMatrix(n, n, [Fraction(den * x, prev) for row in rows for x in row])
+    return QMatrix._of_ints(n, n, [den * x for row in rows for x in row], prev)
 
 
 def signed_minors(a: Sequence[Sequence], mul=operator.mul, one=Rat(1)) -> dict:

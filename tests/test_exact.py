@@ -103,6 +103,14 @@ def test_mpoly_embed_keeps_the_normal_form():
     assert RatFunc(x0 - x1, x0 + 1).embed(2, [1, 0]) == RatFunc(x1 - x0, x1 + 1)
 
 
+@pytest.mark.parametrize("nvars, var_map", [(2, [5]), (2, [2]), (2, [-1])])
+def test_mpoly_embed_rejects_out_of_range_targets(nvars, var_map):
+    # an exponent packed into a field no variable reads would print as 1
+    # yet be unequal to MPoly.one(2)
+    with pytest.raises(ValueError, match="var_map"):
+        MPoly.var(1, 0).embed(nvars, var_map)
+
+
 def test_mpoly_text_round_trip():
     rng = random.Random(5)
     for _ in range(20):

@@ -1,7 +1,12 @@
 """Property tests of the ``MPoly``/``RatFunc`` ring axioms at the guards of
 the product kernels: products on both sides of the numpy pair cutoff,
 exponents near the packing limit and coefficients near the numpy int64 bound.
+The ``QMatrix`` integer form (numerators over one denominator) is checked
+against plain ``Fraction`` loops.
 """
+
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -9,7 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from commfam import exact
-from commfam.exact import _MAX_EXP, MPoly, RatFunc
+from commfam.exact import _MAX_EXP, MPoly, QMatrix, RatFunc, Singular, kron, mat_inverse
 
 # Fixed examples and no example database: every run checks the same inputs.
 FIXED = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -86,3 +91,111 @@ def test_ratfunc_field_axioms(data):
     assert f * g == g * f
     if not a.is_zero:
         assert f * RatFunc(b, a) == 1
+
+
+# Entries over denominators 1, 6 and 35, of both signs: the lcm of a matrix's
+# denominators ranges over 1..210, and sums and products cancel part of it.
+RATS = st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 6, 35]))
+DIM = st.integers(0, 3)
+
+
+@st.composite
+def entry_lists(draw, rows, cols):
+    return draw(st.lists(RATS, min_size=rows * cols, max_size=rows * cols))
+
+
+def assert_canonical(m):
+    assert m._den > 0 and math.gcd(m._den, *m._nums) == 1
+
+
+def fraction_inverse(entries, n):
+    """Gauss-Jordan on Fraction rows; None when singular."""
+    a = [entries[i * n:(i + 1) * n] + [Fraction(int(i == j)) for j in range(n)]
+         for i in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                a[r] = [x - a[r][col] * y for x, y in zip(a[r], a[col])]
+    return [x for row in a for x in row[n:]]
+
+
+@FIXED
+@given(data=st.data())
+def test_qmatrix_entrywise_ops_match_fraction_loops(data):
+    r, c = data.draw(DIM), data.draw(DIM)
+    x, y = data.draw(entry_lists(r, c)), data.draw(entry_lists(r, c))
+    k = data.draw(RATS)
+    a, b = QMatrix(r, c, x), QMatrix(r, c, y)
+    cases = [(a + b, [u + v for u, v in zip(x, y)]),
+             (a - b, [u - v for u, v in zip(x, y)]),
+             (-a, [-u for u in x]),
+             (a.scale(k), [u * k for u in x])]
+    for got, want in cases:
+        assert_canonical(got)
+        assert got.data == want
+    assert a.scale(Fraction(1, 3)).scale(3) == a
+    assert (a.scale(Fraction(1, 6)) == a) == (not any(x))
+    assert (a + b) - b == a
+    assert a - a == QMatrix.zeros(r, c)
+
+
+@FIXED
+@given(data=st.data())
+def test_qmatrix_products_match_fraction_loops(data):
+    n, m, p, q = (data.draw(DIM) for _ in range(4))
+    x, y = data.draw(entry_lists(n, m)), data.draw(entry_lists(m, p))
+    z = data.draw(entry_lists(p, q))
+    a, b, c = QMatrix(n, m, x), QMatrix(m, p, y), QMatrix(p, q, z)
+    prod = a * b
+    assert_canonical(prod)
+    assert prod.data == [sum((x[i * m + k] * y[k * p + j] for k in range(m)), Fraction(0))
+                         for i in range(n) for j in range(p)]
+    assert (a * b) * c == a * (b * c)
+    kr = kron(a, c)
+    assert_canonical(kr)
+    assert kr.data == [x[i * m + j] * z[k * q + l] for i in range(n) for k in range(p)
+                       for j in range(m) for l in range(q)]
+
+
+@FIXED
+@given(data=st.data())
+def test_qmatrix_inverse_matches_fraction_gauss_jordan(data):
+    n = data.draw(st.integers(1, 4))
+    x = data.draw(entry_lists(n, n))
+    want = fraction_inverse(x, n)
+    a = QMatrix(n, n, x)
+    if want is None:
+        with pytest.raises(Singular):
+            mat_inverse(a)
+        return
+    inv = mat_inverse(a)
+    assert_canonical(inv)
+    assert inv.data == want
+    assert (a * inv).is_identity() and (inv * a).is_identity()
+
+
+def test_qmatrix_inverse_with_negative_last_pivot_has_positive_denominator():
+    # numerators [[35, 0], [0, -6]] over 210: no row swap, last pivot -210
+    inv = mat_inverse(QMatrix.from_rows([[Fraction(1, 6), 0], [0, Fraction(-1, 35)]]))
+    assert_canonical(inv)
+    assert inv.data == [6, 0, 0, -35]
+
+
+@FIXED
+@given(data=st.data())
+def test_qmatrix_first_nonzero_is_a_reduced_rat(data):
+    r, c = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    x = data.draw(entry_lists(r, c))
+    spot = QMatrix(r, c, x).first_nonzero()
+    k = next((k for k, u in enumerate(x) if u), None)
+    if k is None:
+        assert spot is None
+        return
+    i, j, v = spot
+    assert (i, j) == divmod(k, c) and v == x[k]
+    assert type(v) is Fraction and math.gcd(v.numerator, v.denominator) == 1

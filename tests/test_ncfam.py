@@ -337,3 +337,9 @@ def test_negative_control_main_id(monkeypatch, family_n3):
     monkeypatch.setattr(ncfam, "family_minors", lambda fam: [
         off_by_one(m) if i == 1 else m for i, m in enumerate(original(fam))])
     assert_fails_with_entry(check_main_id(rows))
+
+
+def test_negative_control_pairwise_commute(family_n3):
+    hs = hamiltonians(family_n3)
+    assert check_pairwise_commute(hs).status == "pass"
+    assert_fails_with_entry(check_pairwise_commute([off_by_one(hs[0]), *hs[1:]]))

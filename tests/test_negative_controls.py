@@ -234,3 +234,12 @@ def test_perturbation_turns_pass_into_fail(monkeypatch, anchor):
     perturb(monkeypatch)
     failing = [r for r in instance() if r.anchor == anchor and r.status == "fail"]
     assert failing and all(r.witness for r in failing)
+
+
+def test_oracle_overflow_fails_the_comparison_instead_of_raising(monkeypatch):
+    # With C(n, alpha) for C(-n, alpha) and the lift z^2+1 + hbar d/dz, the
+    # evaluation oracle's RatFunc sums leave the exponent packing range.
+    positive_binomial(monkeypatch)
+    assoc = [r for r in localization_instance(True)() if r.anchor == ANCHOR_LOCAL_ASSOC]
+    assert len(assoc) == 2
+    assert all(r.status == "fail" and "overflow" in r.witness for r in assoc)
