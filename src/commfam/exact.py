@@ -38,8 +38,15 @@ paths of the product rely on it:
   ``+``); the product walks the exact per-variable maxima only when two
   bounds add past ``_MAX_EXP``, so it raises ``OverflowError`` on exactly
   the products whose exponents leave the packing range;
-* the coefficient bound that guards the numpy kernel is computed only for
-  products of at least ``_NP_PAIR_CUTOFF`` term pairs.
+* products of at least ``_NP_PAIR_CUTOFF`` term pairs convert both factors
+  to int64 arrays, and the coefficient bound that guards numpy is read off
+  those arrays: a coefficient outside int64, or a bound under which one
+  output term could reach ``_NP_COEF_BOUND``, sends the product to the
+  Python loop;
+* from ``_NP_BOX_PAIR_CUTOFF`` pairs, a product whose exponents span a box
+  of at most ``_NP_BOX_RATIO`` cells per pair is a dense Kronecker
+  substitution: every term pair is scatter-added into a flat int64 array
+  over that box, with no sort; other numpy products sort the summed keys.
 
 Graded lexicographic order -- total degree first, ties broken by the packed
 key -- is used only to print terms.
@@ -89,11 +96,17 @@ _SHIFT = 10
 _MASK = (1 << _SHIFT) - 1
 _MAX_EXP = _MASK  # 1023
 
-# numpy fast-path thresholds for polynomial multiplication.  Timed on the
-# products of one rational-ops and one small-algebra benchmark pass (2-core
-# Xeon VM), numpy overtakes the Python double loop at 400-500 term pairs.
+# numpy thresholds for polynomial multiplication (2-core Xeon VM, numpy 2.4).
+# On the products of one rational-ops and one small-algebra benchmark pass,
+# numpy overtakes the Python double loop at 400-500 term pairs.  On the 2014
+# int64 products of at least 500 pairs in one seed-1 pass of each, the box
+# kernel, its geometry included, ties the sort at about 2^12.25 ~ 4900 pairs
+# and is 2.7x faster in total from 2^17 pairs; at 1.5 to 2 box cells per
+# pair the two tie, and beyond 2 the sort is faster.
 _NP_PAIR_CUTOFF = 500
 _NP_COEF_BOUND = 1 << 62
+_NP_BOX_PAIR_CUTOFF = 5000
+_NP_BOX_RATIO = 2
 
 
 def _pack(exps: Sequence[int]) -> int:
@@ -127,11 +140,7 @@ def _dict_mul_py(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def _dict_mul_np(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    ka = np.fromiter(a.keys(), dtype=np.int64, count=len(a))
-    va = np.fromiter(a.values(), dtype=np.int64, count=len(a))
-    kb = np.fromiter(b.keys(), dtype=np.int64, count=len(b))
-    vb = np.fromiter(b.values(), dtype=np.int64, count=len(b))
+def _dict_mul_sort(ka, va, kb, vb) -> dict[int, int]:
     keys = np.add.outer(ka, kb).ravel()
     vals = np.multiply.outer(va, vb).ravel()
     # Integer sums are exact in any order, so the sort need not be stable.
@@ -144,15 +153,55 @@ def _dict_mul_np(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return dict(zip(keys[starts][nonzero].tolist(), sums[nonzero].tolist()))
 
 
-def _dict_mul(a: dict[int, int], b: dict[int, int], nvars: int,
-              abound: int, bbound: int) -> dict[int, int]:
-    if not a or not b:
-        return {}
-    pairs = len(a) * len(b)
-    if (pairs >= _NP_PAIR_CUTOFF and _SHIFT * nvars <= 62
-            and abound * bbound * min(len(a), len(b)) < _NP_COEF_BOUND):
-        return _dict_mul_np(a, b)
-    return _dict_mul_py(a, b)
+def _dict_mul_box(da, va, db, vb, lo, widths, shifts) -> dict[int, int]:
+    """Kronecker substitution into the box of product exponents.
+
+    ``da``/``db`` are the operands' exponent vectors less their per-variable
+    minima, ``lo`` is the box's lowest corner and ``widths`` its side
+    lengths.  With mixed-radix strides every exponent vector becomes one flat
+    offset, and offsets add without carries because every product lands in
+    the box; each term pair is scatter-added into its cell.  Offsets order
+    the cells as packed keys do, so the result is in ascending key order.
+    """
+    strides = np.concatenate(([1], np.cumprod(widths[:-1])))
+    box = np.zeros(int(strides[-1] * widths[-1]), dtype=np.int64)
+    np.add.at(box, np.add.outer(da @ strides, db @ strides).ravel(),
+              np.multiply.outer(va, vb).ravel())
+    cells = np.flatnonzero(box)
+    keys = ((cells[:, None] // strides % widths + lo) << shifts).sum(axis=1)
+    return dict(zip(keys.tolist(), box[cells].tolist()))
+
+
+def _dict_mul(a: dict[int, int], b: dict[int, int], nvars: int) -> dict[int, int]:
+    """Product of two primitive parts (packed key -> int), zero sums dropped
+    by the numpy kernels and kept by the Python loop.  Every exponent of the
+    product must fit its field, as ``MPoly.__mul__`` checks first."""
+    la, lb = len(a), len(b)
+    pairs = la * lb
+    if pairs < _NP_PAIR_CUTOFF or _SHIFT * nvars > 62:
+        return _dict_mul_py(a, b)
+    try:
+        va = np.fromiter(a.values(), dtype=np.int64, count=la)
+        vb = np.fromiter(b.values(), dtype=np.int64, count=lb)
+    except OverflowError:  # a coefficient lies outside int64
+        return _dict_mul_py(a, b)
+    # int() before negating: -2**63 has no int64 negation
+    abound = max(int(va.max()), -int(va.min()))
+    bbound = max(int(vb.max()), -int(vb.min()))
+    # a cell sums at most min(la, lb) products, so every partial sum fits
+    if abound * bbound * min(la, lb) >= _NP_COEF_BOUND:
+        return _dict_mul_py(a, b)
+    ka = np.fromiter(a.keys(), dtype=np.int64, count=la)
+    kb = np.fromiter(b.keys(), dtype=np.int64, count=lb)
+    if pairs >= _NP_BOX_PAIR_CUTOFF:
+        shifts = np.arange(0, _SHIFT * nvars, _SHIFT, dtype=np.int64)
+        ea = (ka[:, None] >> shifts) & _MASK
+        eb = (kb[:, None] >> shifts) & _MASK
+        alo, blo = ea.min(axis=0), eb.min(axis=0)
+        widths = ea.max(axis=0) - alo + eb.max(axis=0) - blo + 1
+        if math.prod(widths.tolist()) <= _NP_BOX_RATIO * pairs:
+            return _dict_mul_box(ea - alo, va, eb - blo, vb, alo + blo, widths, shifts)
+    return _dict_mul_sort(ka, va, kb, vb)
 
 
 class MPoly:
@@ -285,11 +334,6 @@ class MPoly:
             self._vmax = tuple(vm)
         return self._vmax
 
-    def _max_abs_coeff(self) -> int:
-        if not self._coeffs:
-            return 0
-        return max(abs(v) for v in self._coeffs.values())
-
     # -- arithmetic ---------------------------------------------------------
 
     def _check_compat(self, other: "MPoly") -> None:
@@ -375,11 +419,7 @@ class MPoly:
             (shift,) = a
             return MPoly(self.nvars, content, {k + shift: v for k, v in b.items()},
                          _internal=True, ebound=ebound)
-        if len(a) * len(b) < _NP_PAIR_CUTOFF:
-            raw = _dict_mul_py(a, b)
-        else:
-            raw = _dict_mul(a, b, self.nvars, self._max_abs_coeff(), other._max_abs_coeff())
-        return MPoly._build(self.nvars, raw, content, ebound)
+        return MPoly._build(self.nvars, _dict_mul(a, b, self.nvars), content, ebound)
 
     __rmul__ = __mul__
 

@@ -39,8 +39,6 @@ from .poisson import PoissonElem, classical_hamiltonians, poisson_bracket
 from .reports import CheckRecord, failed, passed
 
 ANCHOR_OP_COMMUTE = "[H_k, H_l] = 0"
-ANCHOR_CLOSED_FORM = ("H_k = sum_i [prod_{(i',k'): i'=i or k'=k}(z_i' - P_k') "
-                      "/ prod_{i' != i}(z_i - z_i')] T_{z_i}")
 ANCHOR_SYMBOL_MATCH = "symbol(H_k) = c_k * H_k^cl (c_k fixed by the points)"
 ANCHOR_SYMBOL_COMMUTE = "{symbol(H_k), symbol(H_l)} = 0"
 ANCHOR_BASIS_MATCH = ("sum_j (-1)^(j+1) (F_i^(j)/F) T_{z_j} matches the "

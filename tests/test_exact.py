@@ -4,15 +4,17 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from commfam import exact
 from commfam.exact import (MPoly, QMatrix, Rat, RatFunc, Singular, det, kron,
                            mat_inverse, partial_derivative, rank,
                            ratfunc_equal)
-from commfam.exact import (_MAX_EXP, _NP_COEF_BOUND, _NP_PAIR_CUTOFF,
-                           _common_monomial_key, _dict_mul_np, _dict_mul_py,
-                           _pack, _unpack)
+from commfam.exact import (_MAX_EXP, _NP_BOX_PAIR_CUTOFF, _NP_BOX_RATIO,
+                           _NP_COEF_BOUND, _NP_PAIR_CUTOFF, _common_monomial_key,
+                           _dict_mul_py, _pack, _unpack)
+from kernel_routes import box_cells, expected_kernel, nonzero, routed_mul
 
 
 def rand_rat(rng, bound=40):
@@ -118,32 +120,33 @@ def test_mpoly_text_round_trip():
         assert MPoly.from_text(p.to_text(), 3) == p
 
 
+def arrays(terms):
+    """Packed keys and coefficients as the numpy kernels take them."""
+    return (np.fromiter(terms.keys(), dtype=np.int64, count=len(terms)),
+            np.fromiter(terms.values(), dtype=np.int64, count=len(terms)))
+
+
+def box_mul(a, b, nvars):
+    """``exact._dict_mul_box`` on the box that ``a`` and ``b`` span."""
+    shifts = np.arange(0, 10 * nvars, 10)
+    (ka, va), (kb, vb) = arrays(a), arrays(b)
+    ea, eb = (ka[:, None] >> shifts) & _MAX_EXP, (kb[:, None] >> shifts) & _MAX_EXP
+    alo, blo = ea.min(axis=0), eb.min(axis=0)
+    widths = ea.max(axis=0) - alo + eb.max(axis=0) - blo + 1
+    return exact._dict_mul_box(ea - alo, va, eb - blo, vb, alo + blo, widths, shifts)
+
+
 def test_dict_mul_kernels_agree():
     rng = random.Random(17)
     for _ in range(20):
         a = {rng.randrange(1 << 30): rng.randint(-50, 50) for _ in range(30)}
         b = {rng.randrange(1 << 30): rng.randint(-50, 50) for _ in range(25)}
-        py = {k: v for k, v in _dict_mul_py(a, b).items() if v}
-        np_ = {k: v for k, v in _dict_mul_np(a, b).items() if v}
-        assert py == np_
-
-
-def nonzero(terms):
-    return {k: v for k, v in terms.items() if v}
-
-
-def routed_mul(monkeypatch, a, b, nvars):
-    """``exact._dict_mul(a, b)`` and the name of the kernel it took."""
-    taken = []
-    with monkeypatch.context() as m:
-        for name in ("_dict_mul_np", "_dict_mul_py"):
-            kernel = getattr(exact, name)
-            m.setattr(exact, name,
-                      lambda x, y, k=kernel, n=name: taken.append(n) or k(x, y))
-        bound = lambda d: max(abs(v) for v in d.values())
-        out = exact._dict_mul(a, b, nvars, bound(a), bound(b))
-    assert len(taken) == 1
-    return out, taken[0]
+        assert exact._dict_mul_sort(*arrays(a), *arrays(b)) == nonzero(_dict_mul_py(a, b))
+        # the same terms folded into a small box: 3 variables, exponents below 8
+        a, b = ({k & _pack([7, 7, 7]): v for k, v in d.items()} for d in (a, b))
+        py = nonzero(_dict_mul_py(a, b))
+        for out in (exact._dict_mul_sort(*arrays(a), *arrays(b)), box_mul(a, b, 3)):
+            assert out == py and list(out) == sorted(out)
 
 
 def rand_keys(rng, nvars, count):
@@ -154,7 +157,7 @@ def rand_keys(rng, nvars, count):
 
 
 @pytest.mark.parametrize("nvars", [6, 7])
-def test_dict_mul_kernels_agree_across_the_cutoff(monkeypatch, nvars):
+def test_dict_mul_kernels_agree_across_the_cutoff(nvars):
     # 6 variables pack into 60 bits and may take numpy; 7 need 70 bits and
     # must stay in Python however many pairs there are
     rng = random.Random(nvars)
@@ -163,19 +166,19 @@ def test_dict_mul_kernels_agree_across_the_cutoff(monkeypatch, nvars):
         for _ in range(3):
             a = {k: rng.randint(-50, 50) or 1 for k in rand_keys(rng, nvars, la)}
             b = {k: rng.randint(-50, 50) or 1 for k in rand_keys(rng, nvars, lb)}
-            out, kernel = routed_mul(monkeypatch, a, b, nvars)
+            out, kernel = routed_mul(a, b, nvars)
             big = la * lb >= _NP_PAIR_CUTOFF and nvars == 6
-            assert kernel == ("_dict_mul_np" if big else "_dict_mul_py")
+            assert kernel == ("_dict_mul_sort" if big else "_dict_mul_py")
             assert nonzero(out) == nonzero(_dict_mul_py(a, b))
 
 
-def test_dict_mul_np_drops_cancelled_terms(monkeypatch):
+def test_dict_mul_np_drops_cancelled_terms():
     # (1 - x)(1 + x + ... + x^(n-1)) = 1 - x^n: every collided key cancels
     n = _NP_PAIR_CUTOFF
     a = {0: 1, 1: -1}
     b = {k: 1 for k in range(n)}
-    out, kernel = routed_mul(monkeypatch, a, b, 1)
-    assert kernel == "_dict_mul_np"
+    out, kernel = routed_mul(a, b, 1)
+    assert kernel == "_dict_mul_sort"
     assert out == {0: 1, n: -1} == nonzero(_dict_mul_py(a, b))
 
 
@@ -184,13 +187,13 @@ def test_dict_mul_np_drops_cancelled_terms(monkeypatch):
     (0, 4, 1 << 29, 1 << 31),
     (1, 5, 5581 * 8681, 49477 * 384773),
 ], ids=["bound-1", "bound", "bound+1"])
-def test_dict_mul_coefficient_bound(monkeypatch, offset, m, ca, cb):
+def test_dict_mul_coefficient_bound(offset, m, ca, cb):
     assert m * ca * cb == _NP_COEF_BOUND + offset
     # a has m terms, so m products meet on every inner key: the worst sum
     a = {k: -ca for k in range(m)}
     b = {k: cb for k in range(-(-_NP_PAIR_CUTOFF // m) + m)}
-    out, kernel = routed_mul(monkeypatch, a, b, 1)
-    assert kernel == ("_dict_mul_np" if offset < 0 else "_dict_mul_py")
+    out, kernel = routed_mul(a, b, 1)
+    assert kernel == ("_dict_mul_sort" if offset < 0 else "_dict_mul_py")
     assert out == nonzero(_dict_mul_py(a, b))
     assert min(out.values()) == -m * ca * cb
 
@@ -299,11 +302,10 @@ def test_monomial_shift_matches_the_product_kernel(nvars):
             assert (got.content, got._coeffs) == (want.content, want._coeffs)
 
 
-def test_max_abs_coeff_is_not_computed_below_the_cutoff(monkeypatch):
+def test_no_numpy_array_is_built_below_the_cutoff(monkeypatch):
     calls = []
-    original = MPoly._max_abs_coeff
-    monkeypatch.setattr(MPoly, "_max_abs_coeff",
-                        lambda self: calls.append(1) or original(self))
+    original = np.fromiter
+    monkeypatch.setattr(np, "fromiter", lambda *args, **kw: calls.append(1) or original(*args, **kw))
     a = MPoly.from_terms(1, {(k,): k + 1 for k in range(20)})
     below = MPoly.from_terms(1, {(k,): 1 for k in range(-(-_NP_PAIR_CUTOFF // 20) - 1)})
     at = MPoly.from_terms(1, {(k,): 1 for k in range(-(-_NP_PAIR_CUTOFF // 20))})
@@ -311,6 +313,115 @@ def test_max_abs_coeff_is_not_computed_below_the_cutoff(monkeypatch):
     assert not calls
     a * at
     assert calls
+
+
+@pytest.mark.parametrize("offset,m,ca,cb", [
+    (-1, 3, 715827883, 2147483647),
+    (0, 4, 1 << 29, 1 << 31),
+    (1, 5, 5581 * 8681, 49477 * 384773),
+], ids=["bound-1", "bound", "bound+1"])
+def test_dict_mul_coefficient_bound_in_the_box(offset, m, ca, cb):
+    # the worst cell of test_dict_mul_coefficient_bound, with enough pairs
+    # for the box kernel: b runs along x in two rows, y^0 and y^1
+    a = {k: -ca for k in range(m)}
+    count = -(-_NP_BOX_PAIR_CUTOFF // m) + m
+    row = -(-count // 2)
+    b = {_pack([k % row, k // row]): cb for k in range(count)}
+    out, kernel = routed_mul(a, b, 2)
+    assert kernel == ("_dict_mul_box" if offset < 0 else "_dict_mul_py")
+    assert out == nonzero(_dict_mul_py(a, b))
+    assert min(out.values()) == -m * ca * cb
+
+
+@pytest.mark.parametrize("pairs", [_NP_PAIR_CUTOFF, _NP_BOX_PAIR_CUTOFF])
+@pytest.mark.parametrize("coeff", [1 << 63, -(1 << 63) - 1, -(1 << 63)],
+                         ids=["2^63", "-2^63-1", "-2^63"])
+def test_coefficients_beyond_the_int64_bound_take_the_python_loop(coeff, pairs):
+    # 2**63 and -2**63-1 do not convert to int64; -2**63 does, but has no
+    # int64 negation, so a bound taken in int64 would wrap and let numpy
+    # overflow
+    a = {k: 1 for k in range(20)}
+    a[5] = coeff
+    b = {k: 1 for k in range(pairs // 20)}
+    out, kernel = routed_mul(a, b, 1)
+    assert kernel == "_dict_mul_py"
+    # the key 12 meets a[0..12]: twelve ones and the coefficient
+    assert out[12] == coeff + 12
+    assert nonzero(out) == nonzero(_dict_mul_py(a, b))
+
+
+def line(nvars, la, lb):
+    """``a`` and ``b`` with ``la`` and ``lb`` terms along variable 0 and fixed
+    nonzero exponents elsewhere: a box of la + lb - 1 cells."""
+    a = {_pack([i] + [1] * (nvars - 1)): i - 20 for i in range(la)}
+    b = {_pack([j] + [2] * (nvars - 1)): (-1) ** j * (j + 1) for j in range(lb)}
+    return a, b
+
+
+def spread(nvars, la, lb, w0, w1):
+    """``a`` and ``b`` (at least two variables) whose product box is ``w0``
+    cells wide in variable 0, ``w1`` >= ``lb`` in variable 1, one elsewhere."""
+    pad = [0] * (nvars - 2)
+    a = {_pack([i, 0, *pad]): i - 20 for i in range(la)}
+    b_exps = [[0, j, *pad] for j in range(lb - 1)] + [[w0 - la, w1 - 1, *pad]]
+    b = {_pack(e): (-1) ** j * (j + 1) for j, e in enumerate(b_exps)}
+    return a, b
+
+
+def top_at_max_exp(a, b, nvars):
+    """``b`` raised in the last variable so that the product reaches _MAX_EXP there."""
+    top = sum(max(_unpack(k, nvars)[-1] for k in d) for d in (a, b))
+    lift = (_MAX_EXP - top) << (10 * (nvars - 1))
+    return {k + lift: v for k, v in b.items()}
+
+
+def assert_route(a, b, nvars, kernel):
+    assert expected_kernel(a, b, nvars) == kernel
+    out, taken = routed_mul(a, b, nvars)
+    assert taken == kernel
+    assert out == nonzero(_dict_mul_py(a, b)) and list(out) == sorted(out)
+    return out
+
+
+@pytest.mark.parametrize("nvars", [1, 3, 6])
+def test_box_kernel_from_the_box_pair_cutoff(nvars):
+    # 49 x 102 = 4998 pairs sort, 50 x 100 = 5000 pairs take the box
+    assert _NP_BOX_PAIR_CUTOFF == 5000
+    assert_route(*line(nvars, 49, 102), nvars, "_dict_mul_sort")
+    assert_route(*line(nvars, 50, 100), nvars, "_dict_mul_box")
+
+
+@pytest.mark.parametrize("nvars", [3, 6])
+def test_box_kernel_up_to_the_box_ratio(nvars):
+    # 5000 pairs: a box of 100 x 100 cells is exactly the ratio threshold,
+    # 73 x 137 = 10001 cells one more
+    assert _NP_BOX_RATIO * 5000 == 100 * 100 == 73 * 137 - 1
+    at, beyond = spread(nvars, 50, 100, 100, 100), spread(nvars, 50, 100, 73, 137)
+    assert box_cells(*at, nvars) == 10000 and box_cells(*beyond, nvars) == 10001
+    assert_route(*at, nvars, "_dict_mul_box")
+    assert_route(*beyond, nvars, "_dict_mul_sort")
+
+
+@pytest.mark.parametrize("nvars", [1, 3, 6])
+def test_box_kernel_with_the_top_field_at_max_exp(nvars):
+    # at one variable the top field is the variable the terms run along
+    a, b = line(nvars, 50, 100)
+    b = top_at_max_exp(a, b, nvars)
+    out = assert_route(a, b, nvars, "_dict_mul_box")
+    assert max(_unpack(k, nvars)[-1] for k in out) == _MAX_EXP
+
+
+@pytest.mark.parametrize("nvars", [3, 6])
+def test_box_kernel_drops_cancelled_cells(nvars):
+    # sum_{i<50} x^i (1 - y) times sum_{j<100} y^j = sum_{i<50} x^i (1 - y^100):
+    # every cell with 0 < deg_y < 100 cancels.  (A product of nonzero
+    # polynomials is never zero, so some cells always survive.)
+    pad = [0] * (nvars - 2)
+    a = {_pack([i, dy, *pad]): 1 - 2 * dy for i in range(50) for dy in (0, 1)}
+    b = {_pack([0, j, *pad]): 1 for j in range(100)}
+    out = assert_route(a, b, nvars, "_dict_mul_box")
+    assert out == {_pack([i, dy, *pad]): 1 - 2 * (dy > 0)
+                   for i in range(50) for dy in (0, 100)}
 
 
 def test_ratfunc_equality_by_cross_multiplication():

@@ -1,6 +1,7 @@
 """Property tests of the ``MPoly``/``RatFunc`` ring axioms at the guards of
 the product kernels: products on both sides of the numpy pair cutoff,
-exponents near the packing limit and coefficients near the numpy int64 bound.
+exponents near the packing limit, coefficients near the numpy int64 bound,
+and small exponents whose products fill the dense exponent box.
 The ``QMatrix`` integer form (numerators over one denominator) is checked
 against plain ``Fraction`` loops.
 """
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from commfam import exact
 from commfam.exact import _MAX_EXP, MPoly, QMatrix, RatFunc, Singular, kron, mat_inverse
+from kernel_routes import expected_kernel, nonzero, routed_mul
 
 # Fixed examples and no example database: every run checks the same inputs.
 FIXED = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -36,11 +38,16 @@ def polys(draw, nvars, sizes=(3, 20, 40), bits=(4, 27, 31), exp=EXP):
     return MPoly.from_terms(nvars, terms) * content
 
 
-@pytest.mark.parametrize("nvars", [2, 6])
-@FIXED
-@given(data=st.data())
-def test_mpoly_ring_axioms(nvars, data):
-    a, b, c = (data.draw(polys(nvars)) for _ in range(3))
+def box_polys(nvars):
+    """80 or 100 terms with exponents below 16 (2 variables) or 3 (6
+    variables): 6400-10000 pairs in a box of at most 961 or 15625 cells, so
+    most products take the box kernel and the rest the sort.  Coefficients
+    stay small, so products of products stay in numpy as well."""
+    exp = st.integers(0, 15 if nvars == 2 else 2)
+    return polys(nvars, sizes=(80, 100), bits=(4,), exp=exp)
+
+
+def assert_ring_axioms(nvars, a, b, c):
     ab = a * b
     # commutativity holds on the stored normal form, not only as equality
     assert (ab.content, ab._coeffs) == ((b * a).content, (b * a)._coeffs)
@@ -48,6 +55,20 @@ def test_mpoly_ring_axioms(nvars, data):
     assert a * (b + c) == ab + a * c
     assert (a - b) + b == a
     assert (a - a).is_zero and (a * MPoly.one(nvars)) == a
+
+
+@pytest.mark.parametrize("nvars", [2, 6])
+@FIXED
+@given(data=st.data())
+def test_mpoly_ring_axioms(nvars, data):
+    assert_ring_axioms(nvars, *(data.draw(polys(nvars)) for _ in range(3)))
+
+
+@pytest.mark.parametrize("nvars", [2, 6])
+@FIXED
+@given(data=st.data())
+def test_mpoly_ring_axioms_in_the_box(nvars, data):
+    assert_ring_axioms(nvars, *(data.draw(box_polys(nvars)) for _ in range(3)))
 
 
 @pytest.mark.parametrize("nvars", [2, 6])
@@ -65,17 +86,26 @@ def test_embed_is_a_ring_map_onto_the_normal_form(nvars, data):
         assert poly.is_zero or poly._coeffs[max(poly._coeffs)] > 0
 
 
+def assert_routed_product(nvars, a, b):
+    if a.is_zero or b.is_zero:
+        return
+    out, kernel = routed_mul(a._coeffs, b._coeffs, nvars)
+    assert kernel == expected_kernel(a._coeffs, b._coeffs, nvars)
+    assert nonzero(out) == nonzero(exact._dict_mul_py(a._coeffs, b._coeffs))
+
+
 @pytest.mark.parametrize("nvars", [2, 6])
 @FIXED
 @given(data=st.data())
 def test_dict_mul_matches_python_kernel(nvars, data):
-    a, b = (data.draw(polys(nvars)) for _ in range(2))
-    if a.is_zero or b.is_zero:
-        return
-    out = exact._dict_mul(a._coeffs, b._coeffs, nvars,
-                          a._max_abs_coeff(), b._max_abs_coeff())
-    reference = exact._dict_mul_py(a._coeffs, b._coeffs)
-    assert {k: v for k, v in out.items() if v} == {k: v for k, v in reference.items() if v}
+    assert_routed_product(nvars, *(data.draw(polys(nvars)) for _ in range(2)))
+
+
+@pytest.mark.parametrize("nvars", [2, 6])
+@FIXED
+@given(data=st.data())
+def test_dict_mul_matches_python_kernel_in_the_box(nvars, data):
+    assert_routed_product(nvars, *(data.draw(box_polys(nvars)) for _ in range(2)))
 
 
 @FIXED

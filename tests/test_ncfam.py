@@ -343,3 +343,14 @@ def test_negative_control_pairwise_commute(family_n3):
     hs = hamiltonians(family_n3)
     assert check_pairwise_commute(hs).status == "pass"
     assert_fails_with_entry(check_pairwise_commute([off_by_one(hs[0]), *hs[1:]]))
+
+
+# anchor -> its negative control above, for the anchor-coverage test in
+# test_negative_controls.py
+NEGATIVE_CONTROLS = {
+    ncfam.ANCHOR_2A: test_negative_control_identity_2a,
+    ncfam.ANCHOR_2B: test_negative_control_identity_2b,
+    ncfam.ANCHOR_LAPLACE: test_negative_control_laplace_expansion,
+    ncfam.ANCHOR_MAIN_ID: test_negative_control_main_id,
+    ncfam.ANCHOR_COMMUTE: test_negative_control_pairwise_commute,
+}

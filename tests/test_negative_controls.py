@@ -1,5 +1,7 @@
-"""Negative controls for the checks fed by the signed-bijection kernel and
-by the quantization bridges (dual numbers, hbar-localization, cone bracket).
+"""Negative controls for the checks fed by the signed-bijection kernel, by
+the quantization bridges (dual numbers, hbar-localization, cone bracket) and
+by the sparse-polynomial product kernels (Poisson brackets and Leibniz
+compositions at n = 3 and N = 3, where products fill the dense exponent box).
 
 Each entry names an anchor, a true instance whose records for that anchor
 pass, and one documented perturbation.  Under the perturbation the same
@@ -7,17 +9,22 @@ instance must give at least one ``fail`` record for the anchor, and every
 such record must carry a witness.
 """
 
+import importlib
+import itertools
 import math
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 
-from commfam import poisson, quantize, weyl
-from commfam.exact import RatFunc, maximal_minors
+import commfam
+from commfam import exact, poisson, quantize, weyl
+from commfam.exact import MPoly, RatFunc, maximal_minors
 from commfam.poisson import (ANCHOR_CONE_ALPHA, ANCHOR_CONE_ANTISYM,
                              ANCHOR_CONE_CANONICAL, ANCHOR_CONE_JACOBI,
-                             ANCHOR_GRASSMANN, ANCHOR_INCIDENCE, ConeDifferential,
+                             ANCHOR_GRASSMANN, ANCHOR_INCIDENCE,
+                             ANCHOR_POISSON_COMMUTE, ConeDifferential,
                              PoissonElem, WedgeForm, check_alpha_independence,
                              check_cone_antisymmetry, check_cone_jacobi,
                              check_cone_vs_canonical, check_grassmann,
@@ -30,8 +37,11 @@ from commfam.quantize import (ANCHOR_DEGEN, ANCHOR_DUAL_ASSOC, ANCHOR_DUAL_COMM,
                               check_lift_independence, check_localization_axioms,
                               check_soul_factor, check_x_derivative_identity,
                               dual_commuting_family, random_helem)
-from commfam.weyl import (ANCHOR_BASIS_MATCH, OpFamilySpec, RatDiffOp,
-                          check_basis_matches_closed_form)
+from commfam.weyl import (ANCHOR_BASIS_MATCH, ANCHOR_OP_COMMUTE, ANCHOR_SYMBOL_COMMUTE,
+                          ANCHOR_SYMBOL_MATCH, OpFamilySpec, RatDiffOp,
+                          check_basis_matches_closed_form, check_commute,
+                          check_symbol_matches_classical)
+from test_ncfam import NEGATIVE_CONTROLS as NCFAM_CONTROLS
 
 
 def dual_family():
@@ -185,6 +195,54 @@ SWAP_I = ("i and i' swapped in cone_bracket", cone_instance,
           cone_bracket_with(lambda i, i2: (i2, i)))
 
 
+def leg_function(terms):
+    return RatFunc(MPoly.from_terms(2, terms))
+
+
+# four quadratics of (x, xi): at n = 3 the bracket products fill the box
+CLASSICAL_FS = [leg_function({(0, 0): 1, (1, 1): 2, (0, 2): -1}),
+                leg_function({(1, 0): 3, (0, 1): -2, (2, 0): 1}),
+                leg_function({(0, 1): 1, (1, 1): -3, (2, 0): 2, (0, 0): 4}),
+                leg_function({(1, 0): -1, (0, 2): 5, (1, 1): 1})]
+
+
+def poisson_commute_instance():
+    return [poisson.check_poisson_commute(poisson.classical_hamiltonians(CLASSICAL_FS))]
+
+
+def weyl_spec():
+    return OpFamilySpec.make([Fraction(-2), Fraction(1), Fraction(3)],
+                             RatDiffOp.partial(1, 1, 2))
+
+
+def op_commute_instance():
+    return [check_commute(weyl.rational_hamiltonians(weyl_spec()))]
+
+
+def symbol_instance():
+    spec = weyl_spec()
+    return check_symbol_matches_classical(weyl.rational_hamiltonians(spec), spec)
+
+
+def added_to_h2(module, name, term):
+    """``module.name`` returning its second Hamiltonian h plus ``term(h)``."""
+    def perturb(monkeypatch):
+        original = getattr(module, name)
+
+        def perturbed(*args):
+            hs = original(*args)
+            return [h + term(h) if i == 1 else h for i, h in enumerate(hs)]
+        monkeypatch.setattr(module, name, perturbed)
+    return perturb
+
+
+def z1_added_to_second_symbol(monkeypatch):
+    original = weyl.symbol
+    calls = itertools.count()
+    monkeypatch.setattr(weyl, "symbol", lambda a: original(a) + RatFunc.var(2 * a.nvars, 0)
+                        if next(calls) == 1 else original(a))
+
+
 # anchor -> (perturbation as documented, true instance, perturbation)
 NEGATIVE_CONTROLS = {
     ANCHOR_DUAL_COMM: ("Delta_1 + 1 among the dual-number minors", dual_family,
@@ -218,7 +276,21 @@ NEGATIVE_CONTROLS = {
                           cone_instance, cone_bracket_with(lambda i, i2: (i + 1, i2))),
     ANCHOR_CONE_JACOBI: SWAP_I,
     ANCHOR_CONE_CANONICAL: SWAP_I,
+    ANCHOR_POISSON_COMMUTE: ("x_1 added to H_2", poisson_commute_instance,
+                             added_to_h2(poisson, "classical_hamiltonians",
+                                         lambda h: PoissonElem.x(h.n, 1))),
+    ANCHOR_OP_COMMUTE: ("multiplication by z_1 added to H_2", op_commute_instance,
+                        added_to_h2(weyl, "rational_hamiltonians", lambda h:
+                                    RatDiffOp.multiplication(RatFunc.var(h.nvars, 0)))),
+    ANCHOR_SYMBOL_MATCH: ("c_1 negated in basis_match_constant", symbol_instance,
+                          negate_c1),
+    ANCHOR_SYMBOL_COMMUTE: ("z_1 added to symbol(H_2)", symbol_instance,
+                            z1_added_to_second_symbol),
 }
+
+# the anchors decided by the polynomial product kernels at n = 3 and N = 3
+KERNEL_ANCHORS = [ANCHOR_POISSON_COMMUTE, ANCHOR_OP_COMMUTE, ANCHOR_SYMBOL_MATCH,
+                  ANCHOR_SYMBOL_COMMUTE]
 
 
 @pytest.mark.parametrize("anchor", NEGATIVE_CONTROLS,
@@ -226,7 +298,9 @@ NEGATIVE_CONTROLS = {
                               "grassmann-4", "incidence", "basis-match", "dual-assoc",
                               "soul-factor", "local-inv", "local-assoc", "x-derivative",
                               "lift-free", "degeneration", "cone-alpha",
-                              "cone-antisymmetry", "cone-jacobi", "cone-canonical"])
+                              "cone-antisymmetry", "cone-jacobi", "cone-canonical",
+                              "poisson-commute", "op-commute", "symbol-match",
+                              "symbol-commute"])
 def test_perturbation_turns_pass_into_fail(monkeypatch, anchor):
     _, instance, perturb = NEGATIVE_CONTROLS[anchor]
     clean = [r for r in instance() if r.anchor == anchor]
@@ -234,6 +308,37 @@ def test_perturbation_turns_pass_into_fail(monkeypatch, anchor):
     perturb(monkeypatch)
     failing = [r for r in instance() if r.anchor == anchor and r.status == "fail"]
     assert failing and all(r.witness for r in failing)
+
+
+@pytest.mark.parametrize("anchor", KERNEL_ANCHORS,
+                         ids=["poisson-commute", "op-commute", "symbol-match",
+                              "symbol-commute"])
+def test_kernel_controls_run_through_the_box_kernel(monkeypatch, anchor):
+    calls = []
+    original = exact._dict_mul_box
+    monkeypatch.setattr(exact, "_dict_mul_box", lambda *args: calls.append(1) or original(*args))
+    NEGATIVE_CONTROLS[anchor][1]()
+    assert calls
+
+
+def module_anchors():
+    """Every module-level ANCHOR_* string in commfam (dicts give their values)."""
+    anchors = {}
+    for info in pkgutil.iter_modules(commfam.__path__):
+        module = importlib.import_module(f"commfam.{info.name}")
+        for name, value in vars(module).items():
+            if name.startswith("ANCHOR_"):
+                for text in value.values() if isinstance(value, dict) else [value]:
+                    anchors[text] = f"{info.name}.{name}"
+    return anchors
+
+
+def test_every_anchor_has_a_negative_control():
+    anchors = module_anchors()
+    assert len(anchors) >= 27  # 25 names, ANCHOR_GRASSMANN holding three
+    missing = [name for text, name in anchors.items()
+               if text not in NEGATIVE_CONTROLS and text not in NCFAM_CONTROLS]
+    assert not missing
 
 
 def test_oracle_overflow_fails_the_comparison_instead_of_raising(monkeypatch):
