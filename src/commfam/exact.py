@@ -8,13 +8,11 @@ with zero tolerance:
 * ``MPoly`` -- sparse multivariate polynomials with rational coefficients.
 * ``RatFunc`` -- quotients of polynomials; equality is decided by
   cross-multiplication, never by normalisation to a canonical form.
-* ``QMatrix`` -- dense matrices over an exact field.  A matrix of ``Rat``
-  entries is stored as integer numerators over one canonical common
-  denominator, so sums, products, Kronecker products and inverses run in
-  Python integers; the inverse uses fraction-free Bareiss elimination.
-  Other entries (``RatFunc``) take Gaussian elimination with a
-  simplest-pivot preference.  An independent determinant oracle cross-checks
-  both.
+* ``QMatrix`` -- dense matrices over Q, stored as integer numerators over
+  one canonical common denominator, so sums, products, Kronecker products,
+  inverses and rank run in Python integers; inverse and rank use
+  fraction-free Bareiss elimination.  The determinant (``det``, by
+  ``signed_minors``) shares no code with it and cross-checks it.
 * ``signed_minors`` -- the one signed-bijection kernel: every determinant
   and every family of maximal minors Delta_0..Delta_k, whatever the entries
   (``Rat``, ``MPoly``, ``RatFunc``, dual numbers, Kronecker-placed matrices),
@@ -763,24 +761,17 @@ def partial_derivative(f: RatFunc, var: int) -> RatFunc:
 # Dense exact matrices.
 
 
-def _complexity(entry) -> int:
-    """Pivot-selection cost of an entry: prefer structurally simple pivots."""
-    if isinstance(entry, RatFunc):
-        return entry.num.term_count + entry.den.term_count
-    return 1
-
-
 class QMatrix:
-    """Dense matrix over an exact field (``Rat`` or ``RatFunc`` entries).
+    """Dense matrix over Q, stored as integer numerators over one denominator.
 
-    A matrix whose entries are all ``Rat`` is stored as integer numerators
-    ``_nums`` (row-major) over one common denominator ``_den``, in the
-    canonical form ``_den > 0`` and ``gcd(_den, *_nums) == 1``.  Sums,
-    products, Kronecker products, inverses, scaling by a ``Rat`` and
-    comparisons work on these integers; because the form is canonical,
-    ``==`` compares two integer lists and one denominator.  ``data``,
-    ``row`` and ``[i, j]`` give the reduced ``Rat`` entries, built on first
-    read.  Any other matrix (``_nums is None``) keeps its entry list.
+    The entries are ``int`` or ``Rat``; anything else raises ``TypeError``.
+    The numerators ``_nums`` (row-major) sit over one common denominator
+    ``_den``, in the canonical form ``_den > 0`` and
+    ``gcd(_den, *_nums) == 1``.  Sums, products, Kronecker products,
+    inverses, rank, scaling by a ``Rat`` and comparisons work on these
+    integers; because the form is canonical, ``==`` compares two integer
+    lists and one denominator.  ``data``, ``row`` and ``[i, j]`` give the
+    reduced ``Rat`` entries, built on first read.
     """
 
     __slots__ = ("rows", "cols", "_nums", "_den", "_data")
@@ -789,15 +780,16 @@ class QMatrix:
         data = [Fraction(e) if isinstance(e, int) else e for e in data]
         if len(data) != rows * cols:
             raise ValueError(f"need {rows * cols} entries, got {len(data)}")
+        bad = next((e for e in data if not isinstance(e, Fraction)), None)
+        if bad is not None:
+            raise TypeError(f"QMatrix entries are int or Rat, got {type(bad).__name__}")
         self.rows = rows
         self.cols = cols
         self._data = data
-        self._nums = self._den = None
-        if all(type(x) is Fraction for x in data):
-            # reduced entries over the lcm of their denominators are canonical
-            den = math.lcm(*{x.denominator for x in data})
-            self._nums = [x.numerator * (den // x.denominator) for x in data]
-            self._den = den
+        # reduced entries over the lcm of their denominators are canonical
+        den = math.lcm(*{x.denominator for x in data})
+        self._nums = [x.numerator * (den // x.denominator) for x in data]
+        self._den = den
 
     @classmethod
     def _of_ints(cls, rows: int, cols: int, nums: list[int], den: int) -> "QMatrix":
@@ -859,8 +851,6 @@ class QMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
         a, b = self._nums, other._nums
-        if a is None or b is None:
-            return QMatrix(self.rows, self.cols, list(map(op, self.data, other.data)))
         # bring both over lcm(da, db) = da * sa = db * sb
         da, db = self._den, other._den
         g = math.gcd(da, db)
@@ -878,13 +868,11 @@ class QMatrix:
         return self._combine(other, operator.sub)
 
     def __neg__(self) -> "QMatrix":
-        if self._nums is None:
-            return QMatrix(self.rows, self.cols, [-a for a in self.data])
         return QMatrix._of_ints(self.rows, self.cols, [-x for x in self._nums], self._den)
 
     def scale(self, c) -> "QMatrix":
-        if self._nums is None or not isinstance(c, (int, Fraction)):
-            return QMatrix(self.rows, self.cols, [a * c for a in self.data])
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"QMatrix scalars are int or Rat, got {type(c).__name__}")
         c = Fraction(c)
         return QMatrix._of_ints(self.rows, self.cols,
                                 [x * c.numerator for x in self._nums],
@@ -897,33 +885,18 @@ class QMatrix:
             raise ValueError("shape mismatch for matrix product")
         n, m, p = self.rows, self.cols, other.cols
         a, b = self._nums, other._nums
-        if a is not None and b is not None:
-            # an operand with no entries lands here too, so m = 0 gives zeros
-            arows = [a[i * m:(i + 1) * m] for i in range(n)]
-            bcols = [b[j::p] for j in range(p)]
-            out = [sum(map(operator.mul, arow, col)) for arow in arows for col in bcols]
-            return QMatrix._of_ints(n, p, out, self._den * other._den)
-        a, b = self.data, other.data
-        out = []
-        for i in range(n):
-            arow = a[i * m:(i + 1) * m]
-            for j in range(p):
-                acc = None
-                for k in range(m):
-                    aik = arow[k]
-                    term = aik * b[k * p + j]
-                    acc = term if acc is None else acc + term
-                out.append(acc)
-        return QMatrix(n, p, out)
+        # an empty sum is 0, so m = 0 gives zeros
+        arows = [a[i * m:(i + 1) * m] for i in range(n)]
+        bcols = [b[j::p] for j in range(p)]
+        out = [sum(map(operator.mul, arow, col)) for arow in arows for col in bcols]
+        return QMatrix._of_ints(n, p, out, self._den * other._den)
 
     def __eq__(self, other):
         if not isinstance(other, QMatrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
-        if self._nums is not None and other._nums is not None:
-            return self._den == other._den and self._nums == other._nums
-        return all(a == b for a, b in zip(self.data, other.data))
+        return self._den == other._den and self._nums == other._nums
 
     __hash__ = None
 
@@ -931,29 +904,15 @@ class QMatrix:
         if not self.is_square():
             return False
         n = self.rows
-        if self._nums is not None:
-            return self._den == 1 and self._nums == [int(k % (n + 1) == 0)
-                                                     for k in range(n * n)]
-        for i in range(n):
-            for j in range(n):
-                want = 1 if i == j else 0
-                if self[i, j] != want:
-                    return False
-        return True
+        return self._den == 1 and self._nums == [int(k % (n + 1) == 0)
+                                                 for k in range(n * n)]
 
     def first_nonzero(self) -> tuple[int, int, object] | None:
         """Row-major first nonzero entry, as a failure witness."""
-        if self._nums is not None:
-            k = next((k for k, x in enumerate(self._nums) if x), None)
-            if k is None:
-                return None
-            return k // self.cols, k % self.cols, Fraction(self._nums[k], self._den)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                e = self[i, j]
-                if e != 0 if not isinstance(e, RatFunc) else not e.is_zero:
-                    return i, j, e
-        return None
+        k = next((k for k, x in enumerate(self._nums) if x), None)
+        if k is None:
+            return None
+        return k // self.cols, k % self.cols, Fraction(self._nums[k], self._den)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(self[i, j]) for j in range(self.cols))
@@ -964,78 +923,18 @@ class QMatrix:
 def kron(a: QMatrix, b: QMatrix) -> QMatrix:
     """Kronecker product, first factor on the slower index."""
     na, nb = a._nums, b._nums
-    if na is not None and nb is not None:
-        brows = [nb[k * b.cols:(k + 1) * b.cols] for k in range(b.rows)]
-        out = []
-        for i in range(a.rows):
-            arow = na[i * a.cols:(i + 1) * a.cols]
-            for brow in brows:
-                for x in arow:
-                    out.extend([x * y for y in brow])
-        return QMatrix._of_ints(a.rows * b.rows, a.cols * b.cols, out, a._den * b._den)
+    brows = [nb[k * b.cols:(k + 1) * b.cols] for k in range(b.rows)]
     out = []
     for i in range(a.rows):
-        for k in range(b.rows):
-            for j in range(a.cols):
-                aij = a[i, j]
-                brow = b.row(k)
-                out.extend(aij * x for x in brow)
-    return QMatrix(a.rows * b.rows, a.cols * b.cols, out)
+        arow = na[i * a.cols:(i + 1) * a.cols]
+        for brow in brows:
+            for x in arow:
+                out.extend([x * y for y in brow])
+    return QMatrix._of_ints(a.rows * b.rows, a.cols * b.cols, out, a._den * b._den)
 
 
 def mat_inverse(m: QMatrix) -> QMatrix:
-    """Exact inverse.
-
-    A matrix of ``Rat`` entries is inverted by fraction-free elimination
-    (``_rat_inverse``).  Any other matrix (``RatFunc`` entries) is inverted by
-    Gaussian elimination that prefers the pivot with the fewest terms.
-
-    Raises ``Singular`` naming column k when no nonzero pivot exists there:
-    k is the first column that depends on the earlier columns, whichever
-    pivots were chosen before it.
-    """
-    if not m.is_square():
-        raise ValueError("inverse of a non-square matrix")
-    if m._nums is not None:
-        return _rat_inverse(m)
-    n = m.rows
-    a = [m.row(i) for i in range(n)]
-    one = Fraction(1)
-    zero = Fraction(0)
-    e = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot_row = None
-        pivot_cost = None
-        for r in range(col, n):
-            entry = a[r][col]
-            nz = (not entry.is_zero) if isinstance(entry, RatFunc) else entry != 0
-            if nz:
-                cost = _complexity(entry)
-                if pivot_cost is None or cost < pivot_cost:
-                    pivot_row, pivot_cost = r, cost
-        if pivot_row is None:
-            raise Singular(f"no nonzero pivot in column {col}")
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            e[col], e[pivot_row] = e[pivot_row], e[col]
-        pivot = a[col][col]
-        if not (isinstance(pivot, Fraction) and pivot == 1):
-            inv = 1 / pivot
-            a[col] = [x * inv for x in a[col]]
-            e[col] = [x * inv for x in e[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = a[r][col]
-            nz = (not factor.is_zero) if isinstance(factor, RatFunc) else factor != 0
-            if nz:
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-                e[r] = [x - factor * y for x, y in zip(e[r], e[col])]
-    return QMatrix(n, n, [x for row in e for x in row])
-
-
-def _rat_inverse(m: QMatrix) -> QMatrix:
-    """Bareiss fraction-free Gauss-Jordan elimination on [N | I].
+    """Exact inverse by Bareiss fraction-free Gauss-Jordan elimination on [N | I].
 
     N is the integer numerator matrix of m = N / den.  Every intermediate
     entry is a minor of [N | I], so each division by the previous pivot is
@@ -1043,7 +942,13 @@ def _rat_inverse(m: QMatrix) -> QMatrix:
     [c I | c N^-1], where c is the last pivot, so m^-1 = den * (c N^-1) / c
     needs no sign tracking for the row swaps: the result is the integer
     matrix den * (c N^-1) over c, brought to the canonical form.
+
+    Raises ``Singular`` naming column k when no nonzero pivot exists there:
+    k is the first column that depends on the earlier columns, whichever
+    pivots were chosen before it.
     """
+    if not m.is_square():
+        raise ValueError("inverse of a non-square matrix")
     n = m.rows
     nums, den = m._nums, m._den
     # rows[i]: columns k..n-1 of the left block, then the right block; a
@@ -1137,29 +1042,29 @@ def det(m: QMatrix):
 
 
 def rank(m: QMatrix) -> int:
-    """Exact rank by fraction elimination."""
-    a = [list(m.row(i)) for i in range(m.rows)]
-    r = 0
-    for col in range(m.cols):
-        pivot = None
-        for i in range(r, m.rows):
-            entry = a[i][col]
-            nz = (not entry.is_zero) if isinstance(entry, RatFunc) else entry != 0
-            if nz:
-                pivot = i
-                break
-        if pivot is None:
+    """Exact rank by fraction-free forward elimination on the numerators.
+
+    The common denominator does not change the rank.  ``rows`` holds the
+    rows not yet used as pivots, restricted to the columns not yet visited.
+    A column with no nonzero entry there is skipped; otherwise a row with
+    one leaves ``rows`` as the pivot row, and every other row r is replaced
+    by (pivot * r - r[0] * pivot row) / prev, prev being the previous pivot.
+    Each entry is then a minor of the numerator matrix on the pivot rows and
+    columns, so the division is exact (Bareiss 1968), as in ``mat_inverse``.
+    The rank is the number of pivot rows.
+    """
+    cols = m.cols
+    rows = [m._nums[i * cols:(i + 1) * cols] for i in range(m.rows)]
+    prev = 1
+    for _ in range(cols):
+        p = next((i for i, row in enumerate(rows) if row[0]), None)
+        if p is None:
+            rows = [row[1:] for row in rows]
             continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m.rows):
-            if i != r:
-                f = a[i][col]
-                nz = (not f.is_zero) if isinstance(f, RatFunc) else f != 0
-                if nz:
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == m.rows:
-            break
-    return r
+        top = rows.pop(p)
+        pivot, tail = top[0], top[1:]
+        rows = [[(pivot * x - row[0] * y) // prev for x, y in zip(row[1:], tail)]
+                if row[0] else [pivot * x // prev for x in row[1:]]
+                for row in rows]
+        prev = pivot
+    return m.rows - len(rows)

@@ -7,6 +7,7 @@ import pytest
 from commfam import cli, poisson
 from commfam.cli import (ConfigError, parse_config_text, parse_operator_spec,
                          run_scenario, scenario_from_config)
+from commfam.exact import QMatrix
 from commfam.reports import emit_report, parse_report
 from commfam.rng import resample
 
@@ -194,6 +195,32 @@ def test_zero_phi_record_fails_when_degenerate_basis_is_accepted(monkeypatch, N)
     zero_phi = report.checks[-1]
     assert (zero_phi.name, zero_phi.status, zero_phi.witness) == (
         "zero-phi-t0", "fail", "degenerate basis accepted")
+
+
+def test_skew_matrix_inverse_fails_on_a_wrong_inverse(monkeypatch):
+    s = make_scenario("skew-matrix", size=4, trials=2)
+    assert all(c.status == "pass" for c in run_scenario(s).checks)
+    original = cli.mat_inverse
+
+    def one_numerator_off(m):
+        inv = original(m)
+        return QMatrix._of_ints(inv.rows, inv.cols, [inv._nums[0] + 1] + inv._nums[1:],
+                                inv._den)
+
+    monkeypatch.setattr(cli, "mat_inverse", one_numerator_off)
+    checks = run_scenario(s).checks
+    assert [(c.name, c.status, c.witness) for c in checks] == [
+        (f"inverse-t{t}", "fail", "product is not the identity") for t in range(2)]
+
+
+def test_skew_matrix_inverse_fails_when_a_singular_matrix_is_inverted(monkeypatch):
+    # size 1, bound 0 draws the zero matrix [0], whose inverse must raise
+    s = make_scenario("skew-matrix", size=1, bound=0, trials=1)
+    assert [c.status for c in run_scenario(s).checks] == ["pass"]
+    monkeypatch.setattr(cli, "mat_inverse", lambda m: QMatrix.identity(m.rows))
+    checks = run_scenario(s).checks
+    assert [(c.name, c.status, c.witness) for c in checks] == [
+        ("inverse-t0", "fail", "inverse returned for a singular matrix")]
 
 
 def test_resample_counts_rejected_draws():

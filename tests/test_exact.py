@@ -15,6 +15,7 @@ from commfam.exact import (_MAX_EXP, _NP_BOX_PAIR_CUTOFF, _NP_BOX_RATIO,
                            _NP_COEF_BOUND, _NP_PAIR_CUTOFF, _common_monomial_key,
                            _dict_mul_py, _pack, _unpack)
 from kernel_routes import box_cells, expected_kernel, nonzero, routed_mul
+from rank_oracle import fraction_rank
 
 
 def rand_rat(rng, bound=40):
@@ -523,15 +524,24 @@ def test_det_matches_leibniz_small():
     assert det(m3) == -3
 
 
-def test_matrix_inverse_with_ratfunc_entries():
-    x = MPoly.var(1, 0)
-    one = MPoly.one(1)
-    m = QMatrix(2, 2, [RatFunc(x), RatFunc(one),
-                       RatFunc(one), RatFunc(x)])
-    inv = mat_inverse(m)
-    prod = m * inv
-    assert prod[0, 0] == RatFunc(one) and prod[1, 1] == RatFunc(one)
-    assert prod[0, 1].is_zero and prod[1, 0].is_zero
+@pytest.mark.parametrize("bad", [RatFunc(MPoly.var(1, 0)), MPoly.var(1, 0), 0.5],
+                         ids=["RatFunc", "MPoly", "float"])
+def test_qmatrix_refuses_entries_outside_q(bad):
+    with pytest.raises(TypeError, match="QMatrix entries are int or Rat"):
+        QMatrix(2, 2, [Rat(1), Rat(0), Rat(0), bad])
+    with pytest.raises(TypeError, match="QMatrix entries are int or Rat"):
+        QMatrix.from_rows([[bad, 1]])
+    with pytest.raises(TypeError, match="QMatrix scalars are int or Rat"):
+        QMatrix.identity(2).scale(bad)
+
+
+def test_qmatrix_int_bool_and_rat_entries_build_the_same_matrix():
+    want = QMatrix(2, 3, [Rat(1), Rat(0), Rat(-4), Rat(1), Rat(0), Rat(3, 2)])
+    for m in (QMatrix(2, 3, [1, 0, -4, True, False, Rat(3, 2)]),
+              QMatrix.from_rows([[True, False, -4], [1, 0, "3/2"]])):
+        assert m == want and m.data == want.data
+        assert all(type(e) is Fraction for e in m.data)
+    assert QMatrix.identity(2).scale(True) == QMatrix.identity(2)
 
 
 def test_kron_shapes_and_mixed_product():
@@ -550,6 +560,12 @@ def test_rank():
     assert rank(m) == 1
     assert rank(QMatrix.identity(3)) == 3
     assert rank(QMatrix.zeros(2, 3)) == 0
+    for shape in [(0, 0), (0, 4), (4, 0)]:
+        assert rank(QMatrix(*shape, [])) == 0
+    # the first pivot is in the last row; rows without an entry in a pivot
+    # column must still be scaled, or a later exact division goes wrong
+    sparse = [[0, -1, 0], [0, -2, -6], [0, 0, 0], [7, 0, 0]]
+    assert rank(QMatrix.from_rows(sparse)) == fraction_rank(sparse) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +607,7 @@ def adjugate_inverse(m):
 
 def first_dependent_column(m):
     return next(k for k in range(m.cols)
-                if rank(QMatrix(m.rows, k + 1, [m[i, j] for i in range(m.rows)
-                                                for j in range(k + 1)])) <= k)
+                if fraction_rank([m.row(i)[:k + 1] for i in range(m.rows)]) <= k)
 
 
 def test_inner_dimension_zero_gives_zero_matrix():

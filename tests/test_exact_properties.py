@@ -3,7 +3,8 @@ the product kernels: products on both sides of the numpy pair cutoff,
 exponents near the packing limit, coefficients near the numpy int64 bound,
 and small exponents whose products fill the dense exponent box.
 The ``QMatrix`` integer form (numerators over one denominator) is checked
-against plain ``Fraction`` loops.
+against plain ``Fraction`` loops, and its fraction-free ``rank`` against a
+``Fraction`` Gauss-Jordan rank.
 """
 
 import math
@@ -15,8 +16,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from commfam import exact
-from commfam.exact import _MAX_EXP, MPoly, QMatrix, RatFunc, Singular, kron, mat_inverse
+from commfam.exact import (_MAX_EXP, MPoly, QMatrix, RatFunc, Singular, kron, mat_inverse,
+                           rank)
 from kernel_routes import expected_kernel, nonzero, routed_mul
+from rank_oracle import fraction_rank
 
 # Fixed examples and no example database: every run checks the same inputs.
 FIXED = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -229,3 +232,43 @@ def test_qmatrix_first_nonzero_is_a_reduced_rat(data):
     i, j, v = spot
     assert (i, j) == divmod(k, c) and v == x[k]
     assert type(v) is Fraction and math.gcd(v.numerator, v.denominator) == 1
+
+
+@st.composite
+def rank_rows(draw):
+    """Wide, tall and empty Rat matrices as row lists; a row may be zero,
+    sparse, a repeat or a multiple of an earlier row, or a combination of
+    two."""
+    r, c = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    rows = []
+    for _ in range(r):
+        kind = draw(st.sampled_from(["own", "zero", "sparse", "repeat", "multiple",
+                                     "combination"]))
+        if kind == "zero":
+            rows.append([Fraction(0)] * c)
+        elif kind == "sparse":
+            rows.append(draw(st.lists(st.one_of(st.just(Fraction(0)), RATS),
+                                      min_size=c, max_size=c)))
+        elif kind == "own" or not rows:
+            rows.append(draw(st.lists(RATS, min_size=c, max_size=c)))
+        else:
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            k = draw(RATS.filter(bool))
+            if kind == "repeat":
+                rows.append(list(u))
+            elif kind == "multiple":
+                rows.append([k * x for x in u])
+            else:
+                rows.append([k * x + y for x, y in zip(u, v)])
+    return r, c, rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(shape_rows=rank_rows())
+def test_rank_matches_fraction_gauss_jordan(shape_rows):
+    r, c, rows = shape_rows
+    m = QMatrix(r, c, [x for row in rows for x in row])
+    want = fraction_rank(rows)
+    assert rank(m) == want
+    transpose = QMatrix(c, r, [rows[i][j] for j in range(c) for i in range(r)])
+    assert rank(transpose) == want
