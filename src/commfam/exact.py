@@ -17,6 +17,9 @@ with zero tolerance:
   and every family of maximal minors Delta_0..Delta_k, whatever the entries
   (``Rat``, ``MPoly``, ``RatFunc``, dual numbers, Kronecker-placed matrices),
   is this column-ordered subset expansion with a caller-supplied product.
+* ``collect`` and ``SparseSum`` -- the storage rule and the ``+``, ``-``,
+  negation and ``scale`` of the sparse sums built on this tower:
+  ``weyl.RatDiffOp``, ``quantize.HElem`` and ``quantize.LocalSeries``.
 
 Normal form: a nonzero ``MPoly`` is ``content * primitive``, where the
 primitive part maps packed exponent keys to integers with gcd one and a
@@ -52,6 +55,8 @@ key -- is used only to print terms.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 import operator
 from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -75,6 +80,8 @@ __all__ = [
     "kron",
     "ratfunc_equal",
     "partial_derivative",
+    "collect",
+    "SparseSum",
 ]
 
 
@@ -213,20 +220,17 @@ class MPoly:
     polynomial as a map from exponent vectors to nonzero rationals.
     """
 
-    __slots__ = ("nvars", "content", "_coeffs", "_ebound", "_vmax", "_tdeg")
+    __slots__ = ("nvars", "content", "_coeffs", "_ebound")
 
     def __init__(self, nvars: int, content: Fraction, coeffs: dict[int, int],
-                 _internal: bool = False, ebound: int = _MAX_EXP,
-                 vmax: tuple[int, ...] | None = None):
+                 _internal: bool = False, ebound: int = _MAX_EXP):
         if not _internal:
             raise TypeError("use MPoly.zero/const/var/from_terms to build polynomials")
         self.nvars = nvars
         self.content = content
         self._coeffs = coeffs
-        # upper bound on every single exponent; _vmax holds the exact maxima
+        # upper bound on every single exponent
         self._ebound = ebound
-        self._vmax = vmax
-        self._tdeg: int | None = None
 
     # -- constructors -------------------------------------------------------
 
@@ -314,23 +318,11 @@ class MPoly:
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if self._tdeg is None:
-            self._tdeg = max((_key_degree(k) for k in self._coeffs), default=-1)
-        return self._tdeg
+        return max((_key_degree(k) for k in self._coeffs), default=-1)
 
-    def _var_maxima(self) -> tuple[int, ...]:
-        if self._vmax is None:
-            vm = [0] * self.nvars
-            for k in self._coeffs:
-                i = 0
-                while k:
-                    e = k & _MASK
-                    if e > vm[i]:
-                        vm[i] = e
-                    k >>= _SHIFT
-                    i += 1
-            self._vmax = tuple(vm)
-        return self._vmax
+    def _var_maxima(self) -> list[int]:
+        """The largest exponent of each variable (of a nonzero polynomial)."""
+        return [max(col) for col in zip(*(_unpack(k, self.nvars) for k in self._coeffs))]
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -373,7 +365,7 @@ class MPoly:
         if self.is_zero:
             return self
         return MPoly(self.nvars, -self.content, self._coeffs, _internal=True,
-                     ebound=self._ebound, vmax=self._vmax)
+                     ebound=self._ebound)
 
     def __sub__(self, other):
         if type(other) is not MPoly:
@@ -394,7 +386,7 @@ class MPoly:
                 if other == 0 or self.is_zero:
                     return MPoly.zero(self.nvars)
                 return MPoly(self.nvars, self.content * other, self._coeffs,
-                             _internal=True, ebound=self._ebound, vmax=self._vmax)
+                             _internal=True, ebound=self._ebound)
             if not isinstance(other, MPoly):
                 return NotImplemented
         self._check_compat(other)
@@ -586,8 +578,7 @@ class RatFunc:
         c = den.content
         self.num = num * (1 if c == 1 else 1 / c)
         self.den = den if c == 1 else MPoly(den.nvars, Fraction(1), den._coeffs,
-                                            _internal=True, ebound=den._ebound,
-                                            vmax=den._vmax)
+                                            _internal=True, ebound=den._ebound)
 
     # -- constructors -------------------------------------------------------
 
@@ -755,6 +746,55 @@ def ratfunc_equal(a: RatFunc, b: RatFunc) -> bool:
 def partial_derivative(f: RatFunc, var: int) -> RatFunc:
     """Exact quotient-rule derivative of ``f`` with respect to variable ``var``."""
     return f.partial(var)
+
+
+# ---------------------------------------------------------------------------
+# Sparse sums: finite maps from keys to nonzero coefficients.
+
+
+def collect(items: Iterable[tuple[object, object]]) -> dict:
+    """Sum the coefficients of equal keys and drop the sums that vanish.
+
+    Keys keep the order of their first appearance and each sum adds its
+    summands in the order given: ``RatFunc`` sums are not canonical, so that
+    order fixes the stored forms and with them the cost of later arithmetic.
+    """
+    acc = {}
+    for key, c in items:
+        acc[key] = acc[key] + c if key in acc else c
+    return {k: c for k, c in acc.items() if not c.is_zero}
+
+
+class SparseSum:
+    """Base of frozen dataclasses with a field ``coeffs``, a map from keys to
+    nonzero coefficients.  Results are rebuilt through the dataclass, so
+    ``__post_init__`` validates them; ``+`` first calls the subclass's
+    ``_compat``.  Equality stays with each subclass."""
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def _with(self, coeffs: dict):
+        return dataclasses.replace(self, coeffs=coeffs)
+
+    def __add__(self, other):
+        self._compat(other)
+        return self._with(collect(itertools.chain(self.coeffs.items(),
+                                                  other.coeffs.items())))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._with({k: -c for k, c in self.coeffs.items()})
+
+    def scale(self, factor):
+        """Multiply every coefficient by the rational scalar ``factor``."""
+        if not factor:
+            return self._with({})
+        return self._with({k: c.scale(factor) if isinstance(c, SparseSum) else c * factor
+                           for k, c in self.coeffs.items()})
 
 
 # ---------------------------------------------------------------------------

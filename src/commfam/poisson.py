@@ -166,23 +166,20 @@ def poisson_bracket(f: PoissonElem, g: PoissonElem) -> PoissonElem:
 
 
 def _clear_denominators(fs: list[RatFunc]) -> list[MPoly]:
-    common = MPoly.one(fs[0].nvars)
-    for f in fs:
-        common = common * f.den
+    """Each numerator times the denominators, other than 1, of the others."""
     cleared = []
-    for f in fs:
-        others = MPoly.one(f.nvars)
-        for g in fs:
-            if g is not f:
-                others = others * g.den
-        cleared.append(f.num * others)
+    for i, f in enumerate(fs):
+        p = f.num
+        for j, g in enumerate(fs):
+            if j != i and not g.is_polynomial():
+                p = p * g.den
+        cleared.append(p)
     return cleared
 
 
 def _assert_independent(fs: list[RatFunc]) -> None:
     """Exact rank test on the coefficient vectors, after clearing denominators."""
-    polys = fs if all(f.is_polynomial() for f in fs) else None
-    cleared = [f.num for f in polys] if polys else _clear_denominators(fs)
+    cleared = _clear_denominators(fs)
     monomials = sorted({m for p in cleared for m, _ in p.terms()})
     index = {m: i for i, m in enumerate(monomials)}
     rows = []

@@ -27,13 +27,12 @@ Everything is truncated at a fixed hbar order M and asserted exactly there.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import MPoly, RatFunc, maximal_minors
+from .exact import MPoly, RatFunc, SparseSum, collect, maximal_minors
 from .poisson import PoissonElem, classical_hamiltonians, poisson_bracket
 from .reports import CheckRecord, failed, passed
 
@@ -184,14 +183,15 @@ def dual_commuting_family(fs: list[RatFunc]) -> list[CheckRecord]:
 
 
 @dataclass(frozen=True)
-class HElem:
-    """Finite sum of c(z) hbar^m (d/dz)^k with m >= k, truncated at m <= M."""
+class HElem(SparseSum):
+    """Finite sum of c(z) hbar^m (d/dz)^k with m >= k, truncated at m <= M:
+    ``coeffs`` maps (k, m) to c, a nonzero function; ``*`` composes."""
 
     trunc: int
-    terms: dict[tuple[int, int], RatFunc]  # (k, m) -> one-variable coefficient
+    coeffs: dict[tuple[int, int], RatFunc]
 
     def __post_init__(self):
-        for (k, m), c in self.terms.items():
+        for (k, m), c in self.coeffs.items():
             if k < 0 or m < k:
                 raise ValueError(f"term ({k},{m}) violates the Rees condition m >= k")
             if m > self.trunc:
@@ -201,15 +201,8 @@ class HElem:
 
     @classmethod
     def build(cls, trunc: int, items) -> "HElem":
-        acc: dict[tuple[int, int], RatFunc] = {}
-        for key, c in items:
-            if key[1] > trunc:
-                continue
-            if key in acc:
-                acc[key] = acc[key] + c
-            else:
-                acc[key] = c
-        return cls(trunc, {k: c for k, c in acc.items() if not c.is_zero})
+        """Collect ((k, m), c) pairs, dropping powers m > trunc and zero sums."""
+        return cls(trunc, collect(item for item in items if item[0][1] <= trunc))
 
     @classmethod
     def zero(cls, trunc: int) -> "HElem":
@@ -234,54 +227,32 @@ class HElem:
     def hbar(cls, trunc: int, power: int = 1) -> "HElem":
         return cls(trunc, {(0, power): RatFunc.const(1, 1)})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def body(self) -> RatFunc:
         """The hbar^0 part (always a plain function by the Rees condition)."""
-        return self.terms.get((0, 0), RatFunc.const(1, 0))
+        return self.coeffs.get((0, 0), RatFunc.const(1, 0))
 
     def min_hbar_order(self) -> int | None:
-        return min((m for (_, m) in self.terms), default=None)
+        return min((m for (_, m) in self.coeffs), default=None)
 
     def shadow(self) -> RatFunc:
         """Classical limit in (z, xi): terms with m = k survive as c xi^k."""
         total = RatFunc.const(2, 0)
-        for (k, m), c in self.terms.items():
+        for (k, m), c in self.coeffs.items():
             if m == k:
                 total = total + c.embed(2, [0]) * (RatFunc.var(2, 1) ** k)
         return total
 
-    def __add__(self, other: "HElem") -> "HElem":
-        self._compat(other)
-        return HElem.build(self.trunc,
-                           itertools.chain(self.terms.items(), other.terms.items()))
-
-    def __sub__(self, other: "HElem") -> "HElem":
-        return self + (-other)
-
-    def __neg__(self) -> "HElem":
-        return HElem(self.trunc, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, factor) -> "HElem":
-        if isinstance(factor, (int, Fraction)):
-            factor = RatFunc.const(1, factor)
-        if factor.is_zero:
-            return HElem.zero(self.trunc)
-        return HElem(self.trunc, {k: c * factor for k, c in self.terms.items()})
-
     def shift_hbar(self, powers: int = 1) -> "HElem":
         """Multiply by hbar^powers (drops what leaves the truncation window)."""
         return HElem.build(self.trunc, (((k, m + powers), c)
-                                        for (k, m), c in self.terms.items()))
+                                        for (k, m), c in self.coeffs.items()))
 
     def __mul__(self, other: "HElem") -> "HElem":
         """Composition; hbar powers add, derivatives pass by Leibniz."""
         self._compat(other)
         items = []
-        for (k1, m1), c1 in self.terms.items():
-            for (k2, m2), c2 in other.terms.items():
+        for (k1, m1), c1 in self.coeffs.items():
+            for (k2, m2), c2 in other.coeffs.items():
                 m = m1 + m2
                 if m > self.trunc:
                     continue
@@ -340,11 +311,12 @@ def h_inverse(f: HElem) -> HElem:
 
 
 @dataclass(frozen=True)
-class LocalSeries:
-    """Element of the localization of A_h at f, normal-ordered in X."""
+class LocalSeries(SparseSum):
+    """Element of the localization of A_h at f, normal-ordered in X: ``coeffs``
+    maps X-powers to nonzero elements of A_h truncated like ``f``.  Equal
+    ``coeffs`` are not equality in the localization; ``series_equal`` is."""
 
     f: HElem
-    trunc: int
     coeffs: dict[int, HElem]
 
     def __post_init__(self):
@@ -353,50 +325,33 @@ class LocalSeries:
         for k, a in self.coeffs.items():
             if k < 0:
                 raise ValueError("X-powers are nonnegative")
-            if a.trunc != self.trunc or a.is_zero:
-                raise ValueError("coefficients must share the truncation and be nonzero")
+            if a.trunc != self.trunc:
+                raise TruncationMismatch(f"coefficient truncation {a.trunc}, f's {self.trunc}")
+            if a.is_zero:
+                raise ValueError("zero coefficients must not be stored")
+
+    @property
+    def trunc(self) -> int:
+        return self.f.trunc
 
     @classmethod
-    def build(cls, f: HElem, trunc: int, items) -> "LocalSeries":
-        acc: dict[int, HElem] = {}
-        for k, a in items:
-            if k in acc:
-                acc[k] = acc[k] + a
-            else:
-                acc[k] = a
-        return cls(f, trunc, {k: a for k, a in acc.items() if not a.is_zero})
+    def build(cls, f: HElem, items) -> "LocalSeries":
+        """Collect (X-power, coefficient) pairs, dropping zero sums."""
+        return cls(f, collect(items))
 
     @classmethod
     def from_helem(cls, a: HElem, f: HElem) -> "LocalSeries":
-        return cls.build(f, a.trunc, [(0, a)])
+        return cls.build(f, [(0, a)])
 
     @classmethod
     def x_power(cls, f: HElem, power: int = 1) -> "LocalSeries":
-        return cls.build(f, f.trunc, [(power, HElem.one(f.trunc))])
+        return cls.build(f, [(power, HElem.one(f.trunc))])
 
     @classmethod
     def one(cls, f: HElem) -> "LocalSeries":
-        return cls.build(f, f.trunc, [(0, HElem.one(f.trunc))])
-
-    def __add__(self, other: "LocalSeries") -> "LocalSeries":
-        self._compat(other)
-        return LocalSeries.build(self.f, self.trunc,
-                                 itertools.chain(self.coeffs.items(), other.coeffs.items()))
-
-    def __neg__(self) -> "LocalSeries":
-        return LocalSeries(self.f, self.trunc,
-                           {k: -a for k, a in self.coeffs.items()})
-
-    def __sub__(self, other: "LocalSeries") -> "LocalSeries":
-        return self + (-other)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        return cls.build(f, [(0, HElem.one(f.trunc))])
 
     def _compat(self, other: "LocalSeries") -> None:
-        if self.trunc != other.trunc:
-            raise TruncationMismatch("truncation orders differ")
         if not (self.f - other.f).is_zero:
             raise TruncationMismatch("series localize different elements")
 
@@ -441,23 +396,22 @@ def localize_product(u: LocalSeries, v: LocalSeries) -> LocalSeries:
                     items.append((n + m + alpha, (a * adb).scale(binom)))
                 adb = h_ad(f, adb)
                 alpha += 1
-    return LocalSeries.build(f, u.trunc, items)
+    return LocalSeries.build(f, items)
+
+
+def _evaluated_difference(u: LocalSeries, v: LocalSeries) -> HElem:
+    """The image of u - v under X -> f^{-1}: zero iff u = v."""
+    diff = u - v
+    return HElem.zero(u.trunc) if diff.is_zero else diff.evaluate()
 
 
 def series_equal(u: LocalSeries, v: LocalSeries) -> bool:
     """Equality in the localization, decided through the X -> f^{-1} oracle."""
-    u._compat(v)
-    return ((u - v).is_zero or (u - v).evaluate().is_zero)
+    return _evaluated_difference(u, v).is_zero
 
 
 # ---------------------------------------------------------------------------
 # Checks.
-
-
-def _diff_witness(u: LocalSeries, v: LocalSeries) -> str:
-    diff = (u - v).evaluate()
-    order = diff.min_hbar_order()
-    return f"difference starts at hbar^{order}"
 
 
 def _series_record(name: str, anchor: str, u: LocalSeries,
@@ -465,12 +419,12 @@ def _series_record(name: str, anchor: str, u: LocalSeries,
     """Decide u = v; an evaluation that leaves the exponent packing range
     cannot decide it, so it fails that one record with an overflow witness."""
     try:
-        if series_equal(u, v):
-            return passed(name, anchor)
-        witness = _diff_witness(u, v)
+        diff = _evaluated_difference(u, v)
     except OverflowError as exc:
-        witness = f"evaluation oracle overflowed: {exc}"
-    return failed(name, anchor, witness)
+        return failed(name, anchor, f"evaluation oracle overflowed: {exc}")
+    if diff.is_zero:
+        return passed(name, anchor)
+    return failed(name, anchor, f"difference starts at hbar^{diff.min_hbar_order()}")
 
 
 def check_localization_axioms(f: HElem, rng: random.Random,
@@ -502,7 +456,7 @@ def check_x_derivative_identity(trunc: int) -> CheckRecord:
     X = LocalSeries.x_power(f)
     lhs = localize_product(X, LocalSeries.from_helem(D, f))
     rhs = localize_product(LocalSeries.from_helem(D, f), X) + LocalSeries.build(
-        f, trunc, [(2, HElem.hbar(trunc))])
+        f, [(2, HElem.hbar(trunc))])
     literal = (set(lhs.coeffs) == {1, 2}
                and lhs.coeffs[1] == D and lhs.coeffs[2] == HElem.hbar(trunc))
     # independent oracle: substitute X = 1/z and compare in A_h directly
@@ -553,7 +507,7 @@ def check_degeneration(a: HElem, b: HElem,
     there.
     """
     comm = a * b - b * a
-    linear = HElem.build(a.trunc, (((k, m - 1), c) for (k, m), c in comm.terms.items()
+    linear = HElem.build(a.trunc, (((k, m - 1), c) for (k, m), c in comm.coeffs.items()
                                    if m >= 1))
     sa = PoissonElem(1, a.shadow())
     sb = PoissonElem(1, b.shadow())
@@ -587,7 +541,7 @@ def random_series(f: HElem, rng: random.Random, max_x: int = 2) -> LocalSeries:
     for k in range(max_x + 1):
         if rng.random() < 0.7:
             items.append((k, random_helem(rng, f.trunc)))
-    series = LocalSeries.build(f, f.trunc, items)
+    series = LocalSeries.build(f, items)
     if series.is_zero:
         return LocalSeries.one(f)
     return series

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import MPoly, RatFunc, maximal_minors, signed_minors
+from .exact import MPoly, RatFunc, SparseSum, collect, maximal_minors, signed_minors
 from .poisson import PoissonElem, classical_hamiltonians, poisson_bracket
 from .reports import CheckRecord, failed, passed
 
@@ -61,7 +61,7 @@ def _multi_binom(alpha: tuple[int, ...], gamma: tuple[int, ...]) -> int:
 
 
 @dataclass(frozen=True)
-class RatDiffOp:
+class RatDiffOp(SparseSum):
     """Finite map from derivative multi-indices to rational coefficients."""
 
     nvars: int
@@ -81,14 +81,7 @@ class RatDiffOp:
     @classmethod
     def build(cls, nvars, items) -> "RatDiffOp":
         """Collect (multi-index, coefficient) pairs, dropping zero sums."""
-        acc: dict[tuple[int, ...], RatFunc] = {}
-        for alpha, c in items:
-            alpha = tuple(alpha)
-            if alpha in acc:
-                acc[alpha] = acc[alpha] + c
-            else:
-                acc[alpha] = c
-        return cls(nvars, {a: c for a, c in acc.items() if not c.is_zero})
+        return cls(nvars, collect((tuple(alpha), c) for alpha, c in items))
 
     @classmethod
     def zero(cls, nvars: int) -> "RatDiffOp":
@@ -124,31 +117,9 @@ class RatDiffOp:
 
     # -- ring operations ----------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def order(self) -> int:
         """Top total derivative degree; -1 for the zero operator."""
         return max((sum(a) for a in self.coeffs), default=-1)
-
-    def __add__(self, other: "RatDiffOp") -> "RatDiffOp":
-        self._compat(other)
-        return RatDiffOp.build(self.nvars,
-                               itertools.chain(self.coeffs.items(), other.coeffs.items()))
-
-    def __sub__(self, other: "RatDiffOp") -> "RatDiffOp":
-        return self + (-other)
-
-    def __neg__(self) -> "RatDiffOp":
-        return RatDiffOp(self.nvars, {a: -c for a, c in self.coeffs.items()})
-
-    def scale(self, factor) -> "RatDiffOp":
-        if isinstance(factor, (int, Fraction)):
-            factor = RatFunc.const(self.nvars, factor)
-        if factor.is_zero:
-            return RatDiffOp.zero(self.nvars)
-        return RatDiffOp(self.nvars, {a: c * factor for a, c in self.coeffs.items()})
 
     def _compat(self, other: "RatDiffOp") -> None:
         if self.nvars != other.nvars:
@@ -395,23 +366,10 @@ def check_commute(hs: list[RatDiffOp], name: str = "operator-commute") -> CheckR
     return passed(name, ANCHOR_OP_COMMUTE)
 
 
-def principal_symbol_1var(T: RatDiffOp) -> RatFunc:
-    """sigma(T) as a rational function of (x, xi) (two variables)."""
-    if T.nvars != 1:
-        raise ValueError("expects a one-variable operator")
-    d = T.order()
-    nv = 2
-    total = RatFunc.const(nv, 0)
-    for (k,), c in T.coeffs.items():
-        if k == d:
-            total = total + c.embed(nv, [0]) * (RatFunc.var(nv, 1) ** k)
-    return total
-
-
 def classical_family_for(spec: OpFamilySpec) -> list[RatFunc]:
     """f_0 = 1 and f_i = 1 / ((x - P_i) sigma(T)): the classical data whose
     determinant Hamiltonians the operator symbols must reproduce."""
-    sigma = principal_symbol_1var(spec.T)
+    sigma = symbol(spec.T)
     one = RatFunc.const(2, 1)
     fs = [one]
     x = RatFunc.var(2, 0)

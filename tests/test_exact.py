@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from commfam import exact
-from commfam.exact import (MPoly, QMatrix, Rat, RatFunc, Singular, det, kron,
-                           mat_inverse, partial_derivative, rank,
+from commfam.exact import (MPoly, QMatrix, Rat, RatFunc, Singular, collect, det,
+                           kron, mat_inverse, partial_derivative, rank,
                            ratfunc_equal)
 from commfam.exact import (_MAX_EXP, _NP_BOX_PAIR_CUTOFF, _NP_BOX_RATIO,
                            _NP_COEF_BOUND, _NP_PAIR_CUTOFF, _common_monomial_key,
@@ -670,3 +670,29 @@ def test_rat_inverse_singular_names_first_dependent_column():
         assert want <= k
         with pytest.raises(Singular, match=f"no nonzero pivot in column {want}$"):
             mat_inverse(m)
+
+
+class Word:
+    """A sum that remembers the order of its summands."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __add__(self, other):
+        return Word(self.text + other.text)
+
+    @property
+    def is_zero(self):
+        return not self.text
+
+
+def test_collect_keeps_first_appearance_and_drops_zero_sums():
+    out = collect([("b", Word("1")), ("z", Word("")), ("a", Word("x")),
+                   ("b", Word("2")), ("c", Word("")), ("b", Word("3"))])
+    assert list(out) == ["b", "a"]
+    assert [w.text for w in out.values()] == ["123", "x"]
+    x = RatFunc.var(1, 0)
+    one = RatFunc.const(1, 1)
+    out = collect([(2, x), (0, one), (1, x), (2, -x), (0, one)])
+    assert list(out) == [0, 1]
+    assert out[0] == RatFunc.const(1, 2) and out[1] == x

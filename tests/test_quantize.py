@@ -1,6 +1,7 @@
 """Dual-number quantization and truncated hbar-localization."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -156,6 +157,15 @@ def test_helem_rees_invariants():
     assert elem.is_zero  # dropped by truncation
 
 
+def test_helem_build_truncates_before_collecting():
+    z = RatFunc.var(1, 0)
+    one = RatFunc.const(1, 1)
+    elem = HElem.build(2, [((0, 3), z), ((1, 2), one), ((0, 0), z), ((1, 3), -one),
+                           ((0, 0), -z), ((0, 1), z)])
+    assert list(elem.coeffs) == [(1, 2), (0, 1)]
+    assert elem.coeffs[(1, 2)] == one and elem.coeffs[(0, 1)] == z
+
+
 def test_helem_product_leibniz():
     # D o z = z D + hbar for D = hbar d/dz
     trunc = 4
@@ -197,8 +207,8 @@ def test_localize_product_central_collapse():
     f = HElem.function(z, trunc)
     a = HElem.function(z * z + RatFunc.const(1, 2), trunc)
     b = HElem.function(z + RatFunc.const(1, 1), trunc)
-    u = LocalSeries.build(f, trunc, [(1, a)])
-    v = LocalSeries.build(f, trunc, [(2, b)])
+    u = LocalSeries.build(f, [(1, a)])
+    v = LocalSeries.build(f, [(2, b)])
     prod = localize_product(u, v)
     assert set(prod.coeffs) == {3}
     assert prod.coeffs[3] == a * b
@@ -233,6 +243,37 @@ def test_localize_product_mismatch():
     g3 = HElem.function(z + RatFunc.const(1, 1), 3)
     with pytest.raises(TruncationMismatch):
         localize_product(LocalSeries.x_power(f3), LocalSeries.x_power(g3))
+
+
+def test_series_coefficients_share_the_truncation_of_f():
+    z = RatFunc.var(1, 0)
+    with pytest.raises(TruncationMismatch):
+        LocalSeries.from_helem(HElem.one(3), HElem.function(z, 4))
+    assert LocalSeries.one(HElem.function(z, 4)).trunc == 4
+
+
+def test_series_scale_multiplies_every_coefficient():
+    f = HElem.function(RatFunc.var(1, 0), 3)
+    u = quantize.random_series(f, random.Random(5))
+    assert not u.is_zero
+    assert u.scale(3) == u + u + u
+    assert u.scale(Fraction(-1, 2)).scale(-2) == u
+    assert u.scale(0).is_zero
+
+
+def test_series_record_evaluates_the_difference_once(monkeypatch):
+    f = HElem.function(RatFunc.var(1, 0), 4)
+    one = LocalSeries.one(f)
+    other = LocalSeries.from_helem(HElem.one(4) + HElem.hbar(4, 2), f)
+    calls = []
+    evaluate = LocalSeries.evaluate
+    monkeypatch.setattr(LocalSeries, "evaluate",
+                        lambda self: calls.append(1) or evaluate(self))
+    record = quantize._series_record("r", "anchor", one, other)
+    assert record.status == "fail"
+    assert record.witness == "difference starts at hbar^2"
+    assert len(calls) == 1
+    assert quantize._series_record("r", "anchor", other, other).status == "pass"
 
 
 def test_series_evaluation_is_multiplicative():

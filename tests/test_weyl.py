@@ -12,7 +12,7 @@ from commfam.weyl import (OpFamilySpec, RatDiffOp, ZeroOperator, ZeroPhi,
                           basis_match_constant, check_basis_matches_closed_form,
                           check_commute, check_symbol_matches_classical,
                           do_commutator, do_compose, hamiltonians_from_basis,
-                          principal_symbol_1var, rational_hamiltonians, symbol)
+                          rational_hamiltonians, symbol)
 from permutation_oracle import det_by_rows
 
 
@@ -232,7 +232,7 @@ def test_hamiltonians_from_basis_zero_phi():
 
 def test_principal_symbol():
     T = do_compose(z_op(), d_op()) + RatDiffOp.identity(1)
-    sigma = principal_symbol_1var(T)
+    sigma = symbol(T)
     assert sigma == RatFunc.var(2, 0) * RatFunc.var(2, 1)
 
 
