@@ -239,13 +239,17 @@ def _trial_identity_suite(params, rng, t) -> list[CheckRecord]:
     if outcome.exhausted:
         return records + [failed("identity-suite", "precondition",
                                  f"no invertible bracket after {outcome.resamples} draws")]
-    fam = outcome.family
-    fs = [list(fam.entries[i]) for i in range(1, n + 1)]
-    records.append(ncfam.check_identity_2a(fs))
+    # Delta_0 = [f_1..f_n] and its inverse come from the sample; the checks
+    # share each rest bracket and its quotient by Delta_0
+    minors, inv0 = outcome.minors, outcome.inv0
+    fs = [list(outcome.family.entries[i]) for i in range(1, n + 1)]
+    rests = ncfam.rest_brackets(fs)
+    quotients = [rest * inv0 for rest in rests]
+    records.append(ncfam.check_identity_2a(fs, quotients))
     admissible = list(range(1, n - 1)) if n >= 3 else [1]
-    records.extend(ncfam.check_identity_2b(fs, a) for a in admissible)
-    records.append(ncfam.check_laplace_expansion(fs))
-    records.append(ncfam.check_main_id([list(row) for row in fam.entries]))
+    records.extend(ncfam.check_identity_2b(fs, quotients, a) for a in admissible)
+    records.append(ncfam.check_laplace_expansion(fs, minors[0], rests))
+    records.append(ncfam.check_main_id(minors, inv0))
     return records
 
 
@@ -261,7 +265,7 @@ def _trial_corollary_legs(params, rng, t) -> list[CheckRecord]:
             return [passed("singular-reported", "constant-leg Delta_0 raises Singular")]
         return [failed("commute", ncfam.ANCHOR_COMMUTE,
                        f"Delta_0 singular for all {outcome.resamples} draws")]
-    hs = ncfam.hamiltonians(outcome.family)
+    hs = ncfam.hamiltonians(outcome.minors, outcome.inv0)
     return (_resample_log("invertible Delta_0 found", outcome.resamples, True)
             + [ncfam.check_pairwise_commute(hs)])
 

@@ -22,8 +22,12 @@ skew field, so the invertibility hypotheses can only be met by rows that vary
 across legs.  The checks below accept both shapes: constant rows surface
 ``Singular`` honestly, varying rows exercise the identities.
 
-Invertibility is checked lazily: only minors actually inverted can raise
-``Singular``, and samplers report how many singular draws were discarded.
+Elements of the tensor power are plain d^n x d^n ``QMatrix`` values.
+Only Delta_0 is ever inverted, once per draw: ``sample_family``
+builds the minors and Delta_0^{-1} together, redraws while Delta_0 is
+``Singular`` and reports how many draws it discarded.  The Hamiltonians and
+the identity checks take the minors and Delta_0^{-1} from the sample and
+invert nothing themselves.
 """
 
 from __future__ import annotations
@@ -48,60 +52,7 @@ ANCHOR_LAPLACE = ("[f_1,..,f_n] = sum_{j=1..n} (-1)^(j+n) f_j^(n) "
 MAX_LEGS = 6  # a k-leg bracket costs O(2^k k) Kronecker products; d^n dominates
 
 
-@dataclass(frozen=True)
-class TensorElem:
-    """An element of M_d(Q)^{x n}: a d^n x d^n exact matrix."""
-
-    n: int
-    d: int
-    mat: QMatrix
-
-    def __post_init__(self):
-        size = self.d ** self.n
-        if self.mat.rows != size or self.mat.cols != size:
-            raise ValueError(f"matrix must be {size} x {size}")
-
-    def __mul__(self, other: "TensorElem") -> "TensorElem":
-        self._compat(other)
-        return TensorElem(self.n, self.d, self.mat * other.mat)
-
-    def __add__(self, other: "TensorElem") -> "TensorElem":
-        self._compat(other)
-        return TensorElem(self.n, self.d, self.mat + other.mat)
-
-    def __sub__(self, other: "TensorElem") -> "TensorElem":
-        self._compat(other)
-        return TensorElem(self.n, self.d, self.mat - other.mat)
-
-    def __neg__(self) -> "TensorElem":
-        return TensorElem(self.n, self.d, -self.mat)
-
-    def scale(self, c) -> "TensorElem":
-        return TensorElem(self.n, self.d, self.mat.scale(c))
-
-    def inverse(self) -> "TensorElem":
-        return TensorElem(self.n, self.d, mat_inverse(self.mat))
-
-    def is_zero(self) -> bool:
-        return self.mat.first_nonzero() is None
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElem):
-            return NotImplemented
-        return self.n == other.n and self.d == other.d and self.mat == other.mat
-
-    __hash__ = None
-
-    def _compat(self, other: "TensorElem") -> None:
-        if (self.n, self.d) != (other.n, other.d):
-            raise ValueError("tensor shapes differ")
-
-    @classmethod
-    def identity(cls, n: int, d: int) -> "TensorElem":
-        return cls(n, d, QMatrix.identity(d ** n))
-
-
-def embed_legs(mats_by_leg: dict[int, QMatrix], n: int, d: int) -> TensorElem:
+def embed_legs(mats_by_leg: dict[int, QMatrix], n: int, d: int) -> QMatrix:
     """Kronecker-embed ``{leg j: b_j}`` (1-based legs), identity elsewhere.
 
     Equals the product of the individual leg embeddings, built as one
@@ -112,12 +63,10 @@ def embed_legs(mats_by_leg: dict[int, QMatrix], n: int, d: int) -> TensorElem:
     for j in range(1, n + 1):
         factor = mats_by_leg.get(j, eye)
         acc = factor if acc is None else kron(acc, factor)
-    if acc is None:
-        acc = QMatrix.identity(1)
-    return TensorElem(n, d, acc)
+    return QMatrix.identity(1) if acc is None else acc
 
 
-def leg_embed(b: QMatrix, leg: int, n: int) -> TensorElem:
+def leg_embed(b: QMatrix, leg: int, n: int) -> QMatrix:
     """Place the d x d matrix ``b`` on tensor leg ``leg`` of n legs:
     I_{d^(leg-1)} (x) b (x) I_{d^(n-leg)}."""
     if not 1 <= leg <= n:
@@ -127,7 +76,7 @@ def leg_embed(b: QMatrix, leg: int, n: int) -> TensorElem:
     return embed_legs({leg: b}, n, b.rows)
 
 
-def bracket(ms: list[QMatrix], legs: list[int], n: int) -> TensorElem:
+def bracket(ms: list[QMatrix], legs: list[int], n: int) -> QMatrix:
     """Antisymmetrised sum over placements of ``ms`` on the given legs.
 
     bracket(ms, legs) = sum_{s in S_k} sign(s) prod_m ms[s(m)] on leg legs[m];
@@ -143,7 +92,7 @@ def bracket(ms: list[QMatrix], legs: list[int], n: int) -> TensorElem:
 
 
 def _general_bracket(rows: list[list[QMatrix]], indices: list[int],
-                     legs: list[int], n: int, d: int) -> TensorElem:
+                     legs: list[int], n: int, d: int) -> QMatrix:
     """Signed sum over bijections indices -> legs of leg-placed row entries.
 
     ``rows[i][j-1]`` is the matrix row i contributes on leg j; the sign of a
@@ -175,7 +124,7 @@ def _general_bracket(rows: list[list[QMatrix]], indices: list[int],
     total = signed_minors(entries, kron, QMatrix.identity(1))[(1 << len(indices)) - 1]
     if placed < n:
         total = kron(total, QMatrix.identity(d ** (n - placed)))
-    return TensorElem(n, d, total)
+    return total
 
 
 @dataclass(frozen=True)
@@ -211,12 +160,6 @@ class LegFamily:
         d = fs[0].rows
         return cls(n, d, tuple(tuple(f for _ in range(n)) for f in fs))
 
-    @classmethod
-    def from_rows(cls, rows) -> "LegFamily":
-        rows = [_normalize_row(r, len(rows) - 1) for r in rows]
-        d = rows[0][0].rows
-        return cls(len(rows) - 1, d, tuple(tuple(r) for r in rows))
-
     def entry(self, i: int, j: int) -> QMatrix:
         """Row i (0..n), leg j (1..n)."""
         return self.entries[i][j - 1]
@@ -232,7 +175,7 @@ def _normalize_row(row, n: int) -> list[QMatrix]:
     return row
 
 
-def delta(fam: LegFamily, rows, legs) -> TensorElem:
+def delta(fam: LegFamily, rows, legs) -> QMatrix:
     """Delta_{I,J}: signed sum over bijections I -> J of leg-placed entries."""
     rows = sorted(rows)
     if rows and not 0 <= rows[0] <= rows[-1] <= fam.n:
@@ -240,87 +183,98 @@ def delta(fam: LegFamily, rows, legs) -> TensorElem:
     return _general_bracket(list(fam.entries), rows, sorted(legs), fam.n, fam.d)
 
 
-def family_minors(fam: LegFamily) -> list[TensorElem]:
+def family_minors(fam: LegFamily) -> list[QMatrix]:
     """The maximal minors Delta_0..Delta_n (Delta_i omits row i)."""
-    return [TensorElem(fam.n, fam.d, m)
-            for m in maximal_minors(fam.entries, kron, QMatrix.identity(1))]
+    return maximal_minors(fam.entries, kron, QMatrix.identity(1))
 
 
-def hamiltonians(fam: LegFamily) -> list[TensorElem]:
+def hamiltonians(minors: list[QMatrix], inv0: QMatrix) -> list[QMatrix]:
     """H_i = Delta_0^{-1} Delta_i for i = 1..n.
 
-    Raises ``Singular`` when Delta_0 is not invertible (the invertibility
-    hypothesis fails for this sample; the caller may resample).  Only
-    Delta_0 is inverted: minors are checked lazily, when actually used.
+    ``minors`` and ``inv0`` = Delta_0^{-1} are those of a ``SampleOutcome``;
+    nothing is built or inverted here.
     """
-    minors = family_minors(fam)
-    inv0 = minors[0].inverse()
-    return [inv0 * minors[i] for i in range(1, fam.n + 1)]
+    return [inv0 * m for m in minors[1:]]
+
+
+def rest_brackets(fs) -> list[QMatrix]:
+    """[f_1,..,^f_i,..,f_n]^(1..n-1) for i = 1..n, each its own expansion.
+
+    ``fs`` lists n rows (constant or per-leg).  The rests are the brackets
+    that 2a, 2b and the Laplace expansion share.
+    """
+    n = len(fs)
+    rows = [_normalize_row(r, n) for r in fs]
+    d = rows[0][0].rows
+    return [_general_bracket(rows, [t for t in range(n) if t != i],
+                             list(range(1, n)), n, d)
+            for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
 # Identity checks.  Each accepts rows that are either a single matrix
-# (constant across legs) or a list of n per-leg matrices, and returns a
-# CheckRecord whose anchor is the decided identity; the witness is the first
-# counterexample entry on failure.
+# (constant across legs) or a list of n per-leg matrices, takes the brackets
+# and the inverse it needs from its caller, and returns a CheckRecord whose
+# anchor is the decided identity; the witness is the first counterexample
+# entry on failure.  The full bracket [f_1,..,f_n] = Delta_0 comes from
+# ``family_minors`` and the rests from ``rest_brackets``: separate
+# expansions, so no identity below is a tautology.
 
 
-def _witness(elem: TensorElem, label: str) -> str:
-    spot = elem.mat.first_nonzero()
+def _witness(diff: QMatrix, label: str) -> str | None:
+    """The first nonzero entry of ``diff``; None when ``diff`` is zero."""
+    spot = diff.first_nonzero()
     if spot is None:
-        return f"{label}: zero"
+        return None
     i, j, v = spot
     return f"{label}: first nonzero entry ({i},{j}) = {v}"
 
 
-def check_pairwise_commute(hs: list[TensorElem],
+def _verdict(name: str, anchor: str, witness: str | None) -> CheckRecord:
+    return passed(name, anchor) if witness is None else failed(name, anchor, witness)
+
+
+def check_pairwise_commute(hs: list[QMatrix],
                            name: str = "pairwise-commute") -> CheckRecord:
     """Exact test H_i H_j - H_j H_i = 0 for every pair."""
     for a in range(len(hs)):
         for b in range(a + 1, len(hs)):
-            comm = hs[a] * hs[b] - hs[b] * hs[a]
-            if not comm.is_zero():
-                return failed(name, ANCHOR_COMMUTE,
-                              _witness(comm, f"[H_{a + 1}, H_{b + 1}]"))
+            witness = _witness(hs[a] * hs[b] - hs[b] * hs[a],
+                               f"[H_{a + 1}, H_{b + 1}]")
+            if witness is not None:
+                return failed(name, ANCHOR_COMMUTE, witness)
     return passed(name, ANCHOR_COMMUTE)
 
 
-def _alternating_sum(fs, leg: int) -> TensorElem:
+def _alternating_sum(fs, quotients: list[QMatrix], leg: int) -> QMatrix:
     """sum_i (-1)^i [f_1,..,^f_i,..,f_n]^(1..n-1) [f_1,..,f_n]^-1 f_i^(leg).
 
-    The full bracket and each rest bracket are separate expansions, so the
-    identities built on this sum are not tautologies."""
+    ``quotients[i-1]`` is the rest bracket of f_i times Delta_0^{-1}; only
+    the leg factor f_i^(leg) is multiplied here."""
     n = len(fs)
-    rows = [_normalize_row(r, n) for r in fs]
-    d = rows[0][0].rows
-    full = _general_bracket(rows, list(range(n)), list(range(1, n + 1)), n, d)
-    inv = full.inverse()  # Singular propagates to the caller
     total = None
-    for i in range(1, n + 1):
-        rest = _general_bracket(rows, [t for t in range(n) if t != i - 1],
-                                list(range(1, n)), n, d)
-        term = rest * inv * leg_embed(rows[i - 1][leg - 1], leg, n)
+    for i, (row, quotient) in enumerate(zip(fs, quotients), start=1):
+        term = quotient * leg_embed(_normalize_row(row, n)[leg - 1], leg, n)
         if i % 2 == 1:
             term = -term
         total = term if total is None else total + term
     return total
 
 
-def check_identity_2a(fs) -> CheckRecord:
+def check_identity_2a(fs, quotients: list[QMatrix]) -> CheckRecord:
     """Alternating one-leg expansion against the full bracket: the sum
-    equals (-1)^n.  ``fs`` lists n rows (constant or per-leg)."""
+    equals (-1)^n.  ``fs`` lists n rows (constant or per-leg) and
+    ``quotients[i-1]`` = [f_1,..,^f_i,..,f_n]^(1..n-1) Delta_0^{-1}."""
     n = len(fs)
-    total = _alternating_sum(fs, n)
-    expect = TensorElem.identity(n, total.d)
+    total = _alternating_sum(fs, quotients, n)
+    expect = QMatrix.identity(total.rows)
     if n % 2 == 1:
         expect = -expect
-    diff = total - expect
-    if diff.is_zero():
-        return passed(f"identity-2a-n{n}", ANCHOR_2A)
-    return failed(f"identity-2a-n{n}", ANCHOR_2A, _witness(diff, "lhs - (-1)^n"))
+    return _verdict(f"identity-2a-n{n}", ANCHOR_2A,
+                    _witness(total - expect, "lhs - (-1)^n"))
 
 
-def check_identity_2b(fs, a: int) -> CheckRecord:
+def check_identity_2b(fs, quotients: list[QMatrix], a: int) -> CheckRecord:
     """Same alternating sum with the last factor on leg ``a``; equals 0.
 
     Admissible legs: a = 1..n-2 for n >= 3, plus the two-leg variant a = 1.
@@ -328,53 +282,42 @@ def check_identity_2b(fs, a: int) -> CheckRecord:
     n = len(fs)
     if not (1 <= a <= n - 2 or (n == 2 and a == 1)):
         raise ValueError(f"leg {a} not admissible for n = {n}")
-    total = _alternating_sum(fs, a)
-    if total.is_zero():
-        return passed(f"identity-2b-n{n}-a{a}", ANCHOR_2B)
-    return failed(f"identity-2b-n{n}-a{a}", ANCHOR_2B, _witness(total, "lhs"))
+    return _verdict(f"identity-2b-n{n}-a{a}", ANCHOR_2B,
+                    _witness(_alternating_sum(fs, quotients, a), "lhs"))
 
 
-def check_main_id(fs) -> CheckRecord:
+def check_main_id(minors: list[QMatrix], inv0: QMatrix) -> CheckRecord:
     """Delta_i Delta_0^{-1} Delta_j symmetric in (i, j), all pairs incl. 0.
 
-    ``fs`` lists n+1 rows (constant or per-leg).
+    ``minors`` lists Delta_0..Delta_n and ``inv0`` is Delta_0^{-1}; each
+    Delta_0^{-1} Delta_j is formed once, so a pair costs two products.
     """
-    fam = LegFamily.from_rows(fs)
-    n = fam.n
-    minors = family_minors(fam)
-    inv0 = minors[0].inverse()
-    for i in range(len(minors)):
-        for j in range(i + 1, len(minors)):
-            lhs = minors[i] * inv0 * minors[j]
-            rhs = minors[j] * inv0 * minors[i]
-            diff = lhs - rhs
-            if not diff.is_zero():
-                return failed(f"main-id-n{n}", ANCHOR_MAIN_ID,
-                              _witness(diff, f"pair ({i},{j})"))
+    n = len(minors) - 1
+    quotients = [inv0 * m for m in minors]
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            witness = _witness(minors[i] * quotients[j] - minors[j] * quotients[i],
+                               f"pair ({i},{j})")
+            if witness is not None:
+                return failed(f"main-id-n{n}", ANCHOR_MAIN_ID, witness)
     return passed(f"main-id-n{n}", ANCHOR_MAIN_ID)
 
 
-def check_laplace_expansion(fs) -> CheckRecord:
-    """Expansion of the full bracket along the last leg, exact equality.
+def check_laplace_expansion(fs, full: QMatrix, rests: list[QMatrix]) -> CheckRecord:
+    """Expansion of the full bracket ``full`` = [f_1,..,f_n] along the last
+    leg over ``rests`` (from ``rest_brackets``), exact equality.
 
     No inverses are involved, so constant rows are fine here.
     """
     n = len(fs)
-    rows = [_normalize_row(r, n) for r in fs]
-    d = rows[0][0].rows
-    lhs = _general_bracket(rows, list(range(n)), list(range(1, n + 1)), n, d)
     total = None
-    for j in range(1, n + 1):
-        rest = _general_bracket(rows, [t for t in range(n) if t != j - 1],
-                                list(range(1, n)), n, d)
-        term = leg_embed(rows[j - 1][n - 1], n, n) * rest
+    for j, (row, rest) in enumerate(zip(fs, rests), start=1):
+        term = leg_embed(_normalize_row(row, n)[n - 1], n, n) * rest
         if (j + n) % 2 == 1:
             term = -term
         total = term if total is None else total + term
-    diff = lhs - total
-    if diff.is_zero():
-        return passed(f"laplace-n{n}", ANCHOR_LAPLACE)
-    return failed(f"laplace-n{n}", ANCHOR_LAPLACE, _witness(diff, "lhs - rhs"))
+    return _verdict(f"laplace-n{n}", ANCHOR_LAPLACE,
+                    _witness(full - total, "lhs - rhs"))
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +327,13 @@ def check_laplace_expansion(fs) -> CheckRecord:
 
 @dataclass
 class SampleOutcome:
+    """An accepted draw with its minors Delta_0..Delta_n and ``inv0`` =
+    Delta_0^{-1}, each built once; all three are None when every draw was
+    singular."""
+
     family: LegFamily | None
+    minors: list[QMatrix] | None
+    inv0: QMatrix | None
     resamples: int
     exhausted: bool = False
 
@@ -397,9 +346,12 @@ def sample_family(rng: random.Random, n: int, d: int, bound: int = 5,
                   constant_legs: bool = False, retries: int = 20) -> SampleOutcome:
     """Draw a LegFamily with invertible Delta_0, resampling on singularity.
 
-    ``constant_legs = True`` requests the skew-field specialisation, whose
-    Delta_0 is singular for every draw once n >= 2; it exists so callers can
-    demonstrate that the failure is reported, not silently passed.
+    Each draw builds its minors and inverts Delta_0; the accepted draw's
+    minors and inverse are returned for ``hamiltonians`` and the identity
+    checks, so a trial inverts exactly once.  ``constant_legs = True``
+    requests the skew-field specialisation, whose Delta_0 is singular for
+    every draw once n >= 2; it exists so callers can demonstrate that the
+    failure is reported, not silently passed.
     """
     def attempt():
         if constant_legs:
@@ -409,8 +361,9 @@ def sample_family(rng: random.Random, n: int, d: int, bound: int = 5,
             fam = LegFamily(n, d, tuple(
                 tuple(random_matrix(rng, d, bound) for _ in range(n))
                 for _ in range(n + 1)))
-        delta(fam, range(1, n + 1), range(1, n + 1)).inverse()
-        return fam
+        minors = family_minors(fam)
+        return fam, minors, mat_inverse(minors[0])
 
-    fam, resamples = resample(attempt, Singular, retries)
-    return SampleOutcome(fam, resamples, exhausted=fam is None)
+    drawn, resamples = resample(attempt, Singular, retries)
+    fam, minors, inv0 = drawn or (None, None, None)
+    return SampleOutcome(fam, minors, inv0, resamples, exhausted=fam is None)

@@ -310,11 +310,12 @@ def h_inverse(f: HElem) -> HElem:
 # Truncated localization: finite sums  sum_k a_k X^k  with a_k in A_h.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalSeries(SparseSum):
     """Element of the localization of A_h at f, normal-ordered in X: ``coeffs``
     maps X-powers to nonzero elements of A_h truncated like ``f``.  Equal
-    ``coeffs`` are not equality in the localization; ``series_equal`` is."""
+    ``coeffs`` are not equality in the localization, so ``==`` is
+    ``series_equal``."""
 
     f: HElem
     coeffs: dict[int, HElem]
@@ -350,6 +351,13 @@ class LocalSeries(SparseSum):
     @classmethod
     def one(cls, f: HElem) -> "LocalSeries":
         return cls.build(f, [(0, HElem.one(f.trunc))])
+
+    def __eq__(self, other):
+        if not isinstance(other, LocalSeries):
+            return NotImplemented
+        return series_equal(self, other)
+
+    __hash__ = None
 
     def _compat(self, other: "LocalSeries") -> None:
         if not (self.f - other.f).is_zero:

@@ -5,12 +5,14 @@ import random
 
 import pytest
 
-from commfam.exact import QMatrix, Rat, Singular, kron
+from commfam.cli import run_scenario, scenario_from_config
+from commfam.exact import QMatrix, Rat, Singular, kron, mat_inverse
 from commfam import ncfam
-from commfam.ncfam import (LegFamily, TensorElem, bracket, check_identity_2a,
+from commfam.ncfam import (LegFamily, bracket, check_identity_2a,
                            check_identity_2b, check_laplace_expansion,
                            check_main_id, check_pairwise_commute, delta,
-                           hamiltonians, leg_embed, sample_family)
+                           family_minors, hamiltonians, leg_embed,
+                           rest_brackets, sample_family)
 from permutation_oracle import perm_sign
 
 E11 = QMatrix.from_rows([[1, 0], [0, 0]])
@@ -27,28 +29,40 @@ def varying_rows(rng, count, n, d=2, bound=5):
     return [[rand_mat(rng, d, bound) for _ in range(n)] for _ in range(count)]
 
 
+def is_zero(m):
+    return m.first_nonzero() is None
+
+
+def suite_rows(outcome):
+    """Rows f_1..f_n of a sampled family, their rest brackets and the
+    quotients rest_i Delta_0^{-1}, as the identity-suite trial builds them."""
+    rows = [list(r) for r in outcome.family.entries[1:]]
+    rests = rest_brackets(rows)
+    return rows, rests, [rest * outcome.inv0 for rest in rests]
+
+
 def test_leg_embed_identity_and_single_leg():
     eye = QMatrix.identity(2)
-    assert leg_embed(eye, 2, 3).mat == QMatrix.identity(8)
+    assert leg_embed(eye, 2, 3) == QMatrix.identity(8)
     b = QMatrix.from_rows([[1, 2], [3, 4]])
-    assert leg_embed(b, 1, 1).mat == b
+    assert leg_embed(b, 1, 1) == b
     # explicit Kronecker: b on leg 1 of 2 is b (x) I
-    assert leg_embed(b, 1, 2).mat == kron(b, QMatrix.identity(2))
-    assert leg_embed(b, 2, 2).mat == kron(QMatrix.identity(2), b)
+    assert leg_embed(b, 1, 2) == kron(b, QMatrix.identity(2))
+    assert leg_embed(b, 2, 2) == kron(QMatrix.identity(2), b)
 
 
 def test_leg_embed_distinct_legs_commute():
     a = leg_embed(E11, 1, 2)
     b = leg_embed(E22, 2, 2)
-    assert (a * b - b * a).is_zero()
+    assert is_zero(a * b - b * a)
     # and the product is the Kronecker product of the pieces
-    assert (a * b).mat == kron(E11, E22)
+    assert a * b == kron(E11, E22)
 
 
 def test_bracket_scalar_collapse():
     f = QMatrix.from_rows([[3]])
     g = QMatrix.from_rows([[5]])
-    assert bracket([f, g], [1, 2], 2).is_zero()
+    assert is_zero(bracket([f, g], [1, 2], 2))
 
 
 def test_bracket_single_entry_is_embedding():
@@ -63,7 +77,7 @@ def test_bracket_frozen_expansion():
                               [0, 1, 0, 0],
                               [0, 0, -1, 0],
                               [0, 0, 0, 0]])
-    assert br.mat == want
+    assert br == want
 
 
 def test_bracket_alternating_and_multilinear():
@@ -72,12 +86,12 @@ def test_bracket_alternating_and_multilinear():
         f, g, h = (rand_mat(rng) for _ in range(3))
         fg = bracket([f, g], [1, 2], 2)
         gf = bracket([g, f], [1, 2], 2)
-        assert (fg + gf).is_zero()
-        assert bracket([f, f], [1, 2], 2).is_zero()
+        assert is_zero(fg + gf)
+        assert is_zero(bracket([f, f], [1, 2], 2))
         c = Rat(rng.randint(-5, 5))
         lhs = bracket([f.scale(c) + g, h], [1, 2], 2)
         rhs = bracket([f, h], [1, 2], 2).scale(c) + bracket([g, h], [1, 2], 2)
-        assert (lhs - rhs).is_zero()
+        assert lhs == rhs
 
 
 def test_delta_singletons_and_constant_shape():
@@ -94,23 +108,24 @@ def test_delta_repeated_row_vanishes():
     row = [rand_mat(rng) for _ in range(2)]
     other = [rand_mat(rng) for _ in range(2)]
     fam = LegFamily(2, 2, (tuple(row), tuple(other), tuple(row)))
-    assert delta(fam, [0, 2], [1, 2]).is_zero()
+    assert is_zero(delta(fam, [0, 2], [1, 2]))
 
 
 def test_hamiltonians_single_leg_closed_form():
-    rng = random.Random(15)
-    while True:
-        f0, f1 = rand_mat(rng), rand_mat(rng)
-        fam = LegFamily(1, 2, ((f0,), (f1,)))
-        try:
-            hs = hamiltonians(fam)
-            break
-        except Singular:
-            continue
-    want = mat = None
-    from commfam.exact import mat_inverse
-    want = mat_inverse(f1) * f0
-    assert hs[0].mat == want
+    outcome = sample_family(random.Random(15), 1, 2)
+    (f0,), (f1,) = outcome.family.entries
+    assert outcome.minors == [f1, f0]
+    assert hamiltonians(outcome.minors, outcome.inv0) == [mat_inverse(f1) * f0]
+
+
+def test_sample_family_returns_its_minors_and_the_inverse_of_delta0():
+    rng = random.Random(16)
+    for n, d in ((2, 2), (3, 2), (2, 3)):
+        outcome = sample_family(rng, n, d)
+        fam = outcome.family
+        assert outcome.minors == family_minors(fam)
+        assert outcome.minors[0] == delta(fam, range(1, n + 1), range(1, n + 1))
+        assert (outcome.minors[0] * outcome.inv0).is_identity()
 
 
 def test_hamiltonians_scalar_legs_commute():
@@ -118,7 +133,8 @@ def test_hamiltonians_scalar_legs_commute():
     fam = LegFamily(3, 1, tuple(
         tuple(QMatrix.from_rows([[rng.randint(1, 9)]]) for _ in range(3))
         for _ in range(4)))
-    hs = hamiltonians(fam)
+    minors = family_minors(fam)
+    hs = hamiltonians(minors, mat_inverse(minors[0]))
     assert check_pairwise_commute(hs).status == "pass"
 
 
@@ -127,7 +143,7 @@ def test_hamiltonians_commute_varying_legs():
     for n, d in ((2, 2), (3, 2), (2, 3)):
         outcome = sample_family(rng, n, d)
         assert outcome.family is not None
-        hs = hamiltonians(outcome.family)
+        hs = hamiltonians(outcome.minors, outcome.inv0)
         assert check_pairwise_commute(hs).status == "pass"
 
 
@@ -139,18 +155,17 @@ def test_constant_leg_family_is_structurally_singular():
         fs = [rand_mat(rng, 2, 9) for _ in range(3)]
         fam = LegFamily.from_generators(fs, 2)
         with pytest.raises(Singular):
-            hamiltonians(fam)
+            mat_inverse(family_minors(fam)[0])
 
 
 def test_pairwise_commute_diagonal_passes():
-    diag1 = TensorElem(1, 2, QMatrix.from_rows([[2, 0], [0, 3]]))
-    diag2 = TensorElem(1, 2, QMatrix.from_rows([[5, 0], [0, 7]]))
+    diag1 = QMatrix.from_rows([[2, 0], [0, 3]])
+    diag2 = QMatrix.from_rows([[5, 0], [0, 7]])
     assert check_pairwise_commute([diag1, diag2]).status == "pass"
 
 
 def test_pairwise_commute_detects_failure_with_witness():
-    hs = [TensorElem(1, 2, E12), TensorElem(1, 2, E21)]
-    record = check_pairwise_commute(hs)
+    record = check_pairwise_commute([E12, E21])
     assert record.status == "fail"
     assert "entry" in record.witness
 
@@ -158,36 +173,36 @@ def test_pairwise_commute_detects_failure_with_witness():
 def test_identity_2a_n2_per_leg_and_singular_cases():
     rng = random.Random(23)
     outcome = sample_family(rng, 2, 2)
-    rows = [list(outcome.family.entries[i]) for i in (1, 2)]
-    assert check_identity_2a(rows).status == "pass"
-    # constant rows: the full bracket is singular, reported not fudged
+    rows, _, quotients = suite_rows(outcome)
+    assert check_identity_2a(rows, quotients).status == "pass"
+    # constant rows: the full bracket is singular, so there is no Delta_0^{-1}
+    # to form the quotients with; the inverse reports it, not fudged
     f = QMatrix.from_rows([[1, 1], [0, 1]])
     g = QMatrix.from_rows([[1, 0], [1, 1]])
     with pytest.raises(Singular):
-        check_identity_2a([f, g])
+        mat_inverse(bracket([f, g], [1, 2], 2))
     # repeated rows are singular as well ([f, f] = 0)
+    repeated = LegFamily(2, 2, (tuple(rows[1]), tuple(rows[0]), tuple(rows[0])))
     with pytest.raises(Singular):
-        check_identity_2a([rows[0], rows[0]])
+        mat_inverse(family_minors(repeated)[0])
 
 
 def test_identity_2b_admissible_legs():
     rng = random.Random(29)
-    outcome = sample_family(rng, 2, 2)
-    rows = [list(outcome.family.entries[i]) for i in (1, 2)]
-    assert check_identity_2b(rows, 1).status == "pass"
+    rows, _, quotients = suite_rows(sample_family(rng, 2, 2))
+    assert check_identity_2b(rows, quotients, 1).status == "pass"
     with pytest.raises(ValueError):
-        check_identity_2b(rows, 2)
+        check_identity_2b(rows, quotients, 2)
 
 
 def test_identity_suite_n3_d2():
     rng = random.Random(31)
     outcome = sample_family(rng, 3, 2)
-    fam = outcome.family
-    rows = [list(fam.entries[i]) for i in (1, 2, 3)]
-    assert check_identity_2a(rows).status == "pass"
-    assert check_identity_2b(rows, 1).status == "pass"
-    assert check_laplace_expansion(rows).status == "pass"
-    assert check_main_id([list(r) for r in fam.entries]).status == "pass"
+    rows, rests, quotients = suite_rows(outcome)
+    assert check_identity_2a(rows, quotients).status == "pass"
+    assert check_identity_2b(rows, quotients, 1).status == "pass"
+    assert check_laplace_expansion(rows, outcome.minors[0], rests).status == "pass"
+    assert check_main_id(outcome.minors, outcome.inv0).status == "pass"
 
 
 def test_laplace_expansion_constant_rows():
@@ -195,17 +210,16 @@ def test_laplace_expansion_constant_rows():
     rng = random.Random(37)
     for n in (1, 2, 3):
         fs = [rand_mat(rng) for _ in range(n)]
-        assert check_laplace_expansion(fs).status == "pass"
+        full = bracket(fs, list(range(1, n + 1)), n)
+        assert check_laplace_expansion(fs, full, rest_brackets(fs)).status == "pass"
 
 
 def test_main_id_trivial_equal_indices():
     rng = random.Random(41)
     outcome = sample_family(rng, 2, 2)
-    fam = outcome.family
-    minors = ncfam.family_minors(fam)
-    inv0 = minors[0].inverse()
+    minors, inv0 = outcome.minors, outcome.inv0
     lhs = minors[1] * inv0 * minors[1]
-    assert (lhs - lhs).is_zero()
+    assert is_zero(lhs - lhs)
 
 
 def test_sample_family_logs_exhaustion_for_constant_legs():
@@ -214,6 +228,24 @@ def test_sample_family_logs_exhaustion_for_constant_legs():
     assert outcome.exhausted
     assert outcome.resamples == 5
     assert outcome.family is None
+    assert outcome.minors is None and outcome.inv0 is None
+
+
+@pytest.mark.parametrize("kind,n,d", [("identity-suite", 3, 2), ("identity-suite", 4, 2),
+                                      ("corollary-legs", 4, 2), ("corollary-legs", 3, 3)])
+def test_one_trial_inverts_delta0_once(monkeypatch, kind, n, d):
+    sizes = []
+
+    def counting_inverse(m):
+        sizes.append(m.rows)
+        return mat_inverse(m)
+
+    monkeypatch.setattr(ncfam, "mat_inverse", counting_inverse)
+    report = run_scenario(scenario_from_config(
+        {"kind": kind, "seed": 1, "n": n, "d": d, "trials": 1}))
+    assert report.all_passed()
+    assert not any(c.name.startswith("resample-log") for c in report.checks)
+    assert sizes == [d ** n]
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +266,7 @@ def bracket_by_permutations(rows, indices, legs, n, d):
             term = -term
         total = term if total is None else total + term
     if total is None:
-        total = TensorElem.identity(n, d)
+        total = QMatrix.identity(d ** n)
     return total
 
 
@@ -265,7 +297,7 @@ def test_family_minors_match_permutation_expansion():
                                             [r for r in range(n + 1) if r != i],
                                             list(range(1, n + 1)), n, d)
                     for i in range(n + 1)]
-            assert ncfam.family_minors(fam) == want, (n, d)
+            assert family_minors(fam) == want, (n, d)
 
 
 def test_leg_count_is_bounded():
@@ -282,10 +314,10 @@ def test_leg_count_is_bounded():
 # each identity check into a failure whose witness names the entry.
 
 
-def off_by_one(elem):
-    data = list(elem.mat.data)
+def off_by_one(m):
+    data = list(m.data)
     data[0] += 1
-    return TensorElem(elem.n, elem.d, QMatrix(elem.mat.rows, elem.mat.cols, data))
+    return QMatrix(m.rows, m.cols, data)
 
 
 def perturb_first_call(monkeypatch, name):
@@ -300,8 +332,8 @@ def perturb_first_call(monkeypatch, name):
 
 
 @pytest.fixture
-def family_n3():
-    return sample_family(random.Random(31), 3, 2).family
+def sample_n3():
+    return sample_family(random.Random(31), 3, 2)
 
 
 def assert_fails_with_entry(record):
@@ -309,40 +341,48 @@ def assert_fails_with_entry(record):
     assert "entry" in record.witness
 
 
-def test_negative_control_identity_2a(monkeypatch, family_n3):
-    rows = [list(family_n3.entries[i]) for i in (1, 2, 3)]
-    assert check_identity_2a(rows).status == "pass"
+def test_negative_control_identity_2a(monkeypatch, sample_n3):
+    rows, _, quotients = suite_rows(sample_n3)
+    assert check_identity_2a(rows, quotients).status == "pass"
     perturb_first_call(monkeypatch, "leg_embed")
-    assert_fails_with_entry(check_identity_2a(rows))
+    assert_fails_with_entry(check_identity_2a(rows, quotients))
 
 
-def test_negative_control_identity_2b(monkeypatch, family_n3):
-    rows = [list(family_n3.entries[i]) for i in (1, 2, 3)]
-    assert check_identity_2b(rows, 1).status == "pass"
+def test_negative_control_identity_2b(monkeypatch, sample_n3):
+    rows, _, quotients = suite_rows(sample_n3)
+    assert check_identity_2b(rows, quotients, 1).status == "pass"
     perturb_first_call(monkeypatch, "leg_embed")
-    assert_fails_with_entry(check_identity_2b(rows, 1))
+    assert_fails_with_entry(check_identity_2b(rows, quotients, 1))
 
 
-def test_negative_control_laplace_expansion(monkeypatch, family_n3):
-    rows = [list(family_n3.entries[i]) for i in (1, 2, 3)]
-    assert check_laplace_expansion(rows).status == "pass"
-    perturb_first_call(monkeypatch, "_general_bracket")  # the full bracket
-    assert_fails_with_entry(check_laplace_expansion(rows))
+def test_negative_control_laplace_expansion(sample_n3):
+    rows, rests, _ = suite_rows(sample_n3)
+    full = sample_n3.minors[0]
+    assert check_laplace_expansion(rows, full, rests).status == "pass"
+    assert_fails_with_entry(check_laplace_expansion(rows, off_by_one(full), rests))
 
 
-def test_negative_control_main_id(monkeypatch, family_n3):
-    rows = [list(r) for r in family_n3.entries]
-    assert check_main_id(rows).status == "pass"
-    original = ncfam.family_minors
-    monkeypatch.setattr(ncfam, "family_minors", lambda fam: [
-        off_by_one(m) if i == 1 else m for i, m in enumerate(original(fam))])
-    assert_fails_with_entry(check_main_id(rows))
+def test_negative_control_main_id(sample_n3):
+    minors, inv0 = sample_n3.minors, sample_n3.inv0
+    assert check_main_id(minors, inv0).status == "pass"
+    perturbed = [off_by_one(m) if i == 1 else m for i, m in enumerate(minors)]
+    assert_fails_with_entry(check_main_id(perturbed, inv0))
 
 
-def test_negative_control_pairwise_commute(family_n3):
-    hs = hamiltonians(family_n3)
+def test_negative_control_pairwise_commute(sample_n3):
+    hs = hamiltonians(sample_n3.minors, sample_n3.inv0)
     assert check_pairwise_commute(hs).status == "pass"
     assert_fails_with_entry(check_pairwise_commute([off_by_one(hs[0]), *hs[1:]]))
+
+
+def test_negative_control_shared_inverse(sample_n3):
+    # the checks trust the Delta_0^{-1} they are handed; a wrong one must
+    # not pass 2a, main-id or the commutation of the Hamiltonians built on it
+    wrong = off_by_one(sample_n3.inv0)
+    rows, rests, _ = suite_rows(sample_n3)
+    assert_fails_with_entry(check_identity_2a(rows, [rest * wrong for rest in rests]))
+    assert_fails_with_entry(check_main_id(sample_n3.minors, wrong))
+    assert_fails_with_entry(check_pairwise_commute(hamiltonians(sample_n3.minors, wrong)))
 
 
 # anchor -> its negative control above, for the anchor-coverage test in

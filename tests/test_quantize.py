@@ -256,8 +256,8 @@ def test_series_scale_multiplies_every_coefficient():
     f = HElem.function(RatFunc.var(1, 0), 3)
     u = quantize.random_series(f, random.Random(5))
     assert not u.is_zero
-    assert u.scale(3) == u + u + u
-    assert u.scale(Fraction(-1, 2)).scale(-2) == u
+    assert u.scale(3).coeffs == (u + u + u).coeffs
+    assert u.scale(Fraction(-1, 2)).scale(-2).coeffs == u.coeffs
     assert u.scale(0).is_zero
 
 
@@ -274,6 +274,19 @@ def test_series_record_evaluates_the_difference_once(monkeypatch):
     assert record.witness == "difference starts at hbar^2"
     assert len(calls) == 1
     assert quantize._series_record("r", "anchor", other, other).status == "pass"
+
+
+def test_series_equality_is_equality_in_the_localization():
+    # X f = 1 in the localization, though the product is stored at X^1
+    z = RatFunc.var(1, 0)
+    f = HElem.function(z * z + RatFunc.const(1, 1), 4)
+    prod = localize_product(LocalSeries.x_power(f), LocalSeries.from_helem(f, f))
+    assert set(prod.coeffs) == {1}
+    assert prod == LocalSeries.one(f)
+    assert quantize.series_equal(prod, LocalSeries.one(f))
+    assert prod != LocalSeries.x_power(f)
+    with pytest.raises(TypeError):
+        hash(prod)
 
 
 def test_series_evaluation_is_multiplicative():
