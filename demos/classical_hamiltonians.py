@@ -30,7 +30,7 @@ xi = RatFunc.var(2, 1)
 family = [one, x + xi * xi, x * xi, x * x]
 hams = poisson.classical_hamiltonians(family)
 print(f"family of {len(family)} functions of (x, xi) -> {len(hams)} Hamiltonians")
-print("H_1 =", hams[0].value.to_text(["x1", "xi1", "x2", "xi2", "x3", "xi3"])[:70], "...")
+print("H_1 =", hams[0].to_text(["x1", "xi1", "x2", "xi2", "x3", "xi3"])[:70], "...")
 print("pairwise {H_i, H_j} = 0:", poisson.check_poisson_commute(hams).status)
 
 print()
@@ -54,8 +54,7 @@ print("bracket of a 2-differential and a (-1)-differential has weight",
       b1.weight)
 print("independent of the reference 1-form:", (b1 - b2).is_zero)
 lhs = poisson.cone_to_symplectic(b1)
-rhs = poisson.poisson_bracket(
-    poisson.PoissonElem(1, poisson.cone_to_symplectic(w1)),
-    poisson.PoissonElem(1, poisson.cone_to_symplectic(w2))).value
+rhs = poisson.poisson_bracket(poisson.cone_to_symplectic(w1),
+                              poisson.cone_to_symplectic(w2))
 print("matches the canonical (z, xi) bracket under f (dz)^i <-> f xi^-i:",
       lhs == rhs)

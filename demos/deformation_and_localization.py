@@ -15,8 +15,8 @@ rng = random.Random(11)
 
 print("== dual numbers: soul of a commutator is twice the bracket ==")
 n = 1
-x = poisson.PoissonElem.x(n, 1)
-xi = poisson.PoissonElem.xi(n, 1)
+x = RatFunc.var(2 * n, 0)
+xi = RatFunc.var(2 * n, 1)
 a = quantize.DualNum.classical(x * x * xi)
 b = quantize.DualNum.classical(xi * xi + x)
 comm = quantize.dual_mul(a, b) - quantize.dual_mul(b, a)

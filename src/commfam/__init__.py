@@ -9,10 +9,10 @@ stated identity with zero numerical tolerance.
 __version__ = "0.1.0"
 
 from .exact import (MPoly, QMatrix, Rat, RatFunc, Singular, det, kron,
-                    mat_inverse, partial_derivative, rank, ratfunc_equal)
+                    mat_inverse, rank)
 
 __all__ = [
     "__version__",
     "MPoly", "QMatrix", "Rat", "RatFunc", "Singular",
-    "det", "kron", "mat_inverse", "partial_derivative", "rank", "ratfunc_equal",
+    "det", "kron", "mat_inverse", "rank",
 ]

@@ -361,10 +361,8 @@ def _trial_dual_number(params, rng, t) -> list[CheckRecord]:
     n, degree, bound = params["n"], params["degree"], params["bound"]
     elems = []
     for _ in range(3):
-        body = poisson.PoissonElem(n, _random_poly_2vars(rng, degree, bound)
-                                   .embed(2 * n, [0, 1]))
-        soul = poisson.PoissonElem(n, _random_poly_2vars(rng, degree, bound)
-                                   .embed(2 * n, [0, 1]))
+        body = _random_poly_2vars(rng, degree, bound).embed(2 * n, [0, 1])
+        soul = _random_poly_2vars(rng, degree, bound).embed(2 * n, [0, 1])
         elems.append(quantize.DualNum(body, soul))
     a, b, c = elems
     records = [quantize.check_dual_assoc(a, b, c),

@@ -78,8 +78,6 @@ __all__ = [
     "maximal_minors",
     "rank",
     "kron",
-    "ratfunc_equal",
-    "partial_derivative",
     "collect",
     "SparseSum",
 ]
@@ -736,16 +734,6 @@ def _common_monomial_key(a: MPoly, b: MPoly) -> int:
 def _shift_down(poly: MPoly, shift_key: int) -> MPoly:
     coeffs = {k - shift_key: v for k, v in poly._coeffs.items()}
     return MPoly(poly.nvars, poly.content, coeffs, _internal=True, ebound=poly._ebound)
-
-
-def ratfunc_equal(a: RatFunc, b: RatFunc) -> bool:
-    """True iff a.num * b.den = b.num * a.den as polynomials."""
-    return a == b
-
-
-def partial_derivative(f: RatFunc, var: int) -> RatFunc:
-    """Exact quotient-rule derivative of ``f`` with respect to variable ``var``."""
-    return f.partial(var)
 
 
 # ---------------------------------------------------------------------------

@@ -160,10 +160,6 @@ class LegFamily:
         d = fs[0].rows
         return cls(n, d, tuple(tuple(f for _ in range(n)) for f in fs))
 
-    def entry(self, i: int, j: int) -> QMatrix:
-        """Row i (0..n), leg j (1..n)."""
-        return self.entries[i][j - 1]
-
 
 def _normalize_row(row, n: int) -> list[QMatrix]:
     """A row is one matrix (constant across legs) or a list of n matrices."""

@@ -6,9 +6,11 @@ with the canonical bracket normalised to {x_j, xi_j} = +1:
 
     {f, g} = sum_j (df/dx_j dg/dxi_j - df/dxi_j dg/dx_j).
 
-Each leg of a tensor power occupies one (x_j, xi_j) block, so functions on
-distinct legs Poisson-commute.  All zero tests go through polynomial
-cross-multiplication; nothing is approximated.
+Functions on it are plain ``RatFunc`` values in those 2n variables; the
+bracket reads n off their variable count.  Each leg of a tensor power
+occupies one (x_j, xi_j) block, so functions on distinct legs
+Poisson-commute.  All zero tests go through polynomial cross-multiplication;
+nothing is approximated.
 """
 
 from __future__ import annotations
@@ -50,78 +52,7 @@ class ZeroAlpha(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Symplectic rational functions.
-
-
-@dataclass(frozen=True)
-class PoissonElem:
-    """Rational function in 2n variables ordered (x_1, xi_1, ..., x_n, xi_n)."""
-
-    n: int
-    value: RatFunc
-
-    def __post_init__(self):
-        if self.value.nvars != 2 * self.n:
-            raise ValueError(f"expected {2 * self.n} variables, got {self.value.nvars}")
-
-    @classmethod
-    def x(cls, n: int, j: int) -> "PoissonElem":
-        return cls(n, RatFunc.var(2 * n, 2 * (j - 1)))
-
-    @classmethod
-    def xi(cls, n: int, j: int) -> "PoissonElem":
-        return cls(n, RatFunc.var(2 * n, 2 * (j - 1) + 1))
-
-    @classmethod
-    def const(cls, n: int, c) -> "PoissonElem":
-        return cls(n, RatFunc.const(2 * n, c))
-
-    @classmethod
-    def from_leg(cls, f: RatFunc, leg: int, n: int) -> "PoissonElem":
-        """Place a two-variable function of (x, xi) on symplectic leg ``leg``."""
-        if f.nvars != 2:
-            raise ValueError("leg functions live in two variables (x, xi)")
-        return cls(n, f.embed(2 * n, [2 * (leg - 1), 2 * (leg - 1) + 1]))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value.is_zero
-
-    def _lift(self, other) -> "PoissonElem":
-        if isinstance(other, PoissonElem):
-            if other.n != self.n:
-                raise ValueError("leg counts differ")
-            return other
-        return PoissonElem(self.n, RatFunc.const(2 * self.n, other))
-
-    def __add__(self, other):
-        other = self._lift(other)
-        return PoissonElem(self.n, self.value + other.value)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        return PoissonElem(self.n, self.value - other.value)
-
-    def __neg__(self):
-        return PoissonElem(self.n, -self.value)
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        return PoissonElem(self.n, self.value * other.value)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        return PoissonElem(self.n, self.value / other.value)
-
-    def __eq__(self, other):
-        other = self._lift(other)
-        return self.value == other.value
-
-    __hash__ = None
+# The canonical bracket.
 
 
 def _pairwise_kernel(u: MPoly, v: MPoly, n: int) -> MPoly:
@@ -133,23 +64,26 @@ def _pairwise_kernel(u: MPoly, v: MPoly, n: int) -> MPoly:
     return total
 
 
-def poisson_bracket(f: PoissonElem, g: PoissonElem) -> PoissonElem:
-    """Canonical bracket, exact on rational functions.
+def poisson_bracket(f: RatFunc, g: RatFunc) -> RatFunc:
+    """Canonical bracket of two rational functions in 2n variables ordered
+    (x_1, xi_1, ..., x_n, xi_n), exact.
 
+    Raises ``ValueError`` when the variable counts differ or are odd.
     Quotients are handled by the extension laws of the fraction field
     ({1/f, g} = -{f, g}/f^2 and its consequences), organised so that the
     common-denominator case costs one cubic instead of a quartic power.
     """
-    if f.n != g.n:
-        raise ValueError("leg counts differ")
-    n = f.n
-    a, c = f.value.num, f.value.den
-    b, d = g.value.num, g.value.den
+    if f.nvars != g.nvars or f.nvars % 2:
+        raise ValueError(f"bracket operands need the same even number of variables, "
+                         f"got {f.nvars} and {g.nvars}")
+    n = f.nvars // 2
+    a, c = f.num, f.den
+    b, d = g.num, g.den
     if c == d:
         num = (c * _pairwise_kernel(a, b, n)
                - a * _pairwise_kernel(c, b, n)
                - b * _pairwise_kernel(a, c, n))
-        return PoissonElem(n, RatFunc(num, c * c * c))
+        return RatFunc(num, c * c * c)
     num = MPoly.zero(2 * n)
     for j in range(n):
         x, xi = 2 * j, 2 * j + 1
@@ -158,7 +92,7 @@ def poisson_bracket(f: PoissonElem, g: PoissonElem) -> PoissonElem:
         gx = b.partial(x) * d - b * d.partial(x)
         gxi = b.partial(xi) * d - b * d.partial(xi)
         num = num + (fx * gxi - fxi * gx)
-    return PoissonElem(n, RatFunc(num, (c * c) * (d * d)))
+    return RatFunc(num, (c * c) * (d * d))
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +126,9 @@ def _assert_independent(fs: list[RatFunc]) -> None:
         raise DependentFamily("functions are linearly dependent over Q")
 
 
-def classical_hamiltonians(fs: list[RatFunc]) -> list[PoissonElem]:
-    """H_i = Delta_i / Delta_0 on the n-fold symplectic power.
+def classical_hamiltonians(fs: list[RatFunc]) -> list[RatFunc]:
+    """H_i = Delta_i / Delta_0 on the n-fold symplectic power, as rational
+    functions in 2n variables ordered (x_1, xi_1, ..., x_n, xi_n).
 
     ``fs`` lists n+1 rational functions of one (x, xi) pair; Delta_i is the
     n x n determinant whose (row, leg) entry places f_row on symplectic leg
@@ -216,18 +151,18 @@ def classical_hamiltonians(fs: list[RatFunc]) -> list[PoissonElem]:
     if minors[0].is_zero:
         raise ZeroDelta0("Delta_0 = 0")
     if polynomial:
-        return [PoissonElem(n, RatFunc(m, minors[0])) for m in minors[1:]]
-    return [PoissonElem(n, m / minors[0]) for m in minors[1:]]
+        return [RatFunc(m, minors[0]) for m in minors[1:]]
+    return [m / minors[0] for m in minors[1:]]
 
 
-def check_poisson_commute(hs: list[PoissonElem],
+def check_poisson_commute(hs: list[RatFunc],
                           name: str = "poisson-commute") -> CheckRecord:
     """Every pairwise bracket must vanish, decided by cross-multiplication."""
     for i in range(len(hs)):
         for j in range(i + 1, len(hs)):
             br = poisson_bracket(hs[i], hs[j])
             if not br.is_zero:
-                text = br.value.to_text()
+                text = br.to_text()
                 if len(text) > 200:
                     text = text[:200] + "..."
                 return failed(name, ANCHOR_POISSON_COMMUTE,
@@ -478,8 +413,7 @@ def check_cone_vs_canonical(omega: ConeDifferential, omega2: ConeDifferential,
                             name: str = "cone-vs-canonical") -> CheckRecord:
     """The cone bracket, carried to (x, xi), is the canonical bracket."""
     lhs = cone_to_symplectic(cone_bracket(omega, omega2, alpha))
-    rhs = poisson_bracket(PoissonElem(1, cone_to_symplectic(omega)),
-                          PoissonElem(1, cone_to_symplectic(omega2))).value
+    rhs = poisson_bracket(cone_to_symplectic(omega), cone_to_symplectic(omega2))
     if lhs == rhs:
         return passed(name, ANCHOR_CONE_CANONICAL)
     return failed(name, ANCHOR_CONE_CANONICAL, f"cone - canonical = {(lhs - rhs).to_text()}")

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import MPoly, RatFunc, SparseSum, collect, maximal_minors
-from .poisson import PoissonElem, classical_hamiltonians, poisson_bracket
+from .poisson import classical_hamiltonians, poisson_bracket
 from .reports import CheckRecord, failed, passed
 
 ANCHOR_DUAL_ASSOC = "(a.b).c = a.(b.c) for a.b = ab + eps{a,b}"
@@ -61,22 +61,20 @@ class TruncationMismatch(ValueError):
 
 @dataclass(frozen=True)
 class DualNum:
-    """body + eps * soul over the 2n-variable symplectic function field."""
+    """body + eps * soul over the 2n-variable symplectic function field: body
+    and soul are ``RatFunc`` values in the same 2n variables, ordered
+    (x_1, xi_1, ..., x_n, xi_n)."""
 
-    body: PoissonElem
-    soul: PoissonElem
+    body: RatFunc
+    soul: RatFunc
 
     def __post_init__(self):
-        if self.body.n != self.soul.n:
+        if self.body.nvars != self.soul.nvars:
             raise ValueError("body and soul live on different symplectic powers")
 
     @classmethod
-    def classical(cls, p: PoissonElem) -> "DualNum":
-        return cls(p, PoissonElem.const(p.n, 0))
-
-    @classmethod
-    def const(cls, n: int, c) -> "DualNum":
-        return cls.classical(PoissonElem.const(n, c))
+    def classical(cls, p: RatFunc) -> "DualNum":
+        return cls(p, RatFunc.const(p.nvars, 0))
 
     def __add__(self, other: "DualNum") -> "DualNum":
         return DualNum(self.body + other.body, self.soul + other.soul)
@@ -102,7 +100,7 @@ def dual_mul(a: DualNum, b: DualNum) -> DualNum:
 def _nonzero_part(d: DualNum) -> str:
     """The first nonzero part of ``d`` and its text, as a failure witness."""
     part = "body" if not d.body.is_zero else "soul"
-    return f"nonzero {part}: {getattr(d, part).value.to_text()}"
+    return f"nonzero {part}: {getattr(d, part).to_text()}"
 
 
 def check_dual_assoc(a: DualNum, b: DualNum, c: DualNum,
@@ -113,7 +111,7 @@ def check_dual_assoc(a: DualNum, b: DualNum, c: DualNum,
     return failed(name, ANCHOR_DUAL_ASSOC, _nonzero_part(diff))
 
 
-def check_soul_factor(a: PoissonElem, b: PoissonElem,
+def check_soul_factor(a: RatFunc, b: RatFunc,
                       name: str = "dual-soul-factor") -> CheckRecord:
     """The soul of the commutator of two body-only elements is 2 {a, b}."""
     ab = dual_mul(DualNum.classical(a), DualNum.classical(b))
@@ -123,7 +121,7 @@ def check_soul_factor(a: PoissonElem, b: PoissonElem,
     if soul == want:
         return passed(name, ANCHOR_SOUL_FACTOR)
     return failed(name, ANCHOR_SOUL_FACTOR,
-                  f"soul - 2 {{a, b}} = {(soul - want).value.to_text()}")
+                  f"soul - 2 {{a, b}} = {(soul - want).to_text()}")
 
 
 def dual_inverse(a: DualNum) -> DualNum:
@@ -134,7 +132,7 @@ def dual_inverse(a: DualNum) -> DualNum:
     """
     if a.body.is_zero:
         raise ZeroBody("body vanishes; not invertible in dual numbers")
-    inv_body = PoissonElem.const(a.body.n, 1) / a.body
+    inv_body = 1 / a.body
     soul = -(a.soul * inv_body * inv_body)
     return DualNum(inv_body, soul)
 
@@ -146,7 +144,7 @@ def dual_commuting_family(fs: list[RatFunc]) -> list[CheckRecord]:
     n = len(fs) - 1
     if n < 2:
         raise ValueError("need at least three functions")
-    lifts = [[DualNum.classical(PoissonElem.from_leg(f, j, n)) for j in range(1, n + 1)]
+    lifts = [[DualNum.classical(f.embed(2 * n, [2 * j, 2 * j + 1])) for j in range(n)]
              for f in fs]
     minors = maximal_minors(lifts, dual_mul)
     inv0 = dual_inverse(minors[0])  # ZeroBody propagates
@@ -182,7 +180,7 @@ def dual_commuting_family(fs: list[RatFunc]) -> list[CheckRecord]:
 # The Rees coefficient algebra A_h.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HElem(SparseSum):
     """Finite sum of c(z) hbar^m (d/dz)^k with m >= k, truncated at m <= M:
     ``coeffs`` maps (k, m) to c, a nonzero function; ``*`` composes."""
@@ -517,9 +515,7 @@ def check_degeneration(a: HElem, b: HElem,
     comm = a * b - b * a
     linear = HElem.build(a.trunc, (((k, m - 1), c) for (k, m), c in comm.coeffs.items()
                                    if m >= 1))
-    sa = PoissonElem(1, a.shadow())
-    sb = PoissonElem(1, b.shadow())
-    want = _truncate_xi_degree(poisson_bracket(sb, sa).value, a.trunc - 1)
+    want = _truncate_xi_degree(poisson_bracket(b.shadow(), a.shadow()), a.trunc - 1)
     got = _truncate_xi_degree(linear.shadow(), a.trunc - 1)
     if got == want:
         return passed(name, ANCHOR_DEGEN)

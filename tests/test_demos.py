@@ -1,4 +1,5 @@
-"""Smoke test: every demo script runs to completion and reports no failure."""
+"""Every demo script runs to completion, reports no failure and prints
+exactly its pinned output in ``tests/demo_outputs/<stem>.txt``."""
 
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+PINNED = Path(__file__).resolve().parent / "demo_outputs"
 
 
 def test_there_are_demos():
@@ -29,3 +31,4 @@ def test_demo_runs_and_reports_no_failure(demo):
     failing = [line for line in lines if ": fail" in line
                or line.startswith("fail") or line.endswith(": False")]
     assert not failing, done.stdout
+    assert done.stdout == (PINNED / f"{demo.stem}.txt").read_text()

@@ -25,7 +25,7 @@ from commfam.poisson import (ANCHOR_CONE_ALPHA, ANCHOR_CONE_ANTISYM,
                              ANCHOR_CONE_CANONICAL, ANCHOR_CONE_JACOBI,
                              ANCHOR_GRASSMANN, ANCHOR_INCIDENCE,
                              ANCHOR_POISSON_COMMUTE, ConeDifferential,
-                             PoissonElem, WedgeForm, check_alpha_independence,
+                             WedgeForm, check_alpha_independence,
                              check_cone_antisymmetry, check_cone_jacobi,
                              check_cone_vs_canonical, check_grassmann,
                              check_hyperplane_incidence, hyperplane_coefficients,
@@ -110,7 +110,7 @@ def negate_c1(monkeypatch):
 
 
 def dual_elems():
-    x, xi = PoissonElem.x(1, 1), PoissonElem.xi(1, 1)
+    x, xi = RatFunc.var(2, 0), RatFunc.var(2, 1)
     return [DualNum(x * x + xi, x), DualNum(x * xi, xi * xi + 1), DualNum(xi + 2, x * xi)]
 
 
@@ -246,7 +246,8 @@ def z1_added_to_second_symbol(monkeypatch):
 # anchor -> (perturbation as documented, true instance, perturbation)
 NEGATIVE_CONTROLS = {
     ANCHOR_DUAL_COMM: ("Delta_1 + 1 among the dual-number minors", dual_family,
-                       delta1_plus_one(quantize, lambda n: DualNum.const(n, 1))),
+                       delta1_plus_one(quantize, lambda n: DualNum.classical(
+                           RatFunc.const(2 * n, 1)))),
     ANCHOR_SOUL_MATCH: ("the Poisson bracket the dual-number module sees is "
                         "{f, g} + 1", dual_family, bracket_plus_one),
     **{ANCHOR_GRASSMANN[arity]: ("one coefficient of the decomposable form "
@@ -278,7 +279,7 @@ NEGATIVE_CONTROLS = {
     ANCHOR_CONE_CANONICAL: SWAP_I,
     ANCHOR_POISSON_COMMUTE: ("x_1 added to H_2", poisson_commute_instance,
                              added_to_h2(poisson, "classical_hamiltonians",
-                                         lambda h: PoissonElem.x(h.n, 1))),
+                                         lambda h: RatFunc.var(h.nvars, 0))),
     ANCHOR_OP_COMMUTE: ("multiplication by z_1 added to H_2", op_commute_instance,
                         added_to_h2(weyl, "rational_hamiltonians", lambda h:
                                     RatDiffOp.multiplication(RatFunc.var(h.nvars, 0)))),

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from commfam.exact import RatFunc, maximal_minors
-from commfam.poisson import PoissonElem, poisson_bracket
+from commfam.poisson import poisson_bracket
 from commfam import quantize
 from commfam.quantize import (DualNum, HElem, LocalSeries, TruncationMismatch,
                               ZeroBody, _neg_binomial, check_degeneration,
@@ -15,23 +15,22 @@ from commfam.quantize import (DualNum, HElem, LocalSeries, TruncationMismatch,
                               check_x_derivative_identity,
                               dual_commuting_family, dual_inverse, dual_mul,
                               h_ad, h_inverse, localize_product, random_helem)
+from commfam.weyl import RatDiffOp
 from permutation_oracle import det_by_rows
 
 
 def x_elem(n=1):
-    return PoissonElem.x(n, 1)
+    return RatFunc.var(2 * n, 0)
 
 
 def xi_elem(n=1):
-    return PoissonElem.xi(n, 1)
+    return RatFunc.var(2 * n, 1)
 
 
 def rand_dual(rng, n=1, degree=2, bound=4):
     import commfam.cli as cli
-    body = PoissonElem(n, cli._random_poly_2vars(rng, degree, bound)
-                       .embed(2 * n, [0, 1]))
-    soul = PoissonElem(n, cli._random_poly_2vars(rng, degree, bound)
-                       .embed(2 * n, [0, 1]))
+    body = cli._random_poly_2vars(rng, degree, bound).embed(2 * n, [0, 1])
+    soul = cli._random_poly_2vars(rng, degree, bound).embed(2 * n, [0, 1])
     return DualNum(body, soul)
 
 
@@ -41,13 +40,13 @@ def test_dual_mul_canonical_pair():
     ab = dual_mul(a, b)
     ba = dual_mul(b, a)
     assert ab.body == x_elem() * xi_elem()
-    assert ab.soul == PoissonElem.const(1, 1)
-    assert ba.soul == PoissonElem.const(1, -1)
+    assert ab.soul == RatFunc.const(2, 1)
+    assert ba.soul == RatFunc.const(2, -1)
 
 
 def test_dual_mul_unital_and_associative():
     rng = random.Random(3)
-    one = DualNum.const(1, 1)
+    one = DualNum.classical(RatFunc.const(2, 1))
     for _ in range(12):
         a = rand_dual(rng)
         b = rand_dual(rng)
@@ -60,22 +59,40 @@ def test_dual_mul_unital_and_associative():
 
 
 def test_dual_inverse_frozen_and_two_sided():
-    a = DualNum(x_elem(), PoissonElem.const(1, 0))
+    a = DualNum(x_elem(), RatFunc.const(2, 0))
     inv = dual_inverse(a)
-    assert inv.body == PoissonElem.const(1, 1) / x_elem()
+    assert inv.body == RatFunc.const(2, 1) / x_elem()
     assert inv.soul.is_zero
     b = DualNum(x_elem(), xi_elem())
     binv = dual_inverse(b)
-    assert binv.body == PoissonElem.const(1, 1) / x_elem()
+    assert binv.body == RatFunc.const(2, 1) / x_elem()
     assert binv.soul == -(xi_elem() / (x_elem() * x_elem()))
-    one = DualNum.const(1, 1)
+    one = DualNum.classical(RatFunc.const(2, 1))
     assert (dual_mul(b, binv) - one).is_zero
     assert (dual_mul(binv, b) - one).is_zero
 
 
 def test_dual_inverse_zero_body():
     with pytest.raises(ZeroBody):
-        dual_inverse(DualNum(PoissonElem.const(1, 0), xi_elem()))
+        dual_inverse(DualNum(RatFunc.const(2, 0), xi_elem()))
+
+
+def test_dual_num_rejects_body_and_soul_in_different_variables():
+    with pytest.raises(ValueError, match="different symplectic powers"):
+        DualNum(x_elem(1), xi_elem(2))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RatDiffOp.zero(1),
+    lambda: HElem.one(3),
+    lambda: LocalSeries.one(HElem.function(RatFunc.var(1, 0), 3)),
+], ids=["RatDiffOp", "HElem", "LocalSeries"])
+def test_sparse_sums_are_unhashable(make):
+    # value equality up to representation: no field hash may stand in for it
+    value = make()
+    assert type(value).__hash__ is None
+    with pytest.raises(TypeError, match=f"unhashable type: '{type(value).__name__}'"):
+        hash(value)
 
 
 def test_soul_factor_identity():
@@ -117,8 +134,9 @@ def test_dual_minors_match_permutation_expansion(monkeypatch):
         lifts, minors = seen.pop()
         n = len(fs) - 1
         assert minors == [det_by_rows([lifts[r] for r in range(n + 1) if r != skip],
-                                      dual_mul, DualNum.const(n, 1),
-                                      DualNum.const(n, 0))
+                                      dual_mul,
+                                      DualNum.classical(RatFunc.const(2 * n, 1)),
+                                      DualNum.classical(RatFunc.const(2 * n, 0)))
                           for skip in range(n + 1)]
 
 

@@ -10,7 +10,6 @@ import pytest
 
 from commfam.exact import (MPoly, QMatrix, Rat, RatFunc, det, kron,
                            maximal_minors, signed_minors)
-from commfam.poisson import PoissonElem
 from commfam.quantize import DualNum, dual_mul
 from permutation_oracle import signed_sum
 
@@ -35,7 +34,7 @@ def rand_dual(rng):
     # one symplectic leg for every entry: dual_mul does not commute here,
     # so the kernel must multiply in column order exactly as the oracle does
     def part():
-        return PoissonElem(1, RatFunc(rand_mpoly(rng)))
+        return RatFunc(rand_mpoly(rng))
     return DualNum(part(), part())
 
 
@@ -50,7 +49,7 @@ ENTRIES = {
     "Fraction": (rand_rat, operator.mul, Rat(1), 5),
     "MPoly": (rand_mpoly, operator.mul, MPoly.one(2), 5),
     "RatFunc": (rand_ratfunc, operator.mul, RatFunc.const(1, 1), 5),
-    "DualNum": (rand_dual, dual_mul, DualNum.const(1, 1), 5),
+    "DualNum": (rand_dual, dual_mul, DualNum.classical(RatFunc.const(2, 1)), 5),
     "QMatrix-kron": (rand_qmatrix, kron, QMatrix.identity(1), 5),
 }
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from commfam.exact import MPoly, RatFunc
-from commfam.poisson import PoissonElem, poisson_bracket
+from commfam.poisson import poisson_bracket
 from commfam.weyl import (OpFamilySpec, RatDiffOp, ZeroOperator, ZeroPhi,
                           basis_match_constant, check_basis_matches_closed_form,
                           check_commute, check_symbol_matches_classical,
@@ -253,7 +253,7 @@ def test_symbol_matches_classical_two_points_and_bracket():
     records = check_symbol_matches_classical(hs, spec)
     assert all(r.status == "pass" for r in records)
     syms = [symbol(h) for h in hs]
-    br = poisson_bracket(PoissonElem(2, syms[0]), PoissonElem(2, syms[1]))
+    br = poisson_bracket(syms[0], syms[1])
     assert br.is_zero
 
 
