@@ -15,11 +15,11 @@ rng = random.Random(2024)
 print("== the antisymmetrised bracket ==")
 E11 = QMatrix.from_rows([[1, 0], [0, 0]])
 E22 = QMatrix.from_rows([[0, 0], [0, 1]])
-br = ncfam.bracket([E11, E22], [1, 2], 2)
+br = ncfam.bracket([E11, E22])
 print("[E11, E22] as a 4x4 matrix:")
 print(br)
 print("swapping the entries negates it:",
-      ncfam.bracket([E22, E11], [1, 2], 2) == -br)
+      ncfam.bracket([E22, E11]) == -br)
 
 print()
 print("== a caution about the matrix stand-in ==")
@@ -29,7 +29,7 @@ print("4x4 bracket of two 2x2 matrices is singular no matter the entries:")
 f = ncfam.random_matrix(rng, 2)
 g = ncfam.random_matrix(rng, 2)
 try:
-    mat_inverse(ncfam.bracket([f, g], [1, 2], 2))
+    mat_inverse(ncfam.bracket([f, g]))
     print("  ... inverse found?! (should not happen)")
 except Singular as exc:
     print(f"  inverse attempt: Singular ({exc})")

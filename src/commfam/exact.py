@@ -516,26 +516,6 @@ class MPoly:
             parts.append(" ".join(factors))
         return " + ".join(parts)
 
-    @classmethod
-    def from_text(cls, text: str, nvars: int,
-                  names: Sequence[str] | None = None) -> "MPoly":
-        if names is None:
-            names = [f"x{i + 1}" for i in range(nvars)]
-        index = {name: i for i, name in enumerate(names)}
-        text = text.strip()
-        if text == "0":
-            return cls.zero(nvars)
-        terms = []
-        for chunk in text.split(" + "):
-            factors = chunk.split()
-            coeff = Fraction(factors[0])
-            exps = [0] * nvars
-            for factor in factors[1:]:
-                name, _, exp = factor.partition("^")
-                exps[index[name]] += int(exp) if exp else 1
-            terms.append((tuple(exps), coeff))
-        return cls.from_terms(nvars, terms)
-
     def __repr__(self):
         return f"MPoly({self.to_text()})"
 
@@ -702,14 +682,6 @@ class RatFunc:
 
     def to_text(self, names: Sequence[str] | None = None) -> str:
         return f"{self.num.to_text(names)} | {self.den.to_text(names)}"
-
-    @classmethod
-    def from_text(cls, text: str, nvars: int,
-                  names: Sequence[str] | None = None) -> "RatFunc":
-        num_text, _, den_text = text.partition("|")
-        num = MPoly.from_text(num_text.strip(), nvars, names)
-        den = MPoly.from_text(den_text.strip(), nvars, names) if den_text.strip() else None
-        return cls(num, den)
 
     def __repr__(self):
         if self.is_polynomial():

@@ -19,8 +19,13 @@ antisymmetric subspace, whose dimension C(d, n) is strictly smaller than
 dim Sym^n = C(d+n-1, n); such brackets are singular for every choice of
 entries once n >= 2.  Matrix rings contain zero divisors and never embed in a
 skew field, so the invertibility hypotheses can only be met by rows that vary
-across legs.  The checks below accept both shapes: constant rows surface
-``Singular`` honestly, varying rows exercise the identities.
+across legs.  The identity checks therefore take per-leg rows only (a list
+of n matrices, entry j on leg j+1); the constant shape is drawn by
+``sample_family(constant_legs=True)``, which surfaces ``Singular`` honestly.
+
+Every Delta is one ``maximal_minors`` expansion with ``kron`` as the
+product: ``family_minors`` for Delta_0..Delta_n of a ``LegFamily`` and
+``rest_brackets`` for the n brackets of n - 1 rows on legs 1..n-1.
 
 Elements of the tensor power are plain d^n x d^n ``QMatrix`` values.
 Only Delta_0 is ever inverted, once per draw: ``sample_family``
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 
 from .exact import (QMatrix, Rat, Singular, kron, mat_inverse, maximal_minors,
                     signed_minors)
@@ -52,20 +58,6 @@ ANCHOR_LAPLACE = ("[f_1,..,f_n] = sum_{j=1..n} (-1)^(j+n) f_j^(n) "
 MAX_LEGS = 6  # a k-leg bracket costs O(2^k k) Kronecker products; d^n dominates
 
 
-def embed_legs(mats_by_leg: dict[int, QMatrix], n: int, d: int) -> QMatrix:
-    """Kronecker-embed ``{leg j: b_j}`` (1-based legs), identity elsewhere.
-
-    Equals the product of the individual leg embeddings, built as one
-    Kronecker chain.
-    """
-    eye = QMatrix.identity(d)
-    acc = None
-    for j in range(1, n + 1):
-        factor = mats_by_leg.get(j, eye)
-        acc = factor if acc is None else kron(acc, factor)
-    return QMatrix.identity(1) if acc is None else acc
-
-
 def leg_embed(b: QMatrix, leg: int, n: int) -> QMatrix:
     """Place the d x d matrix ``b`` on tensor leg ``leg`` of n legs:
     I_{d^(leg-1)} (x) b (x) I_{d^(n-leg)}."""
@@ -73,58 +65,19 @@ def leg_embed(b: QMatrix, leg: int, n: int) -> QMatrix:
         raise ValueError(f"leg {leg} out of range 1..{n}")
     if b.rows != b.cols:
         raise ValueError("leg matrices must be square")
-    return embed_legs({leg: b}, n, b.rows)
+    eye = QMatrix.identity(b.rows)
+    return reduce(kron, [b if j == leg else eye for j in range(1, n + 1)])
 
 
-def bracket(ms: list[QMatrix], legs: list[int], n: int) -> QMatrix:
-    """Antisymmetrised sum over placements of ``ms`` on the given legs.
+def bracket(ms: list[QMatrix]) -> QMatrix:
+    """Antisymmetrised sum over placements of the k matrices ``ms`` on k legs.
 
-    bracket(ms, legs) = sum_{s in S_k} sign(s) prod_m ms[s(m)] on leg legs[m];
-    the factors act on distinct legs, so the product order inside one term is
-    immaterial.
+    bracket(ms) = sum_{s in S_k} sign(s) prod_m ms[s(m)] on leg m; the
+    factors act on distinct legs, so the product order inside one term is
+    immaterial.  One ``signed_minors`` call on the constant rows.
     """
-    k = len(ms)
-    if len(legs) != k:
-        raise ValueError("one leg per matrix required")
-    rows = [[m] * n for m in ms] if n else []
-    return _general_bracket(rows, list(range(k)), list(legs), n,
-                            ms[0].rows if ms else 1)
-
-
-def _general_bracket(rows: list[list[QMatrix]], indices: list[int],
-                     legs: list[int], n: int, d: int) -> QMatrix:
-    """Signed sum over bijections indices -> legs of leg-placed row entries.
-
-    ``rows[i][j-1]`` is the matrix row i contributes on leg j; the sign of a
-    bijection is taken relative to the increasing enumerations of ``indices``
-    and ``legs``.  One ``signed_minors`` call with ``kron`` as the product
-    builds the sum leg by leg: O(2^k k) Kronecker products for k legs.  A leg
-    outside ``legs`` contributes I_d, folded into the entries of the next
-    placed leg, or once onto the result after the last one.
-    """
-    if len(indices) != len(legs):
-        raise ValueError("row and leg subsets must have equal cardinality")
-    if len(set(legs)) != len(legs):
-        raise ValueError("legs must be distinct")
-    if n > MAX_LEGS:
-        raise ValueError(f"leg count {n} exceeds supported maximum {MAX_LEGS}")
-    if legs and not all(1 <= j <= n for j in legs):
-        raise ValueError("leg index out of range")
-    indices = sorted(indices)
-    columns = []
-    placed = 0
-    for j in sorted(legs):
-        column = [rows[i][j - 1] for i in indices]
-        if j > placed + 1:  # legs placed+1 .. j-1 carry I_d
-            pad = QMatrix.identity(d ** (j - placed - 1))
-            column = [kron(pad, m) for m in column]
-        columns.append(column)
-        placed = j
-    entries = list(zip(*columns))
-    total = signed_minors(entries, kron, QMatrix.identity(1))[(1 << len(indices)) - 1]
-    if placed < n:
-        total = kron(total, QMatrix.identity(d ** (n - placed)))
-    return total
+    rows = [[m] * len(ms) for m in ms]
+    return signed_minors(rows, kron, QMatrix.identity(1))[(1 << len(ms)) - 1]
 
 
 @dataclass(frozen=True)
@@ -161,24 +114,6 @@ class LegFamily:
         return cls(n, d, tuple(tuple(f for _ in range(n)) for f in fs))
 
 
-def _normalize_row(row, n: int) -> list[QMatrix]:
-    """A row is one matrix (constant across legs) or a list of n matrices."""
-    if isinstance(row, QMatrix):
-        return [row] * n
-    row = list(row)
-    if len(row) != n:
-        raise ValueError(f"per-leg row needs {n} matrices, got {len(row)}")
-    return row
-
-
-def delta(fam: LegFamily, rows, legs) -> QMatrix:
-    """Delta_{I,J}: signed sum over bijections I -> J of leg-placed entries."""
-    rows = sorted(rows)
-    if rows and not 0 <= rows[0] <= rows[-1] <= fam.n:
-        raise ValueError("row indices out of range 0..n")
-    return _general_bracket(list(fam.entries), rows, sorted(legs), fam.n, fam.d)
-
-
 def family_minors(fam: LegFamily) -> list[QMatrix]:
     """The maximal minors Delta_0..Delta_n (Delta_i omits row i)."""
     return maximal_minors(fam.entries, kron, QMatrix.identity(1))
@@ -193,27 +128,27 @@ def hamiltonians(minors: list[QMatrix], inv0: QMatrix) -> list[QMatrix]:
     return [inv0 * m for m in minors[1:]]
 
 
-def rest_brackets(fs) -> list[QMatrix]:
-    """[f_1,..,^f_i,..,f_n]^(1..n-1) for i = 1..n, each its own expansion.
+def rest_brackets(fs: list[list[QMatrix]]) -> list[QMatrix]:
+    """[f_1,..,^f_i,..,f_n]^(1..n-1) for i = 1..n, with I_d on leg n.
 
-    ``fs`` lists n rows (constant or per-leg).  The rests are the brackets
-    that 2a, 2b and the Laplace expansion share.
+    ``fs`` lists n per-leg rows.  Their first n - 1 legs form an
+    n x (n-1) array whose maximal minor omitting row i is the rest of
+    f_{i+1}, so one ``maximal_minors`` call builds all n rests.  They are
+    the brackets that 2a, 2b and the Laplace expansion share.
     """
     n = len(fs)
-    rows = [_normalize_row(r, n) for r in fs]
-    d = rows[0][0].rows
-    return [_general_bracket(rows, [t for t in range(n) if t != i],
-                             list(range(1, n)), n, d)
-            for i in range(n)]
+    eye = QMatrix.identity(fs[0][0].rows)
+    rests = maximal_minors([row[:n - 1] for row in fs], kron, QMatrix.identity(1))
+    return [kron(rest, eye) for rest in rests]
 
 
 # ---------------------------------------------------------------------------
-# Identity checks.  Each accepts rows that are either a single matrix
-# (constant across legs) or a list of n per-leg matrices, takes the brackets
-# and the inverse it needs from its caller, and returns a CheckRecord whose
-# anchor is the decided identity; the witness is the first counterexample
-# entry on failure.  The full bracket [f_1,..,f_n] = Delta_0 comes from
-# ``family_minors`` and the rests from ``rest_brackets``: separate
+# Identity checks.  Each takes rows f_1..f_n as lists of n per-leg matrices
+# (f_i[j-1] on leg j) and the brackets and the inverse it needs from its
+# caller, and returns a CheckRecord whose anchor is the decided identity; the
+# witness is the first counterexample entry on failure.  The full bracket
+# [f_1,..,f_n] = Delta_0 comes from ``family_minors`` over n + 1 rows and n
+# legs, the rests from ``rest_brackets`` over n rows and n - 1 legs: separate
 # expansions, so no identity below is a tautology.
 
 
@@ -250,7 +185,7 @@ def _alternating_sum(fs, quotients: list[QMatrix], leg: int) -> QMatrix:
     n = len(fs)
     total = None
     for i, (row, quotient) in enumerate(zip(fs, quotients), start=1):
-        term = quotient * leg_embed(_normalize_row(row, n)[leg - 1], leg, n)
+        term = quotient * leg_embed(row[leg - 1], leg, n)
         if i % 2 == 1:
             term = -term
         total = term if total is None else total + term
@@ -259,7 +194,7 @@ def _alternating_sum(fs, quotients: list[QMatrix], leg: int) -> QMatrix:
 
 def check_identity_2a(fs, quotients: list[QMatrix]) -> CheckRecord:
     """Alternating one-leg expansion against the full bracket: the sum
-    equals (-1)^n.  ``fs`` lists n rows (constant or per-leg) and
+    equals (-1)^n.  ``fs`` lists n per-leg rows and
     ``quotients[i-1]`` = [f_1,..,^f_i,..,f_n]^(1..n-1) Delta_0^{-1}."""
     n = len(fs)
     total = _alternating_sum(fs, quotients, n)
@@ -303,12 +238,12 @@ def check_laplace_expansion(fs, full: QMatrix, rests: list[QMatrix]) -> CheckRec
     """Expansion of the full bracket ``full`` = [f_1,..,f_n] along the last
     leg over ``rests`` (from ``rest_brackets``), exact equality.
 
-    No inverses are involved, so constant rows are fine here.
+    No inverses are involved, so rows constant across legs are fine here.
     """
     n = len(fs)
     total = None
     for j, (row, rest) in enumerate(zip(fs, rests), start=1):
-        term = leg_embed(_normalize_row(row, n)[n - 1], n, n) * rest
+        term = leg_embed(row[n - 1], n, n) * rest
         if (j + n) % 2 == 1:
             term = -term
         total = term if total is None else total + term

@@ -158,20 +158,6 @@ class RatDiffOp(SparseSum):
             lines.append(f"{idx} | {c.num.to_text(names)} | {c.den.to_text(names)}")
         return "\n".join(lines)
 
-    @classmethod
-    def from_text(cls, text: str, nvars: int) -> "RatDiffOp":
-        names = [f"z{i + 1}" for i in range(nvars)]
-        out = {}
-        for line in text.strip().splitlines():
-            if not line.strip():
-                continue
-            idx_part, num_part, den_part = (p.strip() for p in line.split("|"))
-            alpha = tuple(int(t) for t in idx_part.split())
-            num = MPoly.from_text(num_part, nvars, names)
-            den = MPoly.from_text(den_part, nvars, names)
-            out[alpha] = RatFunc(num, den)
-        return cls(nvars, out)
-
     def __repr__(self):
         if self.is_zero:
             return "RatDiffOp(0)"

@@ -113,13 +113,6 @@ def test_mpoly_embed_rejects_out_of_range_targets(nvars, var_map):
         MPoly.var(1, 0).embed(nvars, var_map)
 
 
-def test_mpoly_text_round_trip():
-    rng = random.Random(5)
-    for _ in range(20):
-        p = rand_poly(rng, 3)
-        assert MPoly.from_text(p.to_text(), 3) == p
-
-
 def arrays(terms):
     """Packed keys and coefficients as the numpy kernels take them."""
     return (np.fromiter(terms.keys(), dtype=np.int64, count=len(terms)),

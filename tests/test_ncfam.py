@@ -10,7 +10,7 @@ from commfam.exact import QMatrix, Rat, Singular, kron, mat_inverse
 from commfam import ncfam
 from commfam.ncfam import (LegFamily, bracket, check_identity_2a,
                            check_identity_2b, check_laplace_expansion,
-                           check_main_id, check_pairwise_commute, delta,
+                           check_main_id, check_pairwise_commute,
                            family_minors, hamiltonians, leg_embed,
                            rest_brackets, sample_family)
 from permutation_oracle import perm_sign
@@ -62,17 +62,12 @@ def test_leg_embed_distinct_legs_commute():
 def test_bracket_scalar_collapse():
     f = QMatrix.from_rows([[3]])
     g = QMatrix.from_rows([[5]])
-    assert is_zero(bracket([f, g], [1, 2], 2))
-
-
-def test_bracket_single_entry_is_embedding():
-    b = QMatrix.from_rows([[1, 2], [3, 4]])
-    assert bracket([b], [2], 3) == leg_embed(b, 2, 3)
+    assert is_zero(bracket([f, g]))
 
 
 def test_bracket_frozen_expansion():
     # [E11, E22] = E11 (x) E22 - E22 (x) E11 = diag(0, 1, -1, 0)
-    br = bracket([E11, E22], [1, 2], 2)
+    br = bracket([E11, E22])
     want = QMatrix.from_rows([[0, 0, 0, 0],
                               [0, 1, 0, 0],
                               [0, 0, -1, 0],
@@ -84,23 +79,24 @@ def test_bracket_alternating_and_multilinear():
     rng = random.Random(7)
     for _ in range(10):
         f, g, h = (rand_mat(rng) for _ in range(3))
-        fg = bracket([f, g], [1, 2], 2)
-        gf = bracket([g, f], [1, 2], 2)
+        fg = bracket([f, g])
+        gf = bracket([g, f])
         assert is_zero(fg + gf)
-        assert is_zero(bracket([f, f], [1, 2], 2))
+        assert is_zero(bracket([f, f]))
         c = Rat(rng.randint(-5, 5))
-        lhs = bracket([f.scale(c) + g, h], [1, 2], 2)
-        rhs = bracket([f, h], [1, 2], 2).scale(c) + bracket([g, h], [1, 2], 2)
+        lhs = bracket([f.scale(c) + g, h])
+        rhs = bracket([f, h]).scale(c) + bracket([g, h])
         assert lhs == rhs
 
 
 def test_delta_singletons_and_constant_shape():
     rng = random.Random(9)
     fs = [rand_mat(rng) for _ in range(3)]
+    # one leg: Delta_i is the one remaining entry
+    assert family_minors(LegFamily.from_generators(fs[:2], 1)) == [fs[1], fs[0]]
+    # Delta_0 over rows 1..n equals the antisymmetrised bracket
     fam = LegFamily.from_generators(fs, 2)
-    assert delta(fam, [1], [2]) == leg_embed(fs[1], 2, 2)
-    # full minor over rows 1..n equals the antisymmetrised bracket
-    assert delta(fam, [1, 2], [1, 2]) == bracket([fs[1], fs[2]], [1, 2], 2)
+    assert family_minors(fam)[0] == bracket([fs[1], fs[2]])
 
 
 def test_delta_repeated_row_vanishes():
@@ -108,7 +104,8 @@ def test_delta_repeated_row_vanishes():
     row = [rand_mat(rng) for _ in range(2)]
     other = [rand_mat(rng) for _ in range(2)]
     fam = LegFamily(2, 2, (tuple(row), tuple(other), tuple(row)))
-    assert is_zero(delta(fam, [0, 2], [1, 2]))
+    # Delta_1 omits row 1 and keeps two equal rows
+    assert is_zero(family_minors(fam)[1])
 
 
 def test_hamiltonians_single_leg_closed_form():
@@ -122,9 +119,7 @@ def test_sample_family_returns_its_minors_and_the_inverse_of_delta0():
     rng = random.Random(16)
     for n, d in ((2, 2), (3, 2), (2, 3)):
         outcome = sample_family(rng, n, d)
-        fam = outcome.family
-        assert outcome.minors == family_minors(fam)
-        assert outcome.minors[0] == delta(fam, range(1, n + 1), range(1, n + 1))
+        assert outcome.minors == family_minors(outcome.family)
         assert (outcome.minors[0] * outcome.inv0).is_identity()
 
 
@@ -180,7 +175,7 @@ def test_identity_2a_n2_per_leg_and_singular_cases():
     f = QMatrix.from_rows([[1, 1], [0, 1]])
     g = QMatrix.from_rows([[1, 0], [1, 1]])
     with pytest.raises(Singular):
-        mat_inverse(bracket([f, g], [1, 2], 2))
+        mat_inverse(bracket([f, g]))
     # repeated rows are singular as well ([f, f] = 0)
     repeated = LegFamily(2, 2, (tuple(rows[1]), tuple(rows[0]), tuple(rows[0])))
     with pytest.raises(Singular):
@@ -210,8 +205,9 @@ def test_laplace_expansion_constant_rows():
     rng = random.Random(37)
     for n in (1, 2, 3):
         fs = [rand_mat(rng) for _ in range(n)]
-        full = bracket(fs, list(range(1, n + 1)), n)
-        assert check_laplace_expansion(fs, full, rest_brackets(fs)).status == "pass"
+        rows = [[f] * n for f in fs]
+        assert check_laplace_expansion(rows, bracket(fs),
+                                       rest_brackets(rows)).status == "pass"
 
 
 def test_main_id_trivial_equal_indices():
@@ -249,9 +245,10 @@ def test_one_trial_inverts_delta0_once(monkeypatch, kind, n, d):
 
 
 # ---------------------------------------------------------------------------
-# _general_bracket and family_minors (the exact.signed_minors kernel with kron
-# as the product) against the n!-term permutation expansion they replaced,
-# kept here as the reference.
+# rest_brackets and family_minors (exact.maximal_minors with kron as the
+# product) against the n!-term permutation expansion they replaced, kept here
+# as the reference.  Each placement is a product of leg embeddings, not a
+# Kronecker chain, so the reference shares no expansion with the code.
 
 
 def bracket_by_permutations(rows, indices, legs, n, d):
@@ -259,9 +256,10 @@ def bracket_by_permutations(rows, indices, legs, n, d):
     k = len(indices)
     total = None
     for perm in itertools.permutations(range(k)):
-        placement = {legs[perm[t]]: rows[indices[t]][legs[perm[t]] - 1]
-                     for t in range(k)}
-        term = ncfam.embed_legs(placement, n, d)
+        term = QMatrix.identity(d ** n)
+        for t in range(k):
+            leg = legs[perm[t]]
+            term = term * leg_embed(rows[indices[t]][leg - 1], leg, n)
         if perm_sign(perm) < 0:
             term = -term
         total = term if total is None else total + term
@@ -270,22 +268,15 @@ def bracket_by_permutations(rows, indices, legs, n, d):
     return total
 
 
-def test_general_bracket_matches_permutation_expansion():
+def test_rest_brackets_match_permutation_expansion():
     rng = random.Random(71)
-    for n in range(0, 5):
+    for n in range(1, 5):
         for d in (1, 2):
-            rows = varying_rows(rng, n + 1, n, d, bound=3)
-            cases = [(list(range(n)), list(range(1, n + 1)))]
-            if n:
-                cases += [([t for t in range(n) if t != skip], list(range(1, n)))
-                          for skip in range(n)]
-            for k in range(n + 1):
-                legs = rng.sample(range(1, n + 1), k)
-                cases.append((rng.sample(range(n + 1), k), legs))
-            for indices, legs in cases:
-                got = ncfam._general_bracket(rows, indices, legs, n, d)
-                want = bracket_by_permutations(rows, indices, legs, n, d)
-                assert got == want, (n, d, indices, legs)
+            rows = varying_rows(rng, n, n, d, bound=3)
+            want = [bracket_by_permutations(rows, [t for t in range(n) if t != i],
+                                            list(range(1, n)), n, d)
+                    for i in range(n)]
+            assert rest_brackets(rows) == want, (n, d)
 
 
 def test_family_minors_match_permutation_expansion():
@@ -305,8 +296,6 @@ def test_leg_count_is_bounded():
     n = ncfam.MAX_LEGS + 1
     with pytest.raises(ValueError, match="exceeds"):
         LegFamily(n, 1, tuple(tuple(eye for _ in range(n)) for _ in range(n + 1)))
-    with pytest.raises(ValueError, match="exceeds"):
-        ncfam._general_bracket([[eye] * n], [0], [1], n, 1)
 
 
 # ---------------------------------------------------------------------------

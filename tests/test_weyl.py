@@ -268,16 +268,6 @@ def test_symbol_matches_classical_inhomogeneous_seed():
     assert all(r.status == "pass" for r in records)
 
 
-def test_operator_text_round_trip():
-    rng = random.Random(11)
-    for _ in range(5):
-        op = rand_1var_op(rng)
-        assert RatDiffOp.from_text(op.to_text(), 1) == op
-    spec = OpFamilySpec.make([Fraction(0), Fraction(1)], d_op())
-    for h in rational_hamiltonians(spec):
-        assert RatDiffOp.from_text(h.to_text(), 2) == h
-
-
 def test_op_family_spec_validation():
     with pytest.raises(ValueError):
         OpFamilySpec.make([Fraction(1), Fraction(1)], d_op())
