@@ -6,8 +6,11 @@ with zero tolerance:
 
 * ``Rat`` -- arbitrary-precision rationals (``fractions.Fraction``).
 * ``MPoly`` -- sparse multivariate polynomials with rational coefficients.
-* ``RatFunc`` -- quotients of polynomials; equality is decided by
-  cross-multiplication, never by normalisation to a canonical form.
+* ``RatFunc`` -- a polynomial over a denominator kept as a map from known
+  factors to exponents.  Sums, differences and equality work over the lcm
+  of the two maps, products add exponents, and no polynomial gcd or
+  division is ever taken: equality is decided by cross-multiplying with the
+  cofactors, never by normalisation to a canonical form.
 * ``QMatrix`` -- dense matrices over Q, stored as integer numerators over
   one canonical common denominator, so sums, products, Kronecker products,
   inverses and rank run in Python integers; inverse and rank use
@@ -56,6 +59,7 @@ key -- is used only to print terms.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import operator
@@ -524,39 +528,137 @@ class MPoly:
 # Rational functions.
 
 
-class RatFunc:
-    """Quotient of two polynomials over the same variable set.
+class _Factor(frozenset):
+    """One denominator factor: a polynomial in the normal form with content 1.
 
-    The representation keeps the denominator primitive, with a positive
-    coefficient on its largest packed exponent key, and cancels the rational
-    content and any common monomial factor.  No full polynomial-GCD
-    reduction is performed: equality is decided by cross-multiplication,
-    which needs no canonical form.
+    As a frozenset of its (packed key, coefficient) terms it hashes and
+    compares by value, so equal factors built apart share one entry of a
+    factor map.  ``span`` is the bitwise or of its keys: field i is nonzero
+    exactly when the factor contains variable i.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("poly", "span")
+
+
+def _factor(poly: MPoly) -> _Factor:
+    fac = _Factor(poly._coeffs.items())
+    fac.poly = poly
+    fac.span = functools.reduce(operator.or_, poly._coeffs)
+    return fac
+
+
+# the factor map of every polynomial; shared, so never mutated
+_NO_FACTORS: dict = {}
+
+
+def _split(poly: MPoly) -> tuple[Fraction, dict]:
+    """``poly = content * x^m * rest``: the content and the factor map of
+    x^m * rest, with one factor x_i per variable of the monomial and ``rest``
+    as one factor unless it is 1."""
+    coeffs = poly._coeffs
+    factors = {}
+    shift = _common_monomial_key(poly)
+    if shift:
+        coeffs = {k - shift: v for k, v in coeffs.items()}
+        for i, e in enumerate(_unpack(shift, poly.nvars)):
+            if e:
+                factors[_factor(MPoly.var(poly.nvars, i))] = e
+    if len(coeffs) > 1:
+        factors[_factor(MPoly(poly.nvars, Fraction(1), coeffs, _internal=True,
+                              ebound=poly._ebound))] = 1
+    return poly.content, factors
+
+
+def _reduce(num: MPoly, factors: dict) -> tuple[MPoly, dict]:
+    """Drop the factors of a zero numerator, and cancel each factor x_i
+    against the power of x_i that divides every term of ``num`` (cheap, and
+    it keeps substitutions like xi^-d small without a polynomial gcd).  The
+    map is copied when it changes."""
+    if not num._coeffs:
+        return num, _NO_FACTORS
+    if not factors or 0 in num._coeffs:
+        return num, factors
+    monos = [p for p in factors if len(p) == 1]
+    if not monos:
+        return num, factors
+    common = _common_monomial_key(num)
+    shift = 0
+    for p in monos:
+        bits = p.span.bit_length() - 1
+        cut = min((common >> bits) & _MASK, factors[p])
+        if cut:
+            if not shift:
+                factors = dict(factors)
+            shift += cut << bits
+            if factors[p] == cut:
+                del factors[p]
+            else:
+                factors[p] -= cut
+    return (_shift_down(num, shift) if shift else num), factors
+
+
+def _power_product(items: Iterable[tuple[_Factor, int]]) -> MPoly | None:
+    """The product of ``p ** k`` over (factor, k) pairs; None for no pairs."""
+    out = None
+    for p, k in items:
+        term = p.poly if k == 1 else p.poly ** k
+        out = term if out is None else out * term
+    return out
+
+
+class RatFunc:
+    """Quotient of a polynomial by a product of known factors.
+
+    The denominator is a map from factors -- polynomials in the ``MPoly``
+    normal form with content 1 -- to positive exponents.  The factors need
+    not be irreducible or coprime, because only their product is the value.
+    A monomial enters as one factor x_i per variable, and a factor x_i
+    cancels against the power of x_i that divides every numerator term; the
+    numerator carries the content.  Factors enter where they are born: a
+    denominator passed to the constructor, or the numerator of a divisor.
+
+    * ``+``, ``-`` and ``==`` work over the lcm of the two maps: each factor
+      takes its larger exponent and each numerator is multiplied by its
+      cofactor.  Equal maps add or compare the numerators alone.
+    * ``*`` adds exponents; ``/`` first cancels the factors the two
+      denominators share.
+    * ``partial(i)`` raises by one the exponent of each factor containing
+      variable i (the quotient rule over R, the product of those factors).
+
+    No polynomial gcd or division is ever taken, so a function is not
+    reduced, and equality is decided by cross-multiplying with cofactors,
+    which needs no canonical form.  ``den`` is the product of the factors,
+    built on first use and kept.
+    """
+
+    __slots__ = ("num", "_factors", "_den")
 
     def __init__(self, num: MPoly, den: MPoly | None = None):
-        if den is None:
-            den = MPoly.one(num.nvars)
-        if num.nvars != den.nvars:
-            raise ValueError("numerator and denominator variable counts differ")
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            self.num = num
-            self.den = MPoly.one(num.nvars)
-            return
-        # cancel a common monomial factor (cheap, keeps negative-power
-        # substitutions like xi^-d manageable without polynomial GCD)
-        shift_key = _common_monomial_key(num, den)
-        if shift_key:
-            num = _shift_down(num, shift_key)
-            den = _shift_down(den, shift_key)
-        c = den.content
-        self.num = num * (1 if c == 1 else 1 / c)
-        self.den = den if c == 1 else MPoly(den.nvars, Fraction(1), den._coeffs,
-                                            _internal=True, ebound=den._ebound)
+        factors = _NO_FACTORS
+        if den is not None:
+            if num.nvars != den.nvars:
+                raise ValueError("numerator and denominator variable counts differ")
+            if den.is_zero:
+                raise ZeroDivisionError("zero denominator")
+            c, factors = _split(den)
+            if c != 1:
+                num = num * (1 / c)
+        self.num, self._factors = _reduce(num, factors)
+        self._den = None
+
+    @staticmethod
+    def _of(num: MPoly, factors: dict, den: MPoly | None = None,
+            reduced: bool = False) -> "RatFunc":
+        """``num`` over ``factors`` (whose product ``den`` is, if given),
+        built without ``__init__`` and passed through ``_reduce`` unless
+        ``reduced`` says that no factor x_i divides ``num``."""
+        if not reduced or not num._coeffs:
+            num, kept = _reduce(num, factors)
+            if kept is not factors:
+                factors, den = kept, None
+        out = RatFunc.__new__(RatFunc)
+        out.num, out._factors, out._den = num, factors, den
+        return out
 
     # -- constructors -------------------------------------------------------
 
@@ -576,8 +678,25 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
+    @property
+    def den(self) -> MPoly:
+        """The denominator: the product of the factors, in the ``MPoly``
+        normal form with content 1."""
+        if self._den is None:
+            den = _power_product(self._factors.items())
+            self._den = MPoly.one(self.nvars) if den is None else den
+        return self._den
+
     def is_polynomial(self) -> bool:
-        return self.den == MPoly.one(self.nvars)
+        return not self._factors
+
+    def over_den(self, num: MPoly, power: int = 1) -> "RatFunc":
+        """``num / den ** power``, keeping this function's factors."""
+        if num.nvars != self.nvars:
+            raise ValueError("variable-count mismatch")
+        if power == 1:
+            return RatFunc._of(num, self._factors, self._den)
+        return RatFunc._of(num, {p: e * power for p, e in self._factors.items()})
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -590,22 +709,41 @@ class RatFunc:
             return RatFunc.const(self.nvars, other)
         return None
 
+    def _over_lcm(self, other: "RatFunc") -> tuple[MPoly, MPoly, dict]:
+        """Both numerators over the lcm of the factor maps, and that map."""
+        fa, fb = self._factors, other._factors
+        if not fa:
+            return self.num * other.den, other.num, fb
+        if not fb:
+            return self.num, other.num * self.den, fa
+        lcm = dict(fa)
+        for p, e in fb.items():
+            if e > lcm.get(p, 0):
+                lcm[p] = e
+        nums = []
+        for num, own in ((self.num, fa), (other.num, fb)):
+            cofactor = _power_product((p, e - own.get(p, 0)) for p, e in lcm.items()
+                                      if e > own.get(p, 0))
+            nums.append(num if cofactor is None else num * cofactor)
+        return nums[0], nums[1], lcm
+
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.den == other.den:
-            return RatFunc(self.num + other.num, self.den)
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
+        if type(other) is not RatFunc:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        fa, fb = self._factors, other._factors
+        if fa is fb or fa == fb:
+            return RatFunc._of(self.num + other.num, fa,
+                               self._den if self._den is not None else other._den)
+        a, b, lcm = self._over_lcm(other)
+        return RatFunc._of(a + b, lcm, None if fa and fb else
+                           self._den if fa else other._den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = RatFunc.__new__(RatFunc)
-        out.num = -self.num
-        out.den = self.den
-        return out
+        return RatFunc._of(-self.num, self._factors, self._den, reduced=True)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -617,17 +755,21 @@ class RatFunc:
         return (-self) + other
 
     def __mul__(self, other):
-        if type(other) is RatFunc:
-            return RatFunc(self.num * other.num, self.den * other.den)
-        if isinstance(other, (int, Fraction)):
-            out = RatFunc.__new__(RatFunc)
-            out.num = self.num * other
-            out.den = self.den if not out.num.is_zero else MPoly.one(self.nvars)
-            return out
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
+        if type(other) is not RatFunc:
+            if isinstance(other, (int, Fraction)):
+                return RatFunc._of(self.num * other, self._factors, self._den, reduced=True)
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        fa, fb = self._factors, other._factors
+        if not fb:
+            return RatFunc._of(self.num * other.num, fa, self._den)
+        if not fa:
+            return RatFunc._of(self.num * other.num, fb, other._den)
+        factors = dict(fa)
+        for p, e in fb.items():
+            factors[p] = factors.get(p, 0) + e
+        return RatFunc._of(self.num * other.num, factors)
 
     __rmul__ = __mul__
 
@@ -635,9 +777,27 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if other.nvars != self.nvars:
+            raise ValueError("variable-count mismatch")
         if other.is_zero:
             raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        # (a / D_a) / (b / D_b) = (a D_b) / (D_a b): the factors of D_b that
+        # D_a shares cancel, the rest multiply the numerator
+        factors = dict(self._factors)
+        lifted = []
+        for p, e in other._factors.items():
+            have = factors.pop(p, 0)
+            if have > e:
+                factors[p] = have - e
+            elif e > have:
+                lifted.append((p, e - have))
+        num = self.num
+        if lifted:
+            num = num * _power_product(lifted)
+        c, born = _split(other.num)
+        for p, e in born.items():
+            factors[p] = factors.get(p, 0) + e
+        return RatFunc._of(num * (1 if c == 1 else 1 / c), factors)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -651,22 +811,61 @@ class RatFunc:
         if n < 0:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of zero")
-            return RatFunc(self.den, self.num) ** (-n)
-        return RatFunc(self.num ** n, self.den ** n)
+            return (1 / self) ** (-n)
+        if n == 1:
+            return self
+        # no factor x_i divides the numerator, so none divides its powers
+        return RatFunc._of(self.num ** n, {p: e * n for p, e in self._factors.items()},
+                           reduced=True)
 
     def partial(self, i: int) -> "RatFunc":
-        """Quotient-rule partial derivative, exact."""
-        num = self.num.partial(i) * self.den - self.num * self.den.partial(i)
-        return RatFunc(num, self.den * self.den)
+        """Quotient-rule partial derivative, exact.  With R the product of the
+        factors p that contain variable i,
+        d(n / prod p^e) = (n' R - n sum e p' R/p) / (R prod p^e)."""
+        dnum = self.num.partial(i)
+        bits = _SHIFT * i
+        moving = [(p, e) for p, e in self._factors.items() if (p.span >> bits) & _MASK]
+        if not moving:
+            return RatFunc._of(dnum, self._factors, self._den)
+        total = None
+        for j, (p, e) in enumerate(moving):
+            term = p.poly.partial(i) * e
+            for k, (q, _) in enumerate(moving):
+                if k != j:
+                    term = term * q.poly
+            total = term if total is None else total + term
+        num = dnum * _power_product((p, 1) for p, _ in moving) - self.num * total
+        factors = dict(self._factors)
+        for p, e in moving:
+            factors[p] = e + 1
+        return RatFunc._of(num, factors)
 
     def evaluate(self, point: Sequence) -> Fraction:
-        den = self.den.evaluate(point)
+        den = Fraction(1)
+        for p, e in self._factors.items():
+            den *= p.poly.evaluate(point) ** e
         if den == 0:
             raise ZeroDivisionError("denominator vanishes at the evaluation point")
         return self.num.evaluate(point) / den
 
     def embed(self, nvars: int, var_map: Sequence[int]) -> "RatFunc":
-        return RatFunc(self.num.embed(nvars, var_map), self.den.embed(nvars, var_map))
+        num = self.num.embed(nvars, var_map)
+        factors = {}
+        for p, e in self._factors.items():
+            q = p.poly.embed(nvars, var_map)
+            if q.content != 1:  # relabelling changed the sign of the normal form
+                q = -q
+                if e % 2:
+                    num = -num
+            factors[_factor(q)] = e
+        den = self._den
+        if den is not None:
+            den = den.embed(nvars, var_map)
+            if den.content != 1:
+                den = -den
+        # relabelling moves the powers of x_i dividing the numerator along
+        # with the factors x_i, so nothing new cancels
+        return RatFunc._of(num, factors or _NO_FACTORS, den, reduced=True)
 
     # -- comparison / display -----------------------------------------------
 
@@ -676,7 +875,11 @@ class RatFunc:
             return NotImplemented
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch")
-        return self.num * other.den == other.num * self.den
+        fa, fb = self._factors, other._factors
+        if fa is fb or fa == fb:
+            return self.num == other.num
+        a, b, _ = self._over_lcm(other)
+        return a == b
 
     __hash__ = None
 
@@ -689,15 +892,15 @@ class RatFunc:
         return f"RatFunc(({self.num.to_text()}) / ({self.den.to_text()}))"
 
 
-def _common_monomial_key(a: MPoly, b: MPoly) -> int:
+def _common_monomial_key(*polys: MPoly) -> int:
     """Packed exponent vector of the largest monomial dividing every term."""
-    if 0 in a._coeffs or 0 in b._coeffs:
+    if any(0 in p._coeffs for p in polys):
         return 0
-    if a.nvars == 1:  # the key is the exponent
-        return min(min(a._coeffs), min(b._coeffs))
-    keys = [*a._coeffs, *b._coeffs]
-    shifts = range(0, _SHIFT * a.nvars, _SHIFT)
-    if _SHIFT * a.nvars > 62:  # packed keys exceed int64
+    if polys[0].nvars == 1:  # the key is the exponent
+        return min(min(p._coeffs) for p in polys)
+    keys = [k for p in polys for k in p._coeffs]
+    shifts = range(0, _SHIFT * polys[0].nvars, _SHIFT)
+    if _SHIFT * polys[0].nvars > 62:  # packed keys exceed int64
         return _pack([min((k >> s) & _MASK for k in keys) for s in shifts])
     fields = np.array(keys, dtype=np.int64)[:, None] >> np.array(shifts, dtype=np.int64)
     return _pack((fields & _MASK).min(axis=0).tolist())

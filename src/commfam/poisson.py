@@ -72,6 +72,8 @@ def poisson_bracket(f: RatFunc, g: RatFunc) -> RatFunc:
     Quotients are handled by the extension laws of the fraction field
     ({1/f, g} = -{f, g}/f^2 and its consequences), organised so that the
     common-denominator case costs one cubic instead of a quartic power.
+    The denominator c^3 (or c^2 d^2) stays the operands' factors raised to
+    that power: no product is expanded, and a zero numerator keeps none.
     """
     if f.nvars != g.nvars or f.nvars % 2:
         raise ValueError(f"bracket operands need the same even number of variables, "
@@ -83,7 +85,7 @@ def poisson_bracket(f: RatFunc, g: RatFunc) -> RatFunc:
         num = (c * _pairwise_kernel(a, b, n)
                - a * _pairwise_kernel(c, b, n)
                - b * _pairwise_kernel(a, c, n))
-        return RatFunc(num, c * c * c)
+        return f.over_den(num, 3)
     num = MPoly.zero(2 * n)
     for j in range(n):
         x, xi = 2 * j, 2 * j + 1
@@ -92,7 +94,7 @@ def poisson_bracket(f: RatFunc, g: RatFunc) -> RatFunc:
         gx = b.partial(x) * d - b * d.partial(x)
         gxi = b.partial(xi) * d - b * d.partial(xi)
         num = num + (fx * gxi - fxi * gx)
-    return RatFunc(num, (c * c) * (d * d))
+    return f.over_den(num, 2) * g.over_den(MPoly.one(2 * n), 2)
 
 
 # ---------------------------------------------------------------------------

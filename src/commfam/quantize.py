@@ -499,7 +499,7 @@ def check_lift_independence(f: HElem, g: HElem,
 def _truncate_xi_degree(f: RatFunc, bound: int) -> RatFunc:
     """Drop numerator terms of xi-degree > bound (denominators are xi-free)."""
     kept = {exps: c for exps, c in f.num.terms() if exps[1] <= bound}
-    return RatFunc(MPoly.from_terms(2, kept), f.den)
+    return f.over_den(MPoly.from_terms(2, kept))
 
 
 def check_degeneration(a: HElem, b: HElem,

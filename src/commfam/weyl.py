@@ -259,21 +259,19 @@ def _linear(nvars: int, j: int, shift: Fraction) -> MPoly:
 
 
 def closed_form_coefficient(spec: OpFamilySpec, i: int, k: int) -> RatFunc:
-    """Coefficient of T_{z_i} in H_k, literally from the displayed product."""
+    """Coefficient of T_{z_i} in H_k, literally from the displayed product;
+    dividing by each z_i - z_i' in turn keeps them as separate factors."""
     N = spec.N
     num = MPoly.one(N)
     for ip in range(1, N + 1):
         for kp in range(1, N + 1):
             if ip == i or kp == k:
                 num = num * _linear(N, ip, spec.points[kp - 1])
-    den = MPoly.one(N)
+    coeff = RatFunc(num)
     for ip in range(1, N + 1):
         if ip != i:
-            den = den * MPoly.from_terms(N, [
-                (tuple(1 if t == i - 1 else 0 for t in range(N)), Fraction(1)),
-                (tuple(1 if t == ip - 1 else 0 for t in range(N)), Fraction(-1)),
-            ])
-    return RatFunc(num, den)
+            coeff = coeff / (RatFunc.var(N, i - 1) - RatFunc.var(N, ip - 1))
+    return coeff
 
 
 def rational_hamiltonians(spec: OpFamilySpec) -> list[RatDiffOp]:

@@ -1,6 +1,7 @@
 """Cross-check of the exact tower against sympy (test-only; skipped when
 sympy is missing): kernel determinants of integer and ``MPoly`` matrices,
-and ``MPoly``/``RatFunc`` arithmetic on both sides of the numpy pair cutoff."""
+``MPoly``/``RatFunc`` arithmetic on both sides of the numpy pair cutoff, and
+``RatFunc`` arithmetic over repeated linear denominator factors."""
 
 import itertools
 import math
@@ -76,3 +77,47 @@ def test_ratfunc_field_operations():
         for got, want in ((a + b, sa + sb), (a - b, sa - sb), (a * b, sa * sb),
                           (a / b, sa / sb)):
             assert sympy.cancel(to_sympy(got) - want) == 0
+
+
+def factored(rng):
+    """A random numerator divided in turn by one to three linear factors
+    z_i - z_j or z_i - c drawn from a small pool, so that factors repeat
+    within one function and across functions."""
+    z = [RatFunc.var(3, i) for i in range(3)]
+    pool = [z[0] - z[1], z[2] - z[0], z[1] - z[2], z[0] - RatFunc.const(3, Fraction(1, 2)),
+            z[1] + RatFunc.const(3, 2)]
+    f = RatFunc(rand_poly(rng, terms=2, degree=2))
+    for _ in range(rng.randint(1, 3)):
+        f = f / rng.choice(pool)
+    return f
+
+
+def stored_product(f):
+    """The product of the stored factors, each to its exponent."""
+    out = MPoly.one(f.nvars)
+    for p, e in f._factors.items():
+        out = out * p.poly ** e
+    return out
+
+
+def test_factored_ratfunc_operations():
+    rng = random.Random(95)
+    shorter = 0
+    for _ in range(6):
+        a, b = factored(rng), factored(rng)
+        sa, sb = to_sympy(a), to_sympy(b)
+        perm = rng.sample(range(3), 3)
+        renamed = {XS[i]: XS[perm[i]] for i in range(3)}
+        cases = [(a + b, sa + sb), (a - b, sa - sb), (a * b, sa * sb), (a / b, sa / sb),
+                 (a.embed(3, perm), sa.subs(renamed, simultaneous=True))]
+        cases += [(a.partial(i), sympy.diff(sa, XS[i])) for i in range(3)]
+        for got, want in cases:
+            assert sympy.cancel(to_sympy(got) - want) == 0
+            assert got.den == stored_product(got)
+        # the linear factors are distinct primes, so a sum's denominator is
+        # their lcm: it is shorter than the product whenever a factor is shared
+        lcm = sympy.lcm(to_sympy(a.den), to_sympy(b.den))
+        degree = (a + b).den.total_degree()
+        assert degree == sympy.Poly(lcm, *XS).total_degree()
+        shorter += degree < a.den.total_degree() + b.den.total_degree()
+    assert shorter

@@ -1,7 +1,8 @@
 """Negative controls for the checks fed by the signed-bijection kernel, by
 the quantization bridges (dual numbers, hbar-localization, cone bracket) and
-by the sparse-polynomial product kernels (Poisson brackets and Leibniz
-compositions at n = 3 and N = 3, where products fill the dense exponent box).
+by the sparse-polynomial product kernels (Poisson brackets at n = 3, Leibniz
+compositions at N = 4 and symbols at N = 3, where products fill the dense
+exponent box).
 
 Each entry names an anchor, a true instance whose records for that anchor
 pass, and one documented perturbation.  Under the perturbation the same
@@ -210,17 +211,19 @@ def poisson_commute_instance():
     return [poisson.check_poisson_commute(poisson.classical_hamiltonians(CLASSICAL_FS))]
 
 
-def weyl_spec():
-    return OpFamilySpec.make([Fraction(-2), Fraction(1), Fraction(3)],
-                             RatDiffOp.partial(1, 1, 2))
-
-
 def op_commute_instance():
-    return [check_commute(weyl.rational_hamiltonians(weyl_spec()))]
+    # at N = 3 no Leibniz product of [H_k, H_l] reaches the box kernel
+    spec = OpFamilySpec.make([Fraction(p) for p in (-2, 1, 3, 5)],
+                             RatDiffOp.partial(1, 1, 2))
+    return [check_commute(weyl.rational_hamiltonians(spec))]
 
 
 def symbol_instance():
-    spec = weyl_spec()
+    # T = z d/dz + 1: its symbol z xi keeps z in the classical brackets
+    z = RatFunc.var(1, 0)
+    T = (weyl.do_compose(RatDiffOp.multiplication(z), RatDiffOp.partial(1, 1))
+         + RatDiffOp.identity(1))
+    spec = OpFamilySpec.make([Fraction(p) for p in (-2, 1, 3)], T)
     return check_symbol_matches_classical(weyl.rational_hamiltonians(spec), spec)
 
 
@@ -289,7 +292,7 @@ NEGATIVE_CONTROLS = {
                             z1_added_to_second_symbol),
 }
 
-# the anchors decided by the polynomial product kernels at n = 3 and N = 3
+# the anchors decided by the polynomial product kernels at n = 3, N = 3 and N = 4
 KERNEL_ANCHORS = [ANCHOR_POISSON_COMMUTE, ANCHOR_OP_COMMUTE, ANCHOR_SYMBOL_MATCH,
                   ANCHOR_SYMBOL_COMMUTE]
 
@@ -342,10 +345,26 @@ def test_every_anchor_has_a_negative_control():
     assert not missing
 
 
-def test_oracle_overflow_fails_the_comparison_instead_of_raising(monkeypatch):
-    # With C(n, alpha) for C(-n, alpha) and the lift z^2+1 + hbar d/dz, the
-    # evaluation oracle's RatFunc sums leave the exponent packing range.
+def test_positive_binomial_fails_the_comparison_with_its_hbar_order(monkeypatch):
+    # C(n, alpha) for C(-n, alpha), with the lift z^2+1 + hbar d/dz
     positive_binomial(monkeypatch)
+    assoc = [r for r in localization_instance(True)() if r.anchor == ANCHOR_LOCAL_ASSOC]
+    assert [(r.status, r.witness) for r in assoc] == [
+        ("fail", "difference starts at hbar^2"), ("fail", "difference starts at hbar^3")]
+
+
+def test_oracle_overflow_fails_the_comparison_instead_of_raising(monkeypatch):
+    # The same perturbed instance, with the evaluation oracle alone confined
+    # to exponents up to 8: building the series fits, evaluating them leaves
+    # the packing range.
+    positive_binomial(monkeypatch)
+    evaluate = quantize.LocalSeries.evaluate
+
+    def cramped(series):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(exact, "_MAX_EXP", 8)
+            return evaluate(series)
+    monkeypatch.setattr(quantize.LocalSeries, "evaluate", cramped)
     assoc = [r for r in localization_instance(True)() if r.anchor == ANCHOR_LOCAL_ASSOC]
     assert len(assoc) == 2
     assert all(r.status == "fail" and "overflow" in r.witness for r in assoc)

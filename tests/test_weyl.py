@@ -211,7 +211,7 @@ def test_hamiltonians_from_basis_match_permutation_expansion():
     rng = random.Random(37)
     z = RatFunc.var(1, 0)
     one = RatFunc.const(1, 1)
-    for N in (1, 2):  # random functions and seeds; N = 3 is slow to compare
+    for N in (1, 2, 3):  # random functions and seeds
         fs = [(z ** rng.randint(0, 2) + RatFunc.const(1, rng.randint(-3, 3)))
               / (z - RatFunc.const(1, rng.randint(-3, 3))) for _ in range(N)]
         T = rand_1var_op(rng, max_order=1)
