@@ -160,8 +160,11 @@ def _check_params(kind: str, params: dict) -> None:
         if params["points"]:
             try:
                 weyl.OpFamilySpec(params["N"], tuple(map(Fraction, params["points"])), T)
-            except (ValueError, TypeError) as exc:  # not rationals, wrong count, repeated
+            except (ValueError, TypeError, ZeroDivisionError) as exc:
+                # not rationals, a zero denominator, wrong count, repeated
                 raise ConfigError(f"field 'points': {exc} (N = {params['N']})") from exc
+        elif params["N"] > 13:  # _distinct_points draws from the 13 integers in [-6, 6]
+            raise ConfigError("field 'N': at most 13 without 'points'")
 
 
 def load_scenario(path, seed_override=None, trials_override=None) -> Scenario:
@@ -179,7 +182,7 @@ def parse_operator_spec(text: str) -> weyl.RatDiffOp:
         if order < 1:
             raise ConfigError("field 'T': derivative order must be >= 1")
         return weyl.RatDiffOp.partial(1, 1, order)
-    m = re.fullmatch(r"z\*?d1?\+(-?\d+(?:/\d+)?)", s)
+    m = re.fullmatch(r"z\*?d1?\+(-?\d+(?:/0*[1-9]\d*)?)", s)  # no zero denominator
     if m:
         c = Fraction(m.group(1))
         z = RatFunc.var(1, 0)

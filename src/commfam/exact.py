@@ -612,10 +612,12 @@ class RatFunc:
     The denominator is a map from factors -- polynomials in the ``MPoly``
     normal form with content 1 -- to positive exponents.  The factors need
     not be irreducible or coprime, because only their product is the value.
-    A monomial enters as one factor x_i per variable, and a factor x_i
-    cancels against the power of x_i that divides every numerator term; the
-    numerator carries the content.  Factors enter where they are born: a
-    denominator passed to the constructor, or the numerator of a divisor.
+    A monomial enters as one factor x_i per variable.  Every result, of the
+    constructor or of ``_of``, passes through ``_reduce``, which cancels each
+    factor x_i against the power of x_i dividing every numerator term, so no
+    factor x_i of a map divides all of them.  The numerator carries the
+    content.  Factors enter where they are born: a denominator passed to the
+    constructor, or the numerator of a divisor.
 
     * ``+``, ``-`` and ``==`` work over the lcm of the two maps: each factor
       takes its larger exponent and each numerator is multiplied by its
@@ -628,7 +630,7 @@ class RatFunc:
     No polynomial gcd or division is ever taken, so a function is not
     reduced, and equality is decided by cross-multiplying with cofactors,
     which needs no canonical form.  ``den`` is the product of the factors,
-    built on first use and kept.
+    built on first read and kept; no operation hands it on to its result.
     """
 
     __slots__ = ("num", "_factors", "_den")
@@ -647,17 +649,12 @@ class RatFunc:
         self._den = None
 
     @staticmethod
-    def _of(num: MPoly, factors: dict, den: MPoly | None = None,
-            reduced: bool = False) -> "RatFunc":
-        """``num`` over ``factors`` (whose product ``den`` is, if given),
-        built without ``__init__`` and passed through ``_reduce`` unless
-        ``reduced`` says that no factor x_i divides ``num``."""
-        if not reduced or not num._coeffs:
-            num, kept = _reduce(num, factors)
-            if kept is not factors:
-                factors, den = kept, None
+    def _of(num: MPoly, factors: dict) -> "RatFunc":
+        """``num`` over ``factors``, built without ``__init__`` and, like
+        every result, passed through ``_reduce``."""
         out = RatFunc.__new__(RatFunc)
-        out.num, out._factors, out._den = num, factors, den
+        out.num, out._factors = _reduce(num, factors)
+        out._den = None
         return out
 
     # -- constructors -------------------------------------------------------
@@ -694,8 +691,6 @@ class RatFunc:
         """``num / den ** power``, keeping this function's factors."""
         if num.nvars != self.nvars:
             raise ValueError("variable-count mismatch")
-        if power == 1:
-            return RatFunc._of(num, self._factors, self._den)
         return RatFunc._of(num, {p: e * power for p, e in self._factors.items()})
 
     # -- arithmetic ---------------------------------------------------------
@@ -712,10 +707,6 @@ class RatFunc:
     def _over_lcm(self, other: "RatFunc") -> tuple[MPoly, MPoly, dict]:
         """Both numerators over the lcm of the factor maps, and that map."""
         fa, fb = self._factors, other._factors
-        if not fa:
-            return self.num * other.den, other.num, fb
-        if not fb:
-            return self.num, other.num * self.den, fa
         lcm = dict(fa)
         for p, e in fb.items():
             if e > lcm.get(p, 0):
@@ -734,16 +725,14 @@ class RatFunc:
                 return NotImplemented
         fa, fb = self._factors, other._factors
         if fa is fb or fa == fb:
-            return RatFunc._of(self.num + other.num, fa,
-                               self._den if self._den is not None else other._den)
+            return RatFunc._of(self.num + other.num, fa)
         a, b, lcm = self._over_lcm(other)
-        return RatFunc._of(a + b, lcm, None if fa and fb else
-                           self._den if fa else other._den)
+        return RatFunc._of(a + b, lcm)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc._of(-self.num, self._factors, self._den, reduced=True)
+        return RatFunc._of(-self.num, self._factors)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -757,18 +746,15 @@ class RatFunc:
     def __mul__(self, other):
         if type(other) is not RatFunc:
             if isinstance(other, (int, Fraction)):
-                return RatFunc._of(self.num * other, self._factors, self._den, reduced=True)
+                return RatFunc._of(self.num * other, self._factors)
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        fa, fb = self._factors, other._factors
-        if not fb:
-            return RatFunc._of(self.num * other.num, fa, self._den)
-        if not fa:
-            return RatFunc._of(self.num * other.num, fb, other._den)
-        factors = dict(fa)
-        for p, e in fb.items():
-            factors[p] = factors.get(p, 0) + e
+        factors = self._factors
+        if other._factors:
+            factors = dict(factors)
+            for p, e in other._factors.items():
+                factors[p] = factors.get(p, 0) + e
         return RatFunc._of(self.num * other.num, factors)
 
     __rmul__ = __mul__
@@ -797,7 +783,7 @@ class RatFunc:
         c, born = _split(other.num)
         for p, e in born.items():
             factors[p] = factors.get(p, 0) + e
-        return RatFunc._of(num * (1 if c == 1 else 1 / c), factors)
+        return RatFunc._of(num if c == 1 else num * (1 / c), factors)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -814,9 +800,7 @@ class RatFunc:
             return (1 / self) ** (-n)
         if n == 1:
             return self
-        # no factor x_i divides the numerator, so none divides its powers
-        return RatFunc._of(self.num ** n, {p: e * n for p, e in self._factors.items()},
-                           reduced=True)
+        return RatFunc._of(self.num ** n, {p: e * n for p, e in self._factors.items()})
 
     def partial(self, i: int) -> "RatFunc":
         """Quotient-rule partial derivative, exact.  With R the product of the
@@ -826,7 +810,7 @@ class RatFunc:
         bits = _SHIFT * i
         moving = [(p, e) for p, e in self._factors.items() if (p.span >> bits) & _MASK]
         if not moving:
-            return RatFunc._of(dnum, self._factors, self._den)
+            return RatFunc._of(dnum, self._factors)
         total = None
         for j, (p, e) in enumerate(moving):
             term = p.poly.partial(i) * e
@@ -858,14 +842,7 @@ class RatFunc:
                 if e % 2:
                     num = -num
             factors[_factor(q)] = e
-        den = self._den
-        if den is not None:
-            den = den.embed(nvars, var_map)
-            if den.content != 1:
-                den = -den
-        # relabelling moves the powers of x_i dividing the numerator along
-        # with the factors x_i, so nothing new cancels
-        return RatFunc._of(num, factors or _NO_FACTORS, den, reduced=True)
+        return RatFunc._of(num, factors or _NO_FACTORS)
 
     # -- comparison / display -----------------------------------------------
 
@@ -892,17 +869,17 @@ class RatFunc:
         return f"RatFunc(({self.num.to_text()}) / ({self.den.to_text()}))"
 
 
-def _common_monomial_key(*polys: MPoly) -> int:
+def _common_monomial_key(poly: MPoly) -> int:
     """Packed exponent vector of the largest monomial dividing every term."""
-    if any(0 in p._coeffs for p in polys):
+    keys = poly._coeffs
+    if 0 in keys:
         return 0
-    if polys[0].nvars == 1:  # the key is the exponent
-        return min(min(p._coeffs) for p in polys)
-    keys = [k for p in polys for k in p._coeffs]
-    shifts = range(0, _SHIFT * polys[0].nvars, _SHIFT)
-    if _SHIFT * polys[0].nvars > 62:  # packed keys exceed int64
+    if poly.nvars == 1:  # the key is the exponent
+        return min(keys)
+    shifts = range(0, _SHIFT * poly.nvars, _SHIFT)
+    if _SHIFT * poly.nvars > 62:  # packed keys exceed int64
         return _pack([min((k >> s) & _MASK for k in keys) for s in shifts])
-    fields = np.array(keys, dtype=np.int64)[:, None] >> np.array(shifts, dtype=np.int64)
+    fields = np.fromiter(keys, np.int64, len(keys))[:, None] >> np.array(shifts, dtype=np.int64)
     return _pack((fields & _MASK).min(axis=0).tolist())
 
 

@@ -7,9 +7,10 @@ with the canonical bracket normalised to {x_j, xi_j} = +1:
     {f, g} = sum_j (df/dx_j dg/dxi_j - df/dxi_j dg/dx_j).
 
 Functions on it are plain ``RatFunc`` values in those 2n variables; the
-bracket reads n off their variable count.  Each leg of a tensor power
-occupies one (x_j, xi_j) block, so functions on distinct legs
-Poisson-commute.  All zero tests go through polynomial cross-multiplication;
+bracket reads n off their variable count.  Two operands over one denominator
+c bracket their numerators over c^3; any others bracket as ``RatFunc``
+values.  Each leg of a tensor power occupies one (x_j, xi_j) block, so
+functions on distinct legs Poisson-commute.  All zero tests go through polynomial cross-multiplication;
 nothing is approximated.
 """
 
@@ -55,46 +56,37 @@ class ZeroAlpha(ValueError):
 # The canonical bracket.
 
 
-def _pairwise_kernel(u: MPoly, v: MPoly, n: int) -> MPoly:
-    """P(u, v) = sum_j (u_x_j v_xi_j - u_xi_j v_x_j) on polynomials."""
-    total = MPoly.zero(2 * n)
-    for j in range(n):
-        x, xi = 2 * j, 2 * j + 1
-        total = total + (u.partial(x) * v.partial(xi) - u.partial(xi) * v.partial(x))
-    return total
+def _pairwise_kernel(u, v, n: int):
+    """P(u, v) = sum_j (u_x_j v_xi_j - u_xi_j v_x_j) on two ``MPoly`` or two
+    ``RatFunc`` values in 2n variables ordered (x_1, xi_1, ..., x_n, xi_n)."""
+    terms = [u.partial(x) * v.partial(x + 1) - u.partial(x + 1) * v.partial(x)
+             for x in range(0, 2 * n, 2)]
+    return sum(terms[1:], terms[0]) if terms else u * 0
 
 
 def poisson_bracket(f: RatFunc, g: RatFunc) -> RatFunc:
     """Canonical bracket of two rational functions in 2n variables ordered
     (x_1, xi_1, ..., x_n, xi_n), exact.
 
-    Raises ``ValueError`` when the variable counts differ or are odd.
-    Quotients are handled by the extension laws of the fraction field
-    ({1/f, g} = -{f, g}/f^2 and its consequences), organised so that the
-    common-denominator case costs one cubic instead of a quartic power.
-    The denominator c^3 (or c^2 d^2) stays the operands' factors raised to
-    that power: no product is expanded, and a zero numerator keeps none.
+    Raises ``ValueError`` when the variable counts differ or are odd.  With
+    P the kernel above, operands a/c and b/c over one denominator give
+    (c P(a,b) - a P(c,b) - b P(a,c)) / c^3, c^3 kept as c's factors cubed
+    (the quotient rule would give c^4).  Other operands go through P as
+    ``RatFunc`` values, whose partials raise only the factors holding the
+    variable and whose sums work over the lcm of the factor maps.
     """
     if f.nvars != g.nvars or f.nvars % 2:
         raise ValueError(f"bracket operands need the same even number of variables, "
                          f"got {f.nvars} and {g.nvars}")
     n = f.nvars // 2
-    a, c = f.num, f.den
-    b, d = g.num, g.den
-    if c == d:
-        num = (c * _pairwise_kernel(a, b, n)
-               - a * _pairwise_kernel(c, b, n)
-               - b * _pairwise_kernel(a, c, n))
-        return f.over_den(num, 3)
-    num = MPoly.zero(2 * n)
-    for j in range(n):
-        x, xi = 2 * j, 2 * j + 1
-        fx = a.partial(x) * c - a * c.partial(x)
-        fxi = a.partial(xi) * c - a * c.partial(xi)
-        gx = b.partial(x) * d - b * d.partial(x)
-        gxi = b.partial(xi) * d - b * d.partial(xi)
-        num = num + (fx * gxi - fxi * gx)
-    return f.over_den(num, 2) * g.over_den(MPoly.one(2 * n), 2)
+    c = f.den
+    if c != g.den:
+        return _pairwise_kernel(f, g, n)
+    a, b = f.num, g.num
+    num = (c * _pairwise_kernel(a, b, n)
+           - a * _pairwise_kernel(c, b, n)
+           - b * _pairwise_kernel(a, c, n))
+    return f.over_den(num, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -144,16 +136,10 @@ def classical_hamiltonians(fs: list[RatFunc]) -> list[RatFunc]:
         if f.nvars != 2:
             raise ValueError("family functions live in two variables (x, xi)")
     _assert_independent(fs)
-    # polynomial functions: determinants stay polynomial, and every H_i
-    # shares the Delta_0 denominator
-    polynomial = all(f.is_polynomial() for f in fs)
-    entries = [[(f.num if polynomial else f).embed(2 * n, [2 * j, 2 * j + 1])
-                for j in range(n)] for f in fs]
+    entries = [[f.embed(2 * n, [2 * j, 2 * j + 1]) for j in range(n)] for f in fs]
     minors = maximal_minors(entries)
     if minors[0].is_zero:
         raise ZeroDelta0("Delta_0 = 0")
-    if polynomial:
-        return [RatFunc(m, minors[0]) for m in minors[1:]]
     return [m / minors[0] for m in minors[1:]]
 
 

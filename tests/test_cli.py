@@ -247,11 +247,13 @@ BAD_CONFIGS = {
     "points-fewer-than-N": "kind = weyl-rational\nseed = 1\nN = 3\npoints = [0, 1]\n",
     "points-repeated": "kind = weyl-rational\nseed = 1\nN = 2\npoints = [0, 0]\n",
     "points-not-rational": "kind = weyl-basis\nseed = 1\nN = 2\npoints = [0, a]\n",
+    "points-zero-denominator": "kind = weyl-rational\nseed = 1\nN = 2\npoints = [1, 1/0]\n",
     "legs-unknown": "kind = corollary-legs\nseed = 1\nn = 2\nd = 2\nlegs = constnat\n",
     "grassmann-arity": "kind = grassmann\nseed = 1\narity = 5\n",
     "grassmann-dim": "kind = grassmann\nseed = 1\narity = 4\ndim = 3\n",
     "hbar-f": "kind = hbar-localization\nseed = 1\nf = x^3\n",
     "T-grammar": "kind = weyl-basis\nseed = 1\nN = 2\nT = e3\n",
+    "T-zero-denominator": "kind = weyl-rational\nseed = 1\nN = 2\nT = z*d1+1/0\n",
     # size parameters out of range: each crashed in trial 0, passed without
     # deciding anything, or (grassmann bound = 0) never finished drawing
     "poisson-n-0": "kind = poisson-classical\nseed = 1\nn = 0\n",
@@ -269,6 +271,10 @@ BAD_CONFIGS = {
     "legs-d-0": "kind = corollary-legs\nseed = 1\nn = 2\nd = 0\n",
     "weyl-rational-N-0": "kind = weyl-rational\nseed = 1\nN = 0\n",
     "weyl-basis-N-0": "kind = weyl-basis\nseed = 1\nN = 0\n",
+    # without points, N distinct points are drawn from the 13 integers in
+    # [-6, 6]: at N = 14 the draw never ended
+    "weyl-rational-N-14-drawn": "kind = weyl-rational\nseed = 1\nN = 14\n",
+    "weyl-basis-N-14-drawn": "kind = weyl-basis\nseed = 1\nN = 14\n",
     "hbar-M-0": "kind = hbar-localization\nseed = 1\nM = 0\n",
     "hyperplane-g-0": "kind = hyperplane\nseed = 1\ng = 0\n",
     "skew-size-0": "kind = skew-matrix\nseed = 1\nsize = 0\n",
@@ -302,6 +308,19 @@ def test_bad_config_is_refused_before_any_trial(tmp_path, monkeypatch, capsys, t
         cli.load_scenario(cfg)
     assert cli.main(["run", str(cfg)]) == 2
     assert "config error: field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,params", [
+    ("T", {"T": "z*d1+1/0"}), ("points", {"points": [1, "1/0"]}), ("N", {"N": 14})])
+def test_config_error_names_the_field(field, params):
+    with pytest.raises(ConfigError, match=f"^field '{field}'"):
+        make_scenario("weyl-rational", **{"N": 2, **params})
+
+
+def test_large_N_is_accepted_with_explicit_points():
+    points = list(range(14))
+    for kind in ("weyl-rational", "weyl-basis"):
+        assert make_scenario(kind, N=14, points=points).params["N"] == 14
 
 
 def test_every_check_has_anchor():

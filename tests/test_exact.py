@@ -191,8 +191,8 @@ def test_dict_mul_coefficient_bound(offset, m, ca, cb):
     assert min(out.values()) == -m * ca * cb
 
 
-def common_monomial_oracle(a, b):
-    exps = [e for poly in (a, b) for e, _ in poly.terms()]
+def common_monomial_oracle(poly):
+    exps = [e for e, _ in poly.terms()]
     return tuple(min(column) for column in zip(*exps))
 
 
@@ -203,15 +203,13 @@ def test_common_monomial_key_matches_per_term_loop(nvars):
     for terms in (1, 4, 40):
         for _ in range(10):
             shift = [rng.choice([0, 1, 5, 900]) for _ in range(nvars)]
-            polys = []
-            for _ in range(2):
-                data = {}
-                for _ in range(terms):
-                    exps = tuple(s + rng.randint(0, 3) for s in shift)
-                    data[exps] = rng.randint(1, 9)
-                polys.append(MPoly.from_terms(nvars, data))
-            key = _common_monomial_key(*polys)
-            assert _unpack(key, nvars) == common_monomial_oracle(*polys)
+            data = {}
+            for _ in range(terms):
+                exps = tuple(s + rng.randint(0, 3) for s in shift)
+                data[exps] = rng.randint(1, 9)
+            poly = MPoly.from_terms(nvars, data)
+            key = _common_monomial_key(poly)
+            assert _unpack(key, nvars) == common_monomial_oracle(poly)
 
 
 def test_build_normal_form_is_independent_of_term_order():

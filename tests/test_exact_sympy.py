@@ -1,7 +1,8 @@
 """Cross-check of the exact tower against sympy (test-only; skipped when
 sympy is missing): kernel determinants of integer and ``MPoly`` matrices,
-``MPoly``/``RatFunc`` arithmetic on both sides of the numpy pair cutoff, and
-``RatFunc`` arithmetic over repeated linear denominator factors."""
+``MPoly``/``RatFunc`` arithmetic on both sides of the numpy pair cutoff,
+``RatFunc`` arithmetic over repeated linear denominator factors, and the
+canonical Poisson bracket on both of its routes."""
 
 import itertools
 import math
@@ -13,8 +14,9 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from commfam.exact import _NP_PAIR_CUTOFF, MPoly, QMatrix, RatFunc, det, signed_minors
+from commfam.poisson import ConeDifferential, cone_to_symplectic, poisson_bracket
 
-XS = sympy.symbols("x0:3")
+XS = sympy.symbols("x0:4")
 
 
 def to_sympy(p):
@@ -29,11 +31,11 @@ def same_poly(a, expr):
     return sympy.Poly(to_sympy(a), *XS) == sympy.Poly(expr, *XS)
 
 
-def rand_poly(rng, terms=4, degree=3, bound=9):
+def rand_poly(rng, terms=4, degree=3, bound=9, nvars=3):
     """``terms`` distinct monomials with nonzero coefficients."""
-    monomials = rng.sample(list(itertools.product(range(degree + 1), repeat=3)), terms)
-    return MPoly.from_terms(3, {m: Fraction(rng.choice([-1, 1]) * rng.randint(1, bound),
-                                            rng.randint(1, 3)) for m in monomials})
+    monomials = rng.sample(list(itertools.product(range(degree + 1), repeat=nvars)), terms)
+    return MPoly.from_terms(nvars, {m: Fraction(rng.choice([-1, 1]) * rng.randint(1, bound),
+                                                rng.randint(1, 3)) for m in monomials})
 
 
 def test_integer_determinants():
@@ -121,3 +123,84 @@ def test_factored_ratfunc_operations():
         assert degree == sympy.Poly(lcm, *XS).total_degree()
         shorter += degree < a.den.total_degree() + b.den.total_degree()
     assert shorter
+
+
+# ---------------------------------------------------------------------------
+# The canonical bracket in (x_1, xi_1, x_2, xi_2) = (x0, x1, x2, x3).
+
+
+def sympy_bracket(sf, sg, n):
+    return sum(sympy.diff(sf, XS[2 * j]) * sympy.diff(sg, XS[2 * j + 1])
+               - sympy.diff(sf, XS[2 * j + 1]) * sympy.diff(sg, XS[2 * j])
+               for j in range(n))
+
+
+def symplectic_operand(rng):
+    """A numerator over one or two factors x_j - c or x_2 - x_1, drawn so
+    that they repeat, times xi_j^-k as ``cone_to_symplectic`` makes it."""
+    v = [RatFunc.var(4, i) for i in range(4)]
+    pool = [v[0] - Fraction(1, 2), v[0] + 2, v[2] - 3, v[2] - v[0]]
+    f = RatFunc(rand_poly(rng, terms=2, degree=2, nvars=4))
+    for _ in range(rng.randint(1, 2)):
+        f = f / rng.choice(pool)
+    return f * v[rng.choice([1, 3])] ** -rng.randint(1, 2)
+
+
+def cone_operand(rng):
+    """``cone_to_symplectic`` of f(z) (dz)^i, f over repeated factors z - c."""
+    z = RatFunc.var(1, 0)
+    f = RatFunc(rand_poly(rng, terms=2, degree=2, nvars=1))
+    for _ in range(rng.randint(0, 2)):
+        f = f / (z - rng.choice([-1, 2]))
+    return cone_to_symplectic(ConeDifferential(f, rng.randint(-1, 2)))
+
+
+def shared_pair(rng):
+    """Two numerators over one denominator, or two polynomials."""
+    den = MPoly.one(4)
+    if rng.random() < 0.75:
+        den = rand_poly(rng, terms=2, degree=1, nvars=4) + MPoly.one(4)
+    return (RatFunc(rand_poly(rng, terms=2, degree=2, nvars=4), den),
+            RatFunc(rand_poly(rng, terms=2, degree=2, nvars=4), den))
+
+
+def test_poisson_bracket_matches_sympy_on_both_routes():
+    rng = random.Random(96)
+    pairs = [(symplectic_operand(rng), symplectic_operand(rng)) for _ in range(6)]
+    pairs += [(cone_operand(rng), cone_operand(rng)) for _ in range(6)]
+    pairs += [shared_pair(rng) for _ in range(6)]
+    routes = {True: 0, False: 0}
+    for f, g in pairs:
+        routes[f.den == g.den] += 1
+        # cross-multiplied: a gcd on the difference costs several times more
+        num, den = sympy.fraction(sympy.cancel(sympy_bracket(to_sympy(f), to_sympy(g),
+                                                             f.nvars // 2)))
+        got = poisson_bracket(f, g)
+        assert sympy.expand(to_sympy(got.num) * den - num * to_sympy(got.den)) == 0
+    assert routes[True] >= 6 and routes[False] >= 6
+
+
+def assert_no_monomial_factor_divides(f):
+    """No factor x_i left in the map divides every numerator term."""
+    for p in f._factors:
+        if len(p) == 1:
+            ((exps, _),) = p.poly.terms()
+            i = exps.index(1)
+            assert not all(e[i] for e, _ in f.num.terms()), (f, i)
+
+
+def test_results_keep_no_monomial_factor_dividing_the_numerator():
+    rng = random.Random(97)
+    v = [RatFunc.var(4, i) for i in range(4)]
+    # d/dx_1 of (x_1 xi_1 + 1) / xi_1^2 is xi_1 / xi_1^2 until the factor
+    # xi_1 cancels
+    fs = [(v[0] * v[1] + 1) * v[1] ** -2]
+    fs += [symplectic_operand(rng) for _ in range(6)]
+    fs += [cone_operand(rng).embed(4, [2, 3]) for _ in range(4)]
+    for f in fs:
+        results = [-f, f * 3, f * Fraction(-1, 2), f * 0, f ** 2, f ** 3,
+                   f.embed(4, [2, 3, 0, 1]), f.embed(4, [1, 0, 3, 2])]
+        results += [f.partial(i) for i in range(4)]
+        results += [f.partial(i).partial(j) for i in range(4) for j in range(4)]
+        for got in results:
+            assert_no_monomial_factor_divides(got)

@@ -54,6 +54,12 @@ def test_bracket_rejects_odd_or_unequal_variable_counts(nf, ng):
         poisson_bracket(RatFunc.var(nf, 0), RatFunc.var(ng, 1))
 
 
+def test_bracket_of_constants_in_zero_variables_is_zero():
+    # n = 0 legs: the kernel's sum over j is empty
+    br = poisson_bracket(RatFunc.const(0, 2), RatFunc.const(0, Fraction(1, 3)))
+    assert br.is_zero and br.nvars == 0
+
+
 def test_fraction_extension_laws():
     rng = random.Random(3)
     one = RatFunc.const(2, 1)
