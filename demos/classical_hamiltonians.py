@@ -6,7 +6,6 @@ ratios Poisson-commute.  Everything below is exact rational arithmetic.
 """
 
 import random
-from fractions import Fraction
 
 from commfam.exact import RatFunc
 from commfam import poisson
@@ -15,7 +14,7 @@ rng = random.Random(7)
 
 print("== the hyperplane through g points ==")
 g = 3
-points = [[Fraction(rng.randint(-5, 5)) for _ in range(g)] for _ in range(g)]
+points = [[rng.randint(-5, 5) for _ in range(g)] for _ in range(g)]
 hs = poisson.hyperplane_coefficients(points)
 print("points:", [[str(c) for c in p] for p in points])
 print("h =", [str(h) for h in hs])

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__, exact, ncfam, poisson, quantize, weyl
-from .exact import QMatrix, Rat, RatFunc, Singular, det, mat_inverse
+from .exact import QMatrix, RatFunc, Singular, det, mat_inverse
 from .reports import (CheckRecord, Report, emit_report, failed, passed,
                       skipped)
 from .rng import resample, trial_rng
@@ -219,8 +219,7 @@ def _resample_log(anchor: str, resamples: int, found: bool) -> list[CheckRecord]
 
 def _trial_skew_matrix(params, rng, t) -> list[CheckRecord]:
     size, bound = params["size"], params["bound"]
-    m = QMatrix(size, size,
-                [Rat(rng.randint(-bound, bound)) for _ in range(size * size)])
+    m = QMatrix(size, size, [rng.randint(-bound, bound) for _ in range(size * size)])
     if det(m) == 0:
         try:
             mat_inverse(m)
@@ -279,9 +278,9 @@ def _random_poly_2vars(rng, degree, bound) -> RatFunc:
         for dxi in range(degree + 1 - dx):
             c = rng.randint(-bound, bound)
             if c:
-                terms[(dx, dxi)] = Fraction(c)
+                terms[(dx, dxi)] = c
     if not terms:
-        terms[(0, 0)] = Fraction(1)
+        terms[(0, 0)] = 1
     return RatFunc(exact.MPoly.from_terms(2, terms))
 
 
@@ -317,8 +316,7 @@ def _trial_hyperplane(params, rng, t) -> list[CheckRecord]:
     g, bound = params["g"], params["bound"]
 
     def attempt():
-        points = [[Fraction(rng.randint(-bound, bound)) for _ in range(g)]
-                  for _ in range(g)]
+        points = [[rng.randint(-bound, bound) for _ in range(g)] for _ in range(g)]
         return points, poisson.hyperplane_coefficients(points)
 
     drawn, rejected = resample(attempt, poisson.ZeroDelta0, retries=20)
@@ -332,14 +330,13 @@ def _trial_hyperplane(params, rng, t) -> list[CheckRecord]:
 
 def _random_cone_diff(rng, bound=4, max_weight=3) -> poisson.ConeDifferential:
     weight = rng.randint(-2, max_weight)
-    num = exact.MPoly.from_terms(1, [((e,), Fraction(rng.randint(-bound, bound)))
-                                     for e in range(3)])
+    num = exact.MPoly.from_terms(1, [((e,), rng.randint(-bound, bound)) for e in range(3)])
     if num.is_zero:
         num = exact.MPoly.one(1)
     den_choice = rng.randint(0, 2)
     den = exact.MPoly.one(1)
     if den_choice == 1:
-        den = exact.MPoly.from_terms(1, {(1,): Fraction(1), (0,): Fraction(rng.randint(1, bound))})
+        den = exact.MPoly.from_terms(1, {(1,): 1, (0,): rng.randint(1, bound)})
     return poisson.ConeDifferential(RatFunc(num, den), weight)
 
 
@@ -380,17 +377,16 @@ def _trial_dual_number(params, rng, t) -> list[CheckRecord]:
     return records
 
 
-def _distinct_points(rng, count, bound=6) -> list[Fraction]:
-    points: set[Fraction] = set()
+def _distinct_points(rng, count, bound=6) -> list[int]:
+    points: set[int] = set()
     while len(points) < count:
-        points.add(Fraction(rng.randint(-bound, bound)))
+        points.add(rng.randint(-bound, bound))
     return sorted(points)
 
 
 def _op_family_spec(params, rng) -> weyl.OpFamilySpec:
     """The configured marked points, or N distinct ones drawn, with seed T."""
-    points = ([Fraction(p) for p in params["points"]] if params["points"]
-              else _distinct_points(rng, params["N"]))
+    points = params["points"] or _distinct_points(rng, params["N"])
     return weyl.OpFamilySpec.make(points, parse_operator_spec(params["T"]))
 
 

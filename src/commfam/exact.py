@@ -4,8 +4,10 @@ Everything downstream (tensor-leg families, Poisson brackets, differential
 operators) reduces to arithmetic in this module, and every identity is decided
 with zero tolerance:
 
-* ``Rat`` -- arbitrary-precision rationals (``fractions.Fraction``).
-* ``MPoly`` -- sparse multivariate polynomials with rational coefficients.
+* ``Rat`` -- arbitrary-precision rationals (``fractions.Fraction``), formed
+  only where a division makes one; integer values stay ``int``.
+* ``MPoly`` -- sparse multivariate polynomials with ``int`` or ``Rat``
+  coefficients; any other coefficient, a float included, raises ``TypeError``.
 * ``RatFunc`` -- a polynomial over a denominator kept as a map from known
   factors to exponents.  Sums, differences and equality work over the lcm
   of the two maps, products add exponents, and no polynomial gcd or
@@ -211,6 +213,11 @@ def _dict_mul(a: dict[int, int], b: dict[int, int], nvars: int) -> dict[int, int
     return _dict_mul_sort(ka, va, kb, vb)
 
 
+def _check_coeff(c) -> None:
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"MPoly coefficients are int or Rat, got {type(c).__name__}")
+
+
 class MPoly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
@@ -261,10 +268,10 @@ class MPoly:
 
     @classmethod
     def const(cls, nvars: int, c) -> "MPoly":
-        c = Fraction(c)
+        _check_coeff(c)
         if c == 0:
             return cls.zero(nvars)
-        return cls(nvars, c, {0: 1}, _internal=True, ebound=0)
+        return cls(nvars, Fraction(c), {0: 1}, _internal=True, ebound=0)
 
     @classmethod
     def var(cls, nvars: int, i: int, power: int = 1) -> "MPoly":
@@ -281,7 +288,7 @@ class MPoly:
     def from_terms(cls, nvars: int, terms: Mapping[Sequence[int], object] |
                    Iterable[tuple[Sequence[int], object]]) -> "MPoly":
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, int | Fraction] = {}
         top = 0
         for exps, coeff in items:
             exps = tuple(exps)
@@ -289,17 +296,16 @@ class MPoly:
                 raise ValueError(f"exponent vector {exps} has length {len(exps)}, expected {nvars}")
             if any(e < 0 or e > _MAX_EXP for e in exps):
                 raise ValueError(f"exponent vector {exps} out of supported range")
+            _check_coeff(coeff)
             top = max(top, max(exps, default=0))
             key = _pack(exps)
-            acc[key] = acc.get(key, Fraction(0)) + Fraction(coeff)
+            acc[key] = acc.get(key, 0) + coeff
         acc = {k: v for k, v in acc.items() if v}
         if not acc:
             return cls.zero(nvars)
-        den_lcm = 1
-        for v in acc.values():
-            den_lcm = den_lcm * v.denominator // math.gcd(den_lcm, v.denominator)
-        raw = {k: int(v * den_lcm) for k, v in acc.items()}
-        return cls._build(nvars, raw, Fraction(1, den_lcm), top)
+        den = math.lcm(*(v.denominator for v in acc.values()))
+        raw = {k: v.numerator * (den // v.denominator) for k, v in acc.items()}
+        return cls._build(nvars, raw, Fraction(1, den), top)
 
     # -- views --------------------------------------------------------------
 
@@ -957,15 +963,14 @@ class QMatrix:
     __slots__ = ("rows", "cols", "_nums", "_den", "_data")
 
     def __init__(self, rows: int, cols: int, data: Sequence):
-        data = [Fraction(e) if isinstance(e, int) else e for e in data]
         if len(data) != rows * cols:
             raise ValueError(f"need {rows * cols} entries, got {len(data)}")
-        bad = next((e for e in data if not isinstance(e, Fraction)), None)
+        bad = next((e for e in data if not isinstance(e, (int, Fraction))), None)
         if bad is not None:
             raise TypeError(f"QMatrix entries are int or Rat, got {type(bad).__name__}")
         self.rows = rows
         self.cols = cols
-        self._data = data
+        self._data = None
         # reduced entries over the lcm of their denominators are canonical
         den = math.lcm(*{x.denominator for x in data})
         self._nums = [x.numerator * (den // x.denominator) for x in data]
@@ -998,7 +1003,7 @@ class QMatrix:
         for row in rows:
             if len(row) != c:
                 raise ValueError("ragged rows")
-            flat.extend(Fraction(x) if isinstance(x, (int, str)) else x for x in row)
+            flat.extend(Fraction(x) if isinstance(x, str) else x for x in row)
         return cls(r, c, flat)
 
     @classmethod
@@ -1053,7 +1058,6 @@ class QMatrix:
     def scale(self, c) -> "QMatrix":
         if not isinstance(c, (int, Fraction)):
             raise TypeError(f"QMatrix scalars are int or Rat, got {type(c).__name__}")
-        c = Fraction(c)
         return QMatrix._of_ints(self.rows, self.cols,
                                 [x * c.numerator for x in self._nums],
                                 self._den * c.denominator)
@@ -1158,7 +1162,7 @@ def mat_inverse(m: QMatrix) -> QMatrix:
     return QMatrix._of_ints(n, n, [den * x for row in rows for x in row], prev)
 
 
-def signed_minors(a: Sequence[Sequence], mul=operator.mul, one=Rat(1)) -> dict:
+def signed_minors(a: Sequence[Sequence], mul=operator.mul, one=1) -> dict:
     """Signed bijection sums of an m x k array, one per k-subset of its rows.
 
     Maps the bitmask S of each k-subset of rows to
@@ -1201,7 +1205,7 @@ def signed_minors(a: Sequence[Sequence], mul=operator.mul, one=Rat(1)) -> dict:
     return partial
 
 
-def maximal_minors(a: Sequence[Sequence], mul=operator.mul, one=Rat(1)) -> list:
+def maximal_minors(a: Sequence[Sequence], mul=operator.mul, one=1) -> list:
     """Delta_0..Delta_k of a (k+1) x k array: Delta_i omits row i."""
     if a and len(a[0]) != len(a) - 1:
         raise ValueError("need a (k+1) x k array")
@@ -1213,12 +1217,16 @@ def maximal_minors(a: Sequence[Sequence], mul=operator.mul, one=Rat(1)) -> list:
 def det(m: QMatrix):
     """Determinant by ``signed_minors`` (independent of elimination).
 
-    O(2^n n) field operations.  Used as the oracle that cross-checks
-    ``mat_inverse`` singularity decisions.
+    With m = N / den, det(m) = det(N) / den^n: the expansion runs on the
+    integer numerators and the one division forms the ``Rat``.  O(2^n n)
+    integer operations.  Used as the oracle that cross-checks ``mat_inverse``
+    singularity decisions.
     """
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
-    return signed_minors([m.row(i) for i in range(m.rows)])[(1 << m.rows) - 1]
+    n = m.rows
+    rows = [m._nums[i * n:(i + 1) * n] for i in range(n)]
+    return Fraction(signed_minors(rows)[(1 << n) - 1], m._den ** n)
 
 
 def rank(m: QMatrix) -> int:

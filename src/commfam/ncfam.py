@@ -41,8 +41,7 @@ import random
 from dataclasses import dataclass
 from functools import reduce
 
-from .exact import (QMatrix, Rat, Singular, kron, mat_inverse, maximal_minors,
-                    signed_minors)
+from .exact import QMatrix, Singular, kron, mat_inverse, maximal_minors, signed_minors
 from .reports import CheckRecord, failed, passed
 from .rng import resample
 
@@ -270,7 +269,7 @@ class SampleOutcome:
 
 
 def random_matrix(rng: random.Random, d: int, bound: int = 5) -> QMatrix:
-    return QMatrix(d, d, [Rat(rng.randint(-bound, bound)) for _ in range(d * d)])
+    return QMatrix(d, d, [rng.randint(-bound, bound) for _ in range(d * d)])
 
 
 def sample_family(rng: random.Random, n: int, d: int, bound: int = 5,

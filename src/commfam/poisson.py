@@ -108,14 +108,9 @@ def _clear_denominators(fs: list[RatFunc]) -> list[MPoly]:
 def _assert_independent(fs: list[RatFunc]) -> None:
     """Exact rank test on the coefficient vectors, after clearing denominators."""
     cleared = _clear_denominators(fs)
-    monomials = sorted({m for p in cleared for m, _ in p.terms()})
-    index = {m: i for i, m in enumerate(monomials)}
-    rows = []
-    for p in cleared:
-        row = [Fraction(0)] * len(monomials)
-        for m, coeff in p.terms():
-            row[index[m]] = coeff
-        rows.append(row)
+    terms = [dict(p.terms()) for p in cleared]
+    monomials = sorted(set().union(*terms))
+    rows = [[t.get(m, 0) for m in monomials] for t in terms]
     if rank(QMatrix.from_rows(rows)) < len(fs):
         raise DependentFamily("functions are linearly dependent over Q")
 
@@ -159,7 +154,7 @@ def check_poisson_commute(hs: list[RatFunc],
 
 
 # ---------------------------------------------------------------------------
-# Grassmann identities (decided exactly on rational vectors).
+# Grassmann identities (decided exactly; integer vectors give integer values).
 
 
 @dataclass(frozen=True)
@@ -174,7 +169,7 @@ class WedgeForm:
 
     dim: int
     arity: int
-    coeffs: dict[tuple[int, ...], Fraction]
+    coeffs: dict[tuple[int, ...], int | Fraction]
 
     def __post_init__(self):
         for idx, c in self.coeffs.items():
@@ -186,29 +181,28 @@ class WedgeForm:
                 raise ValueError("zero coefficients must not be stored")
 
     @classmethod
-    def from_covectors(cls, ws: list[list[Fraction]]) -> "WedgeForm":
+    def from_covectors(cls, ws: list[list[int | Fraction]]) -> "WedgeForm":
         """The decomposable form w_1 ^ ... ^ w_k."""
         m = len(ws[0])
         minors = signed_minors(list(zip(*ws)))
         coeffs = {_indices(mask, m): c for mask, c in minors.items() if c != 0}
         return cls(m, len(ws), coeffs)
 
-    def __call__(self, *vectors) -> Fraction:
+    def __call__(self, *vectors) -> int | Fraction:
         if len(vectors) != self.arity:
             raise ValueError(f"form expects {self.arity} vectors")
         for v in vectors:
             if len(v) != self.dim:
                 raise ValueError("vector dimension mismatch")
         minors = signed_minors(list(zip(*vectors)))
-        return sum((c * minors[sum(1 << i for i in idx)]
-                    for idx, c in self.coeffs.items()), Fraction(0))
+        return sum(c * minors[sum(1 << i for i in idx)] for idx, c in self.coeffs.items())
 
 
 def _indices(mask: int, m: int) -> tuple[int, ...]:
     return tuple(i for i in range(m) if mask >> i & 1)
 
 
-def check_grassmann(form: WedgeForm, vectors: list[list[Fraction]],
+def check_grassmann(form: WedgeForm, vectors: list[list[int | Fraction]],
                     name: str = "grassmann") -> CheckRecord:
     """Evaluate the alternating-form identity for the form's arity; must be 0."""
     k = form.arity
@@ -244,13 +238,13 @@ def check_grassmann(form: WedgeForm, vectors: list[list[Fraction]],
     return failed(name, anchor, f"identity value = {value}")
 
 
-def random_vector(rng: random.Random, m: int, bound: int = 5) -> list[Fraction]:
-    return [Fraction(rng.randint(-bound, bound)) for _ in range(m)]
+def random_vector(rng: random.Random, m: int, bound: int = 5) -> list[int]:
+    return [rng.randint(-bound, bound) for _ in range(m)]
 
 
 def random_decomposable(rng: random.Random, m: int, k: int,
                         bound: int = 5) -> WedgeForm:
-    """A nonzero decomposable k-form from random rational covectors."""
+    """A nonzero decomposable k-form from random integer covectors."""
     while True:
         form = WedgeForm.from_covectors([random_vector(rng, m, bound) for _ in range(k)])
         if form.coeffs:
@@ -266,18 +260,18 @@ def hyperplane_coefficients(points: list[list]) -> list[Fraction]:
 
     Delta_i deletes row i of the (g+1) x g array whose row 0 is all ones and
     whose row alpha >= 1 lists the alpha-th affine coordinate of each point.
-    The affine coordinates of the spanned hyperplane are ((-1)^i h_i).
+    The affine coordinates of the spanned hyperplane are ((-1)^i h_i).  The
+    minors of integer points are integers; each h_i is the ``Fraction`` that
+    its one division forms.
     """
     g = len(points)
-    rows = [[Fraction(1)] * g]
-    for alpha in range(1, g + 1):
-        if any(len(p) != g for p in points):
-            raise ValueError("points must have g coordinates")
-        rows.append([Fraction(p[alpha - 1]) for p in points])
+    if any(len(p) != g for p in points):
+        raise ValueError("points must have g coordinates")
+    rows = [[1] * g] + [[p[alpha] for p in points] for alpha in range(g)]
     minors = maximal_minors(rows)
     if minors[0] == 0:
         raise ZeroDelta0("the points do not span (Delta_0 = 0)")
-    return [minors[i] / minors[0] for i in range(1, g + 1)]
+    return [Fraction(minors[i], minors[0]) for i in range(1, g + 1)]
 
 
 def check_hyperplane_incidence(points: list[list], hs: list[Fraction],
@@ -289,9 +283,9 @@ def check_hyperplane_incidence(points: list[list], hs: list[Fraction],
     """
     g = len(points)
     for j, p in enumerate(points):
-        value = Fraction(1)
+        value = 1
         for i in range(1, g + 1):
-            term = hs[i - 1] * Fraction(p[i - 1])
+            term = hs[i - 1] * p[i - 1]
             value += term if i % 2 == 0 else -term
         if value != 0:
             return failed(name, ANCHOR_INCIDENCE,

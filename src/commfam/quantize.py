@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exact import MPoly, RatFunc, SparseSum, collect, maximal_minors
 from .poisson import classical_hamiltonians, poisson_bracket
@@ -530,7 +529,7 @@ def random_helem(rng: random.Random, trunc: int, max_order: int = 2,
     for k in range(max_order + 1):
         for m in range(k, min(trunc, k + 1) + 1):
             if rng.random() < 0.6:
-                poly = MPoly.from_terms(1, [((e,), Fraction(rng.randint(-bound, bound)))
+                poly = MPoly.from_terms(1, [((e,), rng.randint(-bound, bound))
                                             for e in range(coeff_degree + 1)])
                 if not poly.is_zero:
                     items.append(((k, m), RatFunc(poly)))

@@ -253,7 +253,7 @@ class OpFamilySpec:
 def _linear(nvars: int, j: int, shift: Fraction) -> MPoly:
     """The polynomial z_j - shift (legs 1-based)."""
     return MPoly.from_terms(nvars, [
-        (tuple(1 if t == j - 1 else 0 for t in range(nvars)), Fraction(1)),
+        (tuple(1 if t == j - 1 else 0 for t in range(nvars)), 1),
         ((0,) * nvars, -shift),
     ])
 

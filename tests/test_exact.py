@@ -510,8 +510,16 @@ def test_det_matches_leibniz_small():
         a, b, c, d_ = (Rat(rng.randint(-5, 5)) for _ in range(4))
         m = QMatrix.from_rows([[a, b], [c, d_]])
         assert det(m) == a * d_ - b * c
+        # entries with denominators: det divides the numerators' det once
+        a, b, c, d_ = (Rat(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(4))
+        m = QMatrix.from_rows([[a, b], [c, d_]])
+        assert det(m) == a * d_ - b * c
     m3 = QMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
-    assert det(m3) == -3
+    assert det(m3) == -3 and type(det(m3)) is Fraction
+    (a, b, c), (d_, e, f), (g, h, i) = rows = [[Rat(1, 2), 2, Rat(-3, 4)],
+                                              [4, Rat(5, 3), 6], [7, Rat(8, 5), Rat(10, 7)]]
+    want = a * (e * i - f * h) - b * (d_ * i - f * g) + c * (d_ * h - e * g)
+    assert det(QMatrix.from_rows(rows)) == want
 
 
 @pytest.mark.parametrize("bad", [RatFunc(MPoly.var(1, 0)), MPoly.var(1, 0), 0.5],
@@ -523,6 +531,12 @@ def test_qmatrix_refuses_entries_outside_q(bad):
         QMatrix.from_rows([[bad, 1]])
     with pytest.raises(TypeError, match="QMatrix scalars are int or Rat"):
         QMatrix.identity(2).scale(bad)
+    # polynomial coefficients keep the same rule, a float included
+    want = f"MPoly coefficients are int or Rat, got {type(bad).__name__}"
+    for build in (lambda: MPoly.from_terms(1, {(1,): bad}), lambda: MPoly.const(1, bad),
+                  lambda: RatFunc.const(1, bad)):
+        with pytest.raises(TypeError, match=want):
+            build()
 
 
 def test_qmatrix_int_bool_and_rat_entries_build_the_same_matrix():

@@ -244,6 +244,8 @@ def test_wedge_form_matches_permutation_expansion():
         for dim in range(arity, 7):
             ws = [random_vector(rng, dim, 3) for _ in range(arity)]
             form = WedgeForm.from_covectors(ws)
+            # integer covectors give integer minors
+            assert all(type(c) is int for c in form.coeffs.values())
             want = {}
             for idx in itertools.combinations(range(dim), arity):
                 minor = small_det([[w[i] for i in idx] for w in ws])
@@ -251,6 +253,7 @@ def test_wedge_form_matches_permutation_expansion():
                     want[idx] = minor
             assert form.coeffs == want
             vectors = [random_vector(rng, dim, 3) for _ in range(arity)]
+            assert type(form(*vectors)) is int
             assert form(*vectors) == sum(
                 c * small_det([[v[i] for i in idx] for v in vectors])
                 for idx, c in form.coeffs.items())
@@ -280,16 +283,20 @@ def test_hyperplane_frozen_two_points():
 def test_hyperplane_matches_permutation_expansion():
     rng = random.Random(23)
     for g in range(1, 6):
-        points = [[Fraction(rng.randint(-5, 5)) for _ in range(g)] for _ in range(g)]
-        rows = [[Fraction(1)] * g] + [[p[a] for p in points] for a in range(g)]
-        minors = [det_by_rows([rows[r] for r in range(g + 1) if r != skip],
-                              operator.mul, Fraction(1), Fraction(0))
-                  for skip in range(g + 1)]
-        if minors[0] == 0:
-            with pytest.raises(ZeroDelta0):
-                hyperplane_coefficients(points)
-            continue
-        assert hyperplane_coefficients(points) == [m / minors[0] for m in minors[1:]]
+        ints = [[rng.randint(-5, 5) for _ in range(g)] for _ in range(g)]
+        for points in (ints, [[Fraction(x) for x in p] for p in ints]):
+            rows = [[Fraction(1)] * g] + [[Fraction(p[a]) for p in points] for a in range(g)]
+            minors = [det_by_rows([rows[r] for r in range(g + 1) if r != skip],
+                                  operator.mul, Fraction(1), Fraction(0))
+                      for skip in range(g + 1)]
+            if minors[0] == 0:
+                with pytest.raises(ZeroDelta0):
+                    hyperplane_coefficients(points)
+                continue
+            hs = hyperplane_coefficients(points)
+            assert hs == [m / minors[0] for m in minors[1:]]
+            # the one division forms each h_i, whatever the points' type
+            assert all(type(h) is Fraction for h in hs)
 
 
 def test_hyperplane_degenerate_points():
