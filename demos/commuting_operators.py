@@ -18,7 +18,7 @@ from commfam import weyl
 
 T = weyl.RatDiffOp.partial(1, 1, 2)  # second derivative
 points = [Fraction(0), Fraction(1), Fraction(-2)]
-spec = weyl.OpFamilySpec.make(points, T)
+spec = weyl.OpFamilySpec(points, T)
 
 print(f"== closed-form family, N = {spec.N}, T = d^2/dz^2, P = {points} ==")
 hs = weyl.rational_hamiltonians(spec)

@@ -135,6 +135,9 @@ KIND_RANGES = {
     "cone-p1": {"bound": (1, None)},
     "grassmann": {"bound": (1, None)},
 }
+# Without configured points, weyl-rational and weyl-basis draw N distinct
+# integers in [-POINT_BOUND, POINT_BOUND], so N is at most 2 POINT_BOUND + 1.
+POINT_BOUND = 6
 
 
 def _check_params(kind: str, params: dict) -> None:
@@ -159,12 +162,14 @@ def _check_params(kind: str, params: dict) -> None:
         T = parse_operator_spec(params["T"])
         if params["points"]:
             try:
-                weyl.OpFamilySpec(params["N"], tuple(map(Fraction, params["points"])), T)
+                if len(params["points"]) != params["N"]:
+                    raise ValueError("need one point per leg")
+                weyl.OpFamilySpec(params["points"], T)
             except (ValueError, TypeError, ZeroDivisionError) as exc:
                 # not rationals, a zero denominator, wrong count, repeated
                 raise ConfigError(f"field 'points': {exc} (N = {params['N']})") from exc
-        elif params["N"] > 13:  # _distinct_points draws from the 13 integers in [-6, 6]
-            raise ConfigError("field 'N': at most 13 without 'points'")
+        elif params["N"] > 2 * POINT_BOUND + 1:
+            raise ConfigError(f"field 'N': at most {2 * POINT_BOUND + 1} without 'points'")
 
 
 def load_scenario(path, seed_override=None, trials_override=None) -> Scenario:
@@ -237,8 +242,8 @@ def _trial_identity_suite(params, rng, t) -> list[CheckRecord]:
     n = params["n"]
     outcome = ncfam.sample_family(rng, n, params["d"], params["bound"])
     records = _resample_log("invertible [f_1..f_n] found", outcome.resamples,
-                            not outcome.exhausted)
-    if outcome.exhausted:
+                            outcome.family is not None)
+    if outcome.family is None:
         return records + [failed("identity-suite", "precondition",
                                  f"no invertible bracket after {outcome.resamples} draws")]
     # Delta_0 = [f_1..f_n] and its inverse come from the sample; the checks
@@ -260,7 +265,7 @@ def _trial_corollary_legs(params, rng, t) -> list[CheckRecord]:
     constant = params["legs"] == "constant"
     outcome = ncfam.sample_family(rng, n, params["d"], params["bound"],
                                   constant_legs=constant)
-    if outcome.exhausted:
+    if outcome.family is None:
         if constant:
             # structural: constant-leg Delta_0 is singular for every draw;
             # the required behaviour is an explicit Singular report
@@ -309,7 +314,7 @@ def _trial_grassmann(params, rng, t) -> list[CheckRecord]:
     arity, dim, bound = params["arity"], params["dim"], params["bound"]
     form = poisson.random_decomposable(rng, dim, arity, bound)
     vectors = [poisson.random_vector(rng, dim, bound) for _ in range(arity + 2)]
-    return [poisson.check_grassmann(form, vectors, name=f"grassmann-{arity}")]
+    return [poisson.check_grassmann(form, vectors)]
 
 
 def _trial_hyperplane(params, rng, t) -> list[CheckRecord]:
@@ -328,8 +333,8 @@ def _trial_hyperplane(params, rng, t) -> list[CheckRecord]:
     return records + [poisson.check_hyperplane_incidence(*drawn)]
 
 
-def _random_cone_diff(rng, bound=4, max_weight=3) -> poisson.ConeDifferential:
-    weight = rng.randint(-2, max_weight)
+def _random_cone_diff(rng, bound) -> poisson.ConeDifferential:
+    weight = rng.randint(-2, 3)
     num = exact.MPoly.from_terms(1, [((e,), rng.randint(-bound, bound)) for e in range(3)])
     if num.is_zero:
         num = exact.MPoly.one(1)
@@ -377,17 +382,17 @@ def _trial_dual_number(params, rng, t) -> list[CheckRecord]:
     return records
 
 
-def _distinct_points(rng, count, bound=6) -> list[int]:
+def _distinct_points(rng, count) -> list[int]:
     points: set[int] = set()
     while len(points) < count:
-        points.add(rng.randint(-bound, bound))
+        points.add(rng.randint(-POINT_BOUND, POINT_BOUND))
     return sorted(points)
 
 
 def _op_family_spec(params, rng) -> weyl.OpFamilySpec:
     """The configured marked points, or N distinct ones drawn, with seed T."""
     points = params["points"] or _distinct_points(rng, params["N"])
-    return weyl.OpFamilySpec.make(points, parse_operator_spec(params["T"]))
+    return weyl.OpFamilySpec(points, parse_operator_spec(params["T"]))
 
 
 def _trial_weyl_rational(params, rng, t) -> list[CheckRecord]:
@@ -418,7 +423,7 @@ def _trial_weyl_basis(params, rng, t) -> list[CheckRecord]:
 
 def _trial_hbar_localization(params, rng, t) -> list[CheckRecord]:
     f = quantize.HElem.function(_localized_element(params["f"]), params["M"])
-    return quantize.check_localization_axioms(f, rng, triples=1)
+    return quantize.check_localization_axioms(f, rng)
 
 
 def _trial_zero_hbar_localization(params, rng) -> list[CheckRecord]:

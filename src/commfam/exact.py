@@ -274,15 +274,10 @@ class MPoly:
         return cls(nvars, Fraction(c), {0: 1}, _internal=True, ebound=0)
 
     @classmethod
-    def var(cls, nvars: int, i: int, power: int = 1) -> "MPoly":
+    def var(cls, nvars: int, i: int) -> "MPoly":
         if not 0 <= i < nvars:
             raise IndexError(f"variable index {i} out of range for {nvars} variables")
-        if power < 0 or power > _MAX_EXP:
-            raise ValueError(f"exponent {power} out of supported range")
-        if power == 0:
-            return cls.one(nvars)
-        return cls(nvars, Fraction(1), {power << (_SHIFT * i): 1}, _internal=True,
-                   ebound=power)
+        return cls(nvars, Fraction(1), {1 << (_SHIFT * i): 1}, _internal=True, ebound=1)
 
     @classmethod
     def from_terms(cls, nvars: int, terms: Mapping[Sequence[int], object] |
@@ -1003,7 +998,7 @@ class QMatrix:
         for row in rows:
             if len(row) != c:
                 raise ValueError("ragged rows")
-            flat.extend(Fraction(x) if isinstance(x, str) else x for x in row)
+            flat.extend(row)
         return cls(r, c, flat)
 
     @classmethod

@@ -83,34 +83,28 @@ def bracket(ms: list[QMatrix]) -> QMatrix:
 class LegFamily:
     """An (n+1) x n array of d x d matrices; entry a[i][j] sits on leg j.
 
-    The single-generator shape a[i][j] = f_i for every j is the formal
-    skew-field specialisation; see the module docstring for why its minors
-    are singular in the matrix stand-in once n >= 2.
+    n and d are read off ``entries``.  The single-generator shape
+    a[i][j] = f_i for every j is the formal skew-field specialisation; see
+    the module docstring for why its minors are singular in the matrix
+    stand-in once n >= 2.
     """
 
-    n: int
-    d: int
     entries: tuple[tuple[QMatrix, ...], ...]  # entries[i][j-1], i = 0..n
 
     def __post_init__(self):
-        if self.n > MAX_LEGS:
-            raise ValueError(f"leg count {self.n} exceeds supported maximum {MAX_LEGS}")
-        if len(self.entries) != self.n + 1:
-            raise ValueError(f"need {self.n + 1} rows")
-        for row in self.entries:
-            if len(row) != self.n:
-                raise ValueError(f"need {self.n} legs per row")
-            for m in row:
-                if m.rows != self.d or m.cols != self.d:
-                    raise ValueError("entries must be d x d")
+        n = len(self.entries) - 1
+        if n > MAX_LEGS:
+            raise ValueError(f"leg count {n} exceeds supported maximum {MAX_LEGS}")
+        if any(len(row) != n for row in self.entries):
+            raise ValueError(f"need {n} legs per row")
+        shapes = {(m.rows, m.cols) for row in self.entries for m in row}
+        if len(shapes) > 1 or any(r != c for r, c in shapes):
+            raise ValueError("entries must be d x d for one d")
 
     @classmethod
-    def from_generators(cls, fs: list[QMatrix], n: int) -> "LegFamily":
-        """Constant-in-leg family a[i][j] = fs[i]."""
-        if len(fs) != n + 1:
-            raise ValueError(f"need n+1 = {n + 1} generators")
-        d = fs[0].rows
-        return cls(n, d, tuple(tuple(f for _ in range(n)) for f in fs))
+    def from_generators(cls, fs: list[QMatrix]) -> "LegFamily":
+        """Constant-in-leg family a[i][j] = fs[i] on len(fs) - 1 legs."""
+        return cls(tuple((f,) * (len(fs) - 1) for f in fs))
 
 
 def family_minors(fam: LegFamily) -> list[QMatrix]:
@@ -164,16 +158,15 @@ def _verdict(name: str, anchor: str, witness: str | None) -> CheckRecord:
     return passed(name, anchor) if witness is None else failed(name, anchor, witness)
 
 
-def check_pairwise_commute(hs: list[QMatrix],
-                           name: str = "pairwise-commute") -> CheckRecord:
+def check_pairwise_commute(hs: list[QMatrix]) -> CheckRecord:
     """Exact test H_i H_j - H_j H_i = 0 for every pair."""
     for a in range(len(hs)):
         for b in range(a + 1, len(hs)):
             witness = _witness(hs[a] * hs[b] - hs[b] * hs[a],
                                f"[H_{a + 1}, H_{b + 1}]")
             if witness is not None:
-                return failed(name, ANCHOR_COMMUTE, witness)
-    return passed(name, ANCHOR_COMMUTE)
+                return failed("pairwise-commute", ANCHOR_COMMUTE, witness)
+    return passed("pairwise-commute", ANCHOR_COMMUTE)
 
 
 def _alternating_sum(fs, quotients: list[QMatrix], leg: int) -> QMatrix:
@@ -251,8 +244,8 @@ def check_laplace_expansion(fs, full: QMatrix, rests: list[QMatrix]) -> CheckRec
 
 
 # ---------------------------------------------------------------------------
-# Random sampling.  Entries are integers in [-bound, bound]; draws with a
-# singular Delta_0 are resampled (up to ``retries``) and the count reported.
+# Random sampling.  Entries are integers in [-bound, bound]; a draw with a
+# singular Delta_0 is resampled, at most 20 times, and the count reported.
 
 
 @dataclass
@@ -265,7 +258,6 @@ class SampleOutcome:
     minors: list[QMatrix] | None
     inv0: QMatrix | None
     resamples: int
-    exhausted: bool = False
 
 
 def random_matrix(rng: random.Random, d: int, bound: int = 5) -> QMatrix:
@@ -273,7 +265,7 @@ def random_matrix(rng: random.Random, d: int, bound: int = 5) -> QMatrix:
 
 
 def sample_family(rng: random.Random, n: int, d: int, bound: int = 5,
-                  constant_legs: bool = False, retries: int = 20) -> SampleOutcome:
+                  constant_legs: bool = False) -> SampleOutcome:
     """Draw a LegFamily with invertible Delta_0, resampling on singularity.
 
     Each draw builds its minors and inverts Delta_0; the accepted draw's
@@ -286,14 +278,14 @@ def sample_family(rng: random.Random, n: int, d: int, bound: int = 5,
     def attempt():
         if constant_legs:
             fam = LegFamily.from_generators(
-                [random_matrix(rng, d, bound) for _ in range(n + 1)], n)
+                [random_matrix(rng, d, bound) for _ in range(n + 1)])
         else:
-            fam = LegFamily(n, d, tuple(
+            fam = LegFamily(tuple(
                 tuple(random_matrix(rng, d, bound) for _ in range(n))
                 for _ in range(n + 1)))
         minors = family_minors(fam)
         return fam, minors, mat_inverse(minors[0])
 
-    drawn, resamples = resample(attempt, Singular, retries)
+    drawn, resamples = resample(attempt, Singular, retries=20)
     fam, minors, inv0 = drawn or (None, None, None)
-    return SampleOutcome(fam, minors, inv0, resamples, exhausted=fam is None)
+    return SampleOutcome(fam, minors, inv0, resamples)

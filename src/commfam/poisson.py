@@ -138,8 +138,7 @@ def classical_hamiltonians(fs: list[RatFunc]) -> list[RatFunc]:
     return [m / minors[0] for m in minors[1:]]
 
 
-def check_poisson_commute(hs: list[RatFunc],
-                          name: str = "poisson-commute") -> CheckRecord:
+def check_poisson_commute(hs: list[RatFunc]) -> CheckRecord:
     """Every pairwise bracket must vanish, decided by cross-multiplication."""
     for i in range(len(hs)):
         for j in range(i + 1, len(hs)):
@@ -148,9 +147,9 @@ def check_poisson_commute(hs: list[RatFunc],
                 text = br.to_text()
                 if len(text) > 200:
                     text = text[:200] + "..."
-                return failed(name, ANCHOR_POISSON_COMMUTE,
+                return failed("poisson-commute", ANCHOR_POISSON_COMMUTE,
                               f"{{H_{i + 1}, H_{j + 1}}} = {text}")
-    return passed(name, ANCHOR_POISSON_COMMUTE)
+    return passed("poisson-commute", ANCHOR_POISSON_COMMUTE)
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +201,11 @@ def _indices(mask: int, m: int) -> tuple[int, ...]:
     return tuple(i for i in range(m) if mask >> i & 1)
 
 
-def check_grassmann(form: WedgeForm, vectors: list[list[int | Fraction]],
-                    name: str = "grassmann") -> CheckRecord:
-    """Evaluate the alternating-form identity for the form's arity; must be 0."""
+def check_grassmann(form: WedgeForm, vectors: list[list[int | Fraction]]) -> CheckRecord:
+    """Evaluate the alternating-form identity for the form's arity; must be 0.
+    The record is named ``grassmann-<arity>``."""
     k = form.arity
+    name = f"grassmann-{k}"
     anchor = ANCHOR_GRASSMANN[k]
     L = form
     if k == 2:
@@ -274,8 +274,7 @@ def hyperplane_coefficients(points: list[list]) -> list[Fraction]:
     return [Fraction(minors[i], minors[0]) for i in range(1, g + 1)]
 
 
-def check_hyperplane_incidence(points: list[list], hs: list[Fraction],
-                               name: str = "hyperplane-incidence") -> CheckRecord:
+def check_hyperplane_incidence(points: list[list], hs: list[Fraction]) -> CheckRecord:
     """Each point satisfies 1 + sum_i (-1)^i h_i x_i = 0 exactly.
 
     This is the cofactor expansion of a determinant with a repeated column,
@@ -288,9 +287,9 @@ def check_hyperplane_incidence(points: list[list], hs: list[Fraction],
             term = hs[i - 1] * p[i - 1]
             value += term if i % 2 == 0 else -term
         if value != 0:
-            return failed(name, ANCHOR_INCIDENCE,
+            return failed("hyperplane-incidence", ANCHOR_INCIDENCE,
                           f"point {j + 1}: incidence value = {value}")
-    return passed(name, ANCHOR_INCIDENCE)
+    return passed("hyperplane-incidence", ANCHOR_INCIDENCE)
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +357,7 @@ def cone_to_symplectic(omega: ConeDifferential) -> RatFunc:
 
 
 def check_alpha_independence(omega: ConeDifferential, omega2: ConeDifferential,
-                             alphas: list[ConeDifferential],
-                             name: str = "cone-alpha-independence") -> CheckRecord:
+                             alphas: list[ConeDifferential]) -> CheckRecord:
     """The bracket of a fixed pair agrees across all reference differentials."""
     if len(alphas) < 2:
         raise ValueError("need at least two reference differentials")
@@ -367,35 +365,34 @@ def check_alpha_independence(omega: ConeDifferential, omega2: ConeDifferential,
     for alt in alphas[1:]:
         other = cone_bracket(omega, omega2, alt)
         if not (first - other).is_zero:
-            return failed(name, ANCHOR_CONE_ALPHA,
+            return failed("cone-alpha-independence", ANCHOR_CONE_ALPHA,
                           f"brackets differ: {first.f.to_text()} vs {other.f.to_text()}")
-    return passed(name, ANCHOR_CONE_ALPHA)
+    return passed("cone-alpha-independence", ANCHOR_CONE_ALPHA)
 
 
-def check_cone_antisymmetry(omega: ConeDifferential, alpha: ConeDifferential,
-                            name: str = "cone-antisymmetry") -> CheckRecord:
+def check_cone_antisymmetry(omega: ConeDifferential, alpha: ConeDifferential) -> CheckRecord:
     anti = cone_bracket(omega, omega, alpha)
     if anti.is_zero:
-        return passed(name, ANCHOR_CONE_ANTISYM)
-    return failed(name, ANCHOR_CONE_ANTISYM, anti.f.to_text())
+        return passed("cone-antisymmetry", ANCHOR_CONE_ANTISYM)
+    return failed("cone-antisymmetry", ANCHOR_CONE_ANTISYM, anti.f.to_text())
 
 
 def check_cone_jacobi(a: ConeDifferential, b: ConeDifferential, c: ConeDifferential,
-                      alpha: ConeDifferential, name: str = "cone-jacobi") -> CheckRecord:
+                      alpha: ConeDifferential) -> CheckRecord:
     jac = (cone_bracket(a, cone_bracket(b, c, alpha), alpha)
            + cone_bracket(b, cone_bracket(c, a, alpha), alpha)
            + cone_bracket(c, cone_bracket(a, b, alpha), alpha))
     if jac.is_zero:
-        return passed(name, ANCHOR_CONE_JACOBI)
-    return failed(name, ANCHOR_CONE_JACOBI, jac.f.to_text())
+        return passed("cone-jacobi", ANCHOR_CONE_JACOBI)
+    return failed("cone-jacobi", ANCHOR_CONE_JACOBI, jac.f.to_text())
 
 
 def check_cone_vs_canonical(omega: ConeDifferential, omega2: ConeDifferential,
-                            alpha: ConeDifferential,
-                            name: str = "cone-vs-canonical") -> CheckRecord:
+                            alpha: ConeDifferential) -> CheckRecord:
     """The cone bracket, carried to (x, xi), is the canonical bracket."""
     lhs = cone_to_symplectic(cone_bracket(omega, omega2, alpha))
     rhs = poisson_bracket(cone_to_symplectic(omega), cone_to_symplectic(omega2))
     if lhs == rhs:
-        return passed(name, ANCHOR_CONE_CANONICAL)
-    return failed(name, ANCHOR_CONE_CANONICAL, f"cone - canonical = {(lhs - rhs).to_text()}")
+        return passed("cone-vs-canonical", ANCHOR_CONE_CANONICAL)
+    return failed("cone-vs-canonical", ANCHOR_CONE_CANONICAL,
+                  f"cone - canonical = {(lhs - rhs).to_text()}")

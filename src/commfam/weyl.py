@@ -231,23 +231,22 @@ def symbol(a: RatDiffOp) -> RatFunc:
 
 @dataclass(frozen=True)
 class OpFamilySpec:
-    """N distinct marked points plus a one-variable seed operator."""
+    """N distinct marked points, stored as ``Rat``, plus a one-variable seed
+    operator; N is the number of points."""
 
-    N: int
     points: tuple[Fraction, ...]
     T: RatDiffOp
 
     def __post_init__(self):
-        if len(self.points) != self.N:
-            raise ValueError("need one point per leg")
+        object.__setattr__(self, "points", tuple(Fraction(p) for p in self.points))
         if len(set(self.points)) != self.N:
             raise ValueError("marked points must be pairwise distinct")
         if self.T.nvars != 1:
             raise ValueError("the seed operator acts on one variable")
 
-    @classmethod
-    def make(cls, points, T: RatDiffOp) -> "OpFamilySpec":
-        return cls(len(points), tuple(Fraction(p) for p in points), T)
+    @property
+    def N(self) -> int:
+        return len(self.points)
 
 
 def _linear(nvars: int, j: int, shift: Fraction) -> MPoly:
@@ -339,15 +338,15 @@ def basis_match_constant(points, k: int) -> Fraction:
 # Checks.
 
 
-def check_commute(hs: list[RatDiffOp], name: str = "operator-commute") -> CheckRecord:
+def check_commute(hs: list[RatDiffOp]) -> CheckRecord:
     for a in range(len(hs)):
         for b in range(a + 1, len(hs)):
             comm = do_commutator(hs[a], hs[b])
             if not comm.is_zero:
                 alpha = sorted(comm.coeffs)[0]
                 witness = f"[H_{a + 1}, H_{b + 1}] term {alpha}: {comm.coeffs[alpha].to_text()}"
-                return failed(name, ANCHOR_OP_COMMUTE, witness[:300])
-    return passed(name, ANCHOR_OP_COMMUTE)
+                return failed("operator-commute", ANCHOR_OP_COMMUTE, witness[:300])
+    return passed("operator-commute", ANCHOR_OP_COMMUTE)
 
 
 def classical_family_for(spec: OpFamilySpec) -> list[RatFunc]:
@@ -362,8 +361,8 @@ def classical_family_for(spec: OpFamilySpec) -> list[RatFunc]:
     return fs
 
 
-def check_symbol_matches_classical(hs: list[RatDiffOp], spec: OpFamilySpec,
-                                   name: str = "symbol-vs-classical") -> list[CheckRecord]:
+def check_symbol_matches_classical(hs: list[RatDiffOp],
+                                   spec: OpFamilySpec) -> list[CheckRecord]:
     """symbol(H_k) equals c_k times the determinant Hamiltonian, plus the
     independent cross-check that the symbols Poisson-commute."""
     records = []
@@ -373,26 +372,25 @@ def check_symbol_matches_classical(hs: list[RatDiffOp], spec: OpFamilySpec,
         c_k = basis_match_constant(spec.points, k)
         want = classical[k - 1] * c_k
         if symbols[k - 1] == want:
-            records.append(passed(f"{name}-H{k}", ANCHOR_SYMBOL_MATCH))
+            records.append(passed(f"symbol-vs-classical-H{k}", ANCHOR_SYMBOL_MATCH))
         else:
             records.append(failed(
-                f"{name}-H{k}", ANCHOR_SYMBOL_MATCH,
+                f"symbol-vs-classical-H{k}", ANCHOR_SYMBOL_MATCH,
                 f"symbol(H_{k}) != c_{k} * H^cl_{k} with c_{k} = {c_k}"))
     for a in range(len(symbols)):
         for b in range(a + 1, len(symbols)):
             br = poisson_bracket(symbols[a], symbols[b])
             if br.is_zero:
-                records.append(passed(f"{name}-bracket-{a + 1}{b + 1}",
+                records.append(passed(f"symbol-vs-classical-bracket-{a + 1}{b + 1}",
                                       ANCHOR_SYMBOL_COMMUTE))
             else:
-                records.append(failed(f"{name}-bracket-{a + 1}{b + 1}",
+                records.append(failed(f"symbol-vs-classical-bracket-{a + 1}{b + 1}",
                                       ANCHOR_SYMBOL_COMMUTE,
                                       f"bracket = {br.to_text()[:200]}"))
     return records
 
 
-def check_basis_matches_closed_form(spec: OpFamilySpec,
-                                    name: str = "basis-vs-closed-form") -> list[CheckRecord]:
+def check_basis_matches_closed_form(spec: OpFamilySpec) -> list[CheckRecord]:
     """On f_i = 1/(z - P_i) the cofactor family times c_k is the closed form."""
     one = RatFunc.const(1, 1)
     z = RatFunc.var(1, 0)
@@ -403,8 +401,8 @@ def check_basis_matches_closed_form(spec: OpFamilySpec,
     for k in range(1, spec.N + 1):
         c_k = basis_match_constant(spec.points, k)
         if from_basis[k - 1].scale(c_k) == closed[k - 1]:
-            records.append(passed(f"{name}-H{k}", ANCHOR_BASIS_MATCH))
+            records.append(passed(f"basis-vs-closed-form-H{k}", ANCHOR_BASIS_MATCH))
         else:
-            records.append(failed(f"{name}-H{k}", ANCHOR_BASIS_MATCH,
+            records.append(failed(f"basis-vs-closed-form-H{k}", ANCHOR_BASIS_MATCH,
                                   f"mismatch at k = {k}, c_k = {c_k}"))
     return records

@@ -93,9 +93,9 @@ def test_delta_singletons_and_constant_shape():
     rng = random.Random(9)
     fs = [rand_mat(rng) for _ in range(3)]
     # one leg: Delta_i is the one remaining entry
-    assert family_minors(LegFamily.from_generators(fs[:2], 1)) == [fs[1], fs[0]]
+    assert family_minors(LegFamily.from_generators(fs[:2])) == [fs[1], fs[0]]
     # Delta_0 over rows 1..n equals the antisymmetrised bracket
-    fam = LegFamily.from_generators(fs, 2)
+    fam = LegFamily.from_generators(fs)
     assert family_minors(fam)[0] == bracket([fs[1], fs[2]])
 
 
@@ -103,7 +103,7 @@ def test_delta_repeated_row_vanishes():
     rng = random.Random(13)
     row = [rand_mat(rng) for _ in range(2)]
     other = [rand_mat(rng) for _ in range(2)]
-    fam = LegFamily(2, 2, (tuple(row), tuple(other), tuple(row)))
+    fam = LegFamily((tuple(row), tuple(other), tuple(row)))
     # Delta_1 omits row 1 and keeps two equal rows
     assert is_zero(family_minors(fam)[1])
 
@@ -125,7 +125,7 @@ def test_sample_family_returns_its_minors_and_the_inverse_of_delta0():
 
 def test_hamiltonians_scalar_legs_commute():
     rng = random.Random(17)
-    fam = LegFamily(3, 1, tuple(
+    fam = LegFamily(tuple(
         tuple(QMatrix.from_rows([[rng.randint(1, 9)]]) for _ in range(3))
         for _ in range(4)))
     minors = family_minors(fam)
@@ -148,7 +148,7 @@ def test_constant_leg_family_is_structurally_singular():
     rng = random.Random(21)
     for _ in range(5):
         fs = [rand_mat(rng, 2, 9) for _ in range(3)]
-        fam = LegFamily.from_generators(fs, 2)
+        fam = LegFamily.from_generators(fs)
         with pytest.raises(Singular):
             mat_inverse(family_minors(fam)[0])
 
@@ -177,7 +177,7 @@ def test_identity_2a_n2_per_leg_and_singular_cases():
     with pytest.raises(Singular):
         mat_inverse(bracket([f, g]))
     # repeated rows are singular as well ([f, f] = 0)
-    repeated = LegFamily(2, 2, (tuple(rows[1]), tuple(rows[0]), tuple(rows[0])))
+    repeated = LegFamily((tuple(rows[1]), tuple(rows[0]), tuple(rows[0])))
     with pytest.raises(Singular):
         mat_inverse(family_minors(repeated)[0])
 
@@ -220,10 +220,9 @@ def test_main_id_trivial_equal_indices():
 
 def test_sample_family_logs_exhaustion_for_constant_legs():
     rng = random.Random(43)
-    outcome = sample_family(rng, 2, 2, constant_legs=True, retries=4)
-    assert outcome.exhausted
-    assert outcome.resamples == 5
+    outcome = sample_family(rng, 2, 2, constant_legs=True)
     assert outcome.family is None
+    assert outcome.resamples == 21
     assert outcome.minors is None and outcome.inv0 is None
 
 
@@ -283,7 +282,7 @@ def test_family_minors_match_permutation_expansion():
     rng = random.Random(73)
     for n in range(0, 5):
         for d in (1, 2):
-            fam = LegFamily(n, d, tuple(map(tuple, varying_rows(rng, n + 1, n, d, 3))))
+            fam = LegFamily(tuple(map(tuple, varying_rows(rng, n + 1, n, d, 3))))
             want = [bracket_by_permutations(list(fam.entries),
                                             [r for r in range(n + 1) if r != i],
                                             list(range(1, n + 1)), n, d)
@@ -291,11 +290,24 @@ def test_family_minors_match_permutation_expansion():
             assert family_minors(fam) == want, (n, d)
 
 
-def test_leg_count_is_bounded():
-    eye = QMatrix.identity(1)
-    n = ncfam.MAX_LEGS + 1
-    with pytest.raises(ValueError, match="exceeds"):
-        LegFamily(n, 1, tuple(tuple(eye for _ in range(n)) for _ in range(n + 1)))
+def rows_of(m, n):
+    """n + 1 rows of n copies of m."""
+    return tuple((m,) * n for _ in range(n + 1))
+
+
+@pytest.mark.parametrize("entries,match", [
+    (rows_of(QMatrix.identity(1), ncfam.MAX_LEGS + 1), "exceeds"),
+    (rows_of(QMatrix.identity(2), 2)[:2] + ((QMatrix.identity(2),),), "legs per row"),
+    (rows_of(QMatrix.identity(2), 3)[:3] + ((QMatrix.identity(2),) * 4,), "legs per row"),
+    (rows_of(QMatrix.zeros(2, 3), 2), "d x d"),
+    (rows_of(QMatrix.identity(2), 2)[:2] + ((QMatrix.identity(2), QMatrix.identity(3)),),
+     "d x d"),
+    (rows_of(QMatrix.identity(2), 2)[:2] + ((QMatrix.identity(3),) * 2,), "d x d"),
+], ids=["above-max-legs", "short-row", "long-row", "not-square", "mixed-in-row",
+        "mixed-across-rows"])
+def test_leg_family_refuses_bad_shapes(entries, match):
+    with pytest.raises(ValueError, match=match):
+        LegFamily(entries)
 
 
 # ---------------------------------------------------------------------------

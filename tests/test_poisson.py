@@ -233,6 +233,15 @@ def test_grassmann_randomised_decomposable():
             assert check_grassmann(form, vectors).status == "pass"
 
 
+def test_grassmann_record_is_named_by_arity():
+    rng = random.Random(17)
+    for arity in (2, 3, 4):
+        form = random_decomposable(rng, 6, arity)
+        vectors = [random_vector(rng, 6) for _ in range(arity + 2)]
+        record = check_grassmann(form, vectors)
+        assert (record.name, record.status) == (f"grassmann-{arity}", "pass")
+
+
 def test_wedge_form_matches_permutation_expansion():
     """from_covectors and evaluation against the per-tuple permutation
     determinants they used before the shared kernel."""

@@ -119,7 +119,7 @@ def test_symbol_multiplicative_on_top_degree():
 
 
 def test_rational_hamiltonians_single_point():
-    spec = OpFamilySpec.make([Fraction(3)], d_op(2))
+    spec = OpFamilySpec([Fraction(3)], d_op(2))
     (h,) = rational_hamiltonians(spec)
     z = RatFunc.var(1, 0)
     want = do_compose(RatDiffOp.multiplication(z - RatFunc.const(1, 3)), d_op(2))
@@ -129,7 +129,7 @@ def test_rational_hamiltonians_single_point():
 
 def test_rational_hamiltonians_frozen_two_points():
     # P = (0, 1), T = d: the displayed coefficients, then exact commutation
-    spec = OpFamilySpec.make([Fraction(0), Fraction(1)], d_op())
+    spec = OpFamilySpec([Fraction(0), Fraction(1)], d_op())
     h1, h2 = rational_hamiltonians(spec)
     z1 = RatFunc.var(2, 0)
     z2 = RatFunc.var(2, 1)
@@ -151,7 +151,7 @@ def test_rational_hamiltonians_commute_random_points(N, order):
     points = set()
     while len(points) < N:
         points.add(Fraction(rng.randint(-6, 6)))
-    spec = OpFamilySpec.make(sorted(points), d_op(order))
+    spec = OpFamilySpec(sorted(points), d_op(order))
     hs = rational_hamiltonians(spec)
     assert check_commute(hs).status == "pass"
 
@@ -167,7 +167,7 @@ def test_hamiltonians_from_basis_single_function():
 
 @pytest.mark.parametrize("points", [(0, 1), (2, 5), (-1, 3)])
 def test_basis_matches_closed_form_constant(points):
-    spec = OpFamilySpec.make([Fraction(p) for p in points], d_op())
+    spec = OpFamilySpec([Fraction(p) for p in points], d_op())
     records = check_basis_matches_closed_form(spec)
     assert all(r.status == "pass" for r in records)
     # the relating constants are fixed by the points
@@ -237,7 +237,7 @@ def test_principal_symbol():
 
 
 def test_symbol_matches_classical_single_point():
-    spec = OpFamilySpec.make([Fraction(1)], d_op(2))
+    spec = OpFamilySpec([Fraction(1)], d_op(2))
     hs = rational_hamiltonians(spec)
     records = check_symbol_matches_classical(hs, spec)
     assert all(r.status == "pass" for r in records)
@@ -248,7 +248,7 @@ def test_symbol_matches_classical_single_point():
 
 
 def test_symbol_matches_classical_two_points_and_bracket():
-    spec = OpFamilySpec.make([Fraction(0), Fraction(1)], d_op())
+    spec = OpFamilySpec([Fraction(0), Fraction(1)], d_op())
     hs = rational_hamiltonians(spec)
     records = check_symbol_matches_classical(hs, spec)
     assert all(r.status == "pass" for r in records)
@@ -261,7 +261,7 @@ def test_symbol_matches_classical_inhomogeneous_seed():
     z = RatFunc.var(1, 0)
     T = do_compose(RatDiffOp.multiplication(z), d_op()) + RatDiffOp.multiplication(
         RatFunc.const(1, Fraction(1, 2)))
-    spec = OpFamilySpec.make([Fraction(2), Fraction(-1)], T)
+    spec = OpFamilySpec([Fraction(2), Fraction(-1)], T)
     hs = rational_hamiltonians(spec)
     assert check_commute(hs).status == "pass"
     records = check_symbol_matches_classical(hs, spec)
@@ -270,6 +270,10 @@ def test_symbol_matches_classical_inhomogeneous_seed():
 
 def test_op_family_spec_validation():
     with pytest.raises(ValueError):
-        OpFamilySpec.make([Fraction(1), Fraction(1)], d_op())
+        OpFamilySpec([Fraction(1), Fraction(1)], d_op())
     with pytest.raises(ValueError):
-        OpFamilySpec.make([Fraction(1)], RatDiffOp.partial(2, 1))
+        OpFamilySpec([Fraction(1)], RatDiffOp.partial(2, 1))
+    # N is the number of points, stored as Rat whatever form they come in
+    spec = OpFamilySpec([0, "1/2", Fraction(3)], d_op())
+    assert spec.N == 3 and spec.points == (0, Fraction(1, 2), 3)
+    assert all(type(p) is Fraction for p in spec.points)
