@@ -232,7 +232,7 @@ class MPoly:
     __slots__ = ("nvars", "content", "_coeffs", "_ebound")
 
     def __init__(self, nvars: int, content: Fraction, coeffs: dict[int, int],
-                 _internal: bool = False, ebound: int = _MAX_EXP):
+                 _internal: bool = False, *, ebound: int):
         if not _internal:
             raise TypeError("use MPoly.zero/const/var/from_terms to build polynomials")
         self.nvars = nvars
@@ -245,7 +245,7 @@ class MPoly:
 
     @staticmethod
     def _build(nvars: int, raw: dict[int, int], content: Fraction,
-               ebound: int = _MAX_EXP) -> "MPoly":
+               ebound: int) -> "MPoly":
         if 0 in raw.values():
             raw = {k: v for k, v in raw.items() if v}
         if not raw or content == 0:
@@ -622,7 +622,7 @@ class RatFunc:
 
     * ``+``, ``-`` and ``==`` work over the lcm of the two maps: each factor
       takes its larger exponent and each numerator is multiplied by its
-      cofactor.  Equal maps add or compare the numerators alone.
+      cofactor, so equal maps add or compare the numerators alone.
     * ``*`` adds exponents; ``/`` first cancels the factors the two
       denominators share.
     * ``partial(i)`` raises by one the exponent of each factor containing
@@ -631,10 +631,10 @@ class RatFunc:
     No polynomial gcd or division is ever taken, so a function is not
     reduced, and equality is decided by cross-multiplying with cofactors,
     which needs no canonical form.  ``den`` is the product of the factors,
-    built on first read and kept; no operation hands it on to its result.
+    built each time it is read.
     """
 
-    __slots__ = ("num", "_factors", "_den")
+    __slots__ = ("num", "_factors")
 
     def __init__(self, num: MPoly, den: MPoly | None = None):
         factors = _NO_FACTORS
@@ -647,7 +647,6 @@ class RatFunc:
             if c != 1:
                 num = num * (1 / c)
         self.num, self._factors = _reduce(num, factors)
-        self._den = None
 
     @staticmethod
     def _of(num: MPoly, factors: dict) -> "RatFunc":
@@ -655,7 +654,6 @@ class RatFunc:
         every result, passed through ``_reduce``."""
         out = RatFunc.__new__(RatFunc)
         out.num, out._factors = _reduce(num, factors)
-        out._den = None
         return out
 
     # -- constructors -------------------------------------------------------
@@ -680,13 +678,17 @@ class RatFunc:
     def den(self) -> MPoly:
         """The denominator: the product of the factors, in the ``MPoly``
         normal form with content 1."""
-        if self._den is None:
-            den = _power_product(self._factors.items())
-            self._den = MPoly.one(self.nvars) if den is None else den
-        return self._den
+        den = _power_product(self._factors.items())
+        return MPoly.one(self.nvars) if den is None else den
 
     def is_polynomial(self) -> bool:
         return not self._factors
+
+    def same_den(self, other: "RatFunc") -> bool:
+        """Whether both functions hold one factor map, and so one ``den``.
+        Equal denominators held as different maps answer False."""
+        fa, fb = self._factors, other._factors
+        return fa is fb or fa == fb
 
     def over_den(self, num: MPoly, power: int = 1) -> "RatFunc":
         """``num / den ** power``, keeping this function's factors."""
@@ -724,9 +726,8 @@ class RatFunc:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        fa, fb = self._factors, other._factors
-        if fa is fb or fa == fb:
-            return RatFunc._of(self.num + other.num, fa)
+        if self.same_den(other):
+            return RatFunc._of(self.num + other.num, self._factors)
         a, b, lcm = self._over_lcm(other)
         return RatFunc._of(a + b, lcm)
 
@@ -853,9 +854,6 @@ class RatFunc:
             return NotImplemented
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch")
-        fa, fb = self._factors, other._factors
-        if fa is fb or fa == fb:
-            return self.num == other.num
         a, b, _ = self._over_lcm(other)
         return a == b
 
@@ -875,13 +873,8 @@ def _common_monomial_key(poly: MPoly) -> int:
     keys = poly._coeffs
     if 0 in keys:
         return 0
-    if poly.nvars == 1:  # the key is the exponent
-        return min(keys)
-    shifts = range(0, _SHIFT * poly.nvars, _SHIFT)
-    if _SHIFT * poly.nvars > 62:  # packed keys exceed int64
-        return _pack([min((k >> s) & _MASK for k in keys) for s in shifts])
-    fields = np.fromiter(keys, np.int64, len(keys))[:, None] >> np.array(shifts, dtype=np.int64)
-    return _pack((fields & _MASK).min(axis=0).tolist())
+    return _pack([min((k >> s) & _MASK for k in keys)
+                  for s in range(0, _SHIFT * poly.nvars, _SHIFT)])
 
 
 def _shift_down(poly: MPoly, shift_key: int) -> MPoly:
@@ -951,11 +944,11 @@ class QMatrix:
     ``gcd(_den, *_nums) == 1``.  Sums, products, Kronecker products,
     inverses, rank, scaling by a ``Rat`` and comparisons work on these
     integers; because the form is canonical, ``==`` compares two integer
-    lists and one denominator.  ``data``, ``row`` and ``[i, j]`` give the
-    reduced ``Rat`` entries, built on first read.
+    lists and one denominator.  ``data``, ``row`` and ``[i, j]`` build the
+    reduced ``Rat`` entries they return, anew on every read.
     """
 
-    __slots__ = ("rows", "cols", "_nums", "_den", "_data")
+    __slots__ = ("rows", "cols", "_nums", "_den")
 
     def __init__(self, rows: int, cols: int, data: Sequence):
         if len(data) != rows * cols:
@@ -965,7 +958,6 @@ class QMatrix:
             raise TypeError(f"QMatrix entries are int or Rat, got {type(bad).__name__}")
         self.rows = rows
         self.cols = cols
-        self._data = None
         # reduced entries over the lcm of their denominators are canonical
         den = math.lcm(*{x.denominator for x in data})
         self._nums = [x.numerator * (den // x.denominator) for x in data]
@@ -987,7 +979,6 @@ class QMatrix:
         m.cols = cols
         m._nums = nums
         m._den = den
-        m._data = None
         return m
 
     @classmethod
@@ -1011,17 +1002,15 @@ class QMatrix:
 
     @property
     def data(self) -> list:
-        """The entries in row-major order."""
-        if self._data is None:
-            self._data = [Fraction(x, self._den) for x in self._nums]
-        return self._data
+        """The entries in row-major order, as a new list."""
+        return [Fraction(x, self._den) for x in self._nums]
 
     def __getitem__(self, ij: tuple[int, int]):
         i, j = ij
-        return self.data[i * self.cols + j]
+        return Fraction(self._nums[i * self.cols + j], self._den)
 
     def row(self, i: int) -> list:
-        return self.data[i * self.cols:(i + 1) * self.cols]
+        return [self[i, j] for j in range(self.cols)]
 
     def is_square(self) -> bool:
         return self.rows == self.cols

@@ -7,11 +7,11 @@ with the canonical bracket normalised to {x_j, xi_j} = +1:
     {f, g} = sum_j (df/dx_j dg/dxi_j - df/dxi_j dg/dx_j).
 
 Functions on it are plain ``RatFunc`` values in those 2n variables; the
-bracket reads n off their variable count.  Two operands over one denominator
-c bracket their numerators over c^3; any others bracket as ``RatFunc``
-values.  Each leg of a tensor power occupies one (x_j, xi_j) block, so
-functions on distinct legs Poisson-commute.  All zero tests go through polynomial cross-multiplication;
-nothing is approximated.
+bracket reads n off their variable count.  Two operands over one factor map,
+whose product is c, bracket their numerators over c^3; any others bracket as
+``RatFunc`` values.  Each leg of a tensor power occupies one (x_j, xi_j)
+block, so functions on distinct legs Poisson-commute.  All zero tests go
+through polynomial cross-multiplication; nothing is approximated.
 """
 
 from __future__ import annotations
@@ -69,7 +69,8 @@ def poisson_bracket(f: RatFunc, g: RatFunc) -> RatFunc:
     (x_1, xi_1, ..., x_n, xi_n), exact.
 
     Raises ``ValueError`` when the variable counts differ or are odd.  With
-    P the kernel above, operands a/c and b/c over one denominator give
+    P the kernel above, operands a/c and b/c over one factor map (the rule
+    of ``RatFunc.same_den``), c its product, give
     (c P(a,b) - a P(c,b) - b P(a,c)) / c^3, c^3 kept as c's factors cubed
     (the quotient rule would give c^4).  Other operands go through P as
     ``RatFunc`` values, whose partials raise only the factors holding the
@@ -79,9 +80,9 @@ def poisson_bracket(f: RatFunc, g: RatFunc) -> RatFunc:
         raise ValueError(f"bracket operands need the same even number of variables, "
                          f"got {f.nvars} and {g.nvars}")
     n = f.nvars // 2
-    c = f.den
-    if c != g.den:
+    if not f.same_den(g):
         return _pairwise_kernel(f, g, n)
+    c = f.den
     a, b = f.num, g.num
     num = (c * _pairwise_kernel(a, b, n)
            - a * _pairwise_kernel(c, b, n)
@@ -95,12 +96,13 @@ def poisson_bracket(f: RatFunc, g: RatFunc) -> RatFunc:
 
 def _clear_denominators(fs: list[RatFunc]) -> list[MPoly]:
     """Each numerator times the denominators, other than 1, of the others."""
+    dens = [None if f.is_polynomial() else f.den for f in fs]
     cleared = []
     for i, f in enumerate(fs):
         p = f.num
-        for j, g in enumerate(fs):
-            if j != i and not g.is_polynomial():
-                p = p * g.den
+        for j, den in enumerate(dens):
+            if j != i and den is not None:
+                p = p * den
         cleared.append(p)
     return cleared
 

@@ -31,7 +31,7 @@ def trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random(trial_seed(seed, trial))
 
 
-def resample(attempt, rejects, retries: int = 20):
+def resample(attempt, rejects, retries: int):
     """Call ``attempt()`` until it raises none of ``rejects``, at most
     ``retries + 1`` times.
 

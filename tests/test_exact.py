@@ -291,7 +291,7 @@ def test_monomial_shift_matches_the_product_kernel(nvars):
         if p.is_zero:
             continue
         want = MPoly._build(nvars, _dict_mul_py(m._coeffs, p._coeffs),
-                            m.content * p.content)
+                            m.content * p.content, _MAX_EXP)
         for got in (m * p, p * m):
             assert (got.content, got._coeffs) == (want.content, want._coeffs)
 
@@ -549,6 +549,26 @@ def test_qmatrix_int_bool_and_rat_entries_build_the_same_matrix():
         assert m == want and m.data == want.data
         assert all(type(e) is Fraction for e in m.data)
     assert QMatrix.identity(2).scale(True) == QMatrix.identity(2)
+
+
+def test_qmatrix_entry_reads_do_not_alias():
+    m = QMatrix(2, 2, [Rat(2, 4), 3, Rat(-6, 9), 0])
+    same = QMatrix(2, 2, [Rat(1, 2), 3, Rat(-2, 3), 0])
+    d = m.data
+    d[0] = 99
+    d[3] = Rat(5)
+    first = m.row(0)
+    first[1] = 7
+    assert m == same
+    data = m.data
+    for i in range(2):
+        row = m.row(i)
+        for j in range(2):
+            entry = m[i, j]
+            assert entry == same[i, j] == row[j] == data[i * 2 + j]
+            for e in (entry, row[j], data[i * 2 + j]):
+                assert type(e) is Fraction and math.gcd(e.numerator, e.denominator) == 1
+    assert data == [Rat(1, 2), 3, Rat(-2, 3), 0]
 
 
 def test_kron_shapes_and_mixed_product():

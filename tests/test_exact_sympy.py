@@ -2,7 +2,8 @@
 sympy is missing): kernel determinants of integer and ``MPoly`` matrices,
 ``MPoly``/``RatFunc`` arithmetic on both sides of the numpy pair cutoff,
 ``RatFunc`` arithmetic over repeated linear denominator factors, and the
-canonical Poisson bracket on both of its routes."""
+canonical Poisson bracket on both of its routes, which it takes by
+factor-map equality."""
 
 import itertools
 import math
@@ -164,14 +165,27 @@ def shared_pair(rng):
             RatFunc(rand_poly(rng, terms=2, degree=2, nvars=4), den))
 
 
+def split_pair(rng):
+    """a / (p q) by two divisions and b / (p q) by one division by the
+    expanded product: equal denominators held as different factor maps."""
+    v = [RatFunc.var(4, i) for i in range(4)]
+    p, q = v[0] + 2, v[2] - v[1] * 3
+    a = RatFunc(rand_poly(rng, terms=2, degree=2, nvars=4))
+    b = RatFunc(rand_poly(rng, terms=2, degree=2, nvars=4))
+    return a / p / q, b / (p * q)
+
+
 def test_poisson_bracket_matches_sympy_on_both_routes():
     rng = random.Random(96)
     pairs = [(symplectic_operand(rng), symplectic_operand(rng)) for _ in range(6)]
     pairs += [(cone_operand(rng), cone_operand(rng)) for _ in range(6)]
     pairs += [shared_pair(rng) for _ in range(6)]
+    f, g = split_pair(rng)
+    assert f.den == g.den and not f.same_den(g)
+    pairs.append((f, g))
     routes = {True: 0, False: 0}
     for f, g in pairs:
-        routes[f.den == g.den] += 1
+        routes[f.same_den(g)] += 1
         # cross-multiplied: a gcd on the difference costs several times more
         num, den = sympy.fraction(sympy.cancel(sympy_bracket(to_sympy(f), to_sympy(g),
                                                              f.nvars // 2)))
