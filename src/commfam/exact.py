@@ -8,6 +8,7 @@ with zero tolerance:
   only where a division makes one; integer values stay ``int``.
 * ``MPoly`` -- sparse multivariate polynomials with ``int`` or ``Rat``
   coefficients; any other coefficient, a float included, raises ``TypeError``.
+  ``dot`` sums signed products of them as one product.
 * ``RatFunc`` -- a polynomial over a denominator kept as a map from known
   factors to exponents.  Sums, differences and equality work over the lcm
   of the two maps, products add exponents, and no polynomial gcd or
@@ -44,15 +45,17 @@ paths of the product rely on it:
   ``+``); the product walks the exact per-variable maxima only when two
   bounds add past ``_MAX_EXP``, so it raises ``OverflowError`` on exactly
   the products whose exponents leave the packing range;
-* products of at least ``_NP_PAIR_CUTOFF`` term pairs convert both factors
-  to int64 arrays, and the coefficient bound that guards numpy is read off
-  those arrays: a coefficient outside int64, or a bound under which one
-  output term could reach ``_NP_COEF_BOUND``, sends the product to the
-  Python loop;
-* from ``_NP_BOX_PAIR_CUTOFF`` pairs, a product whose exponents span a box
-  of at most ``_NP_BOX_RATIO`` cells per pair is a dense Kronecker
-  substitution: every term pair is scatter-added into a flat int64 array
-  over that box, with no sort; other numpy products sort the summed keys.
+* one kernel sums m_k a_k b_k over int multipliers and primitive parts:
+  ``*`` is one product with m = 1, and in ``dot`` m_k is product k's content
+  over the common denominator.  Its rules read the sum's totals.  From
+  ``_NP_PAIR_CUTOFF`` term pairs it converts the operands to int64 arrays and
+  reads the bound that guards numpy off them: a coefficient outside int64, or
+  sum_k |m_k| max|a_k| max|b_k| min(|a_k|, |b_k|) >= ``_NP_COEF_BOUND``,
+  sends the sum to the Python loop;
+* from ``_NP_BOX_PAIR_CUTOFF`` pairs, a sum whose product exponents span a
+  box of at most ``_NP_BOX_RATIO`` cells per pair is a dense Kronecker
+  substitution: every term pair is scatter-added into one flat int64 array
+  over that box, with no sort; other numpy sums sort the summed keys.
 
 Graded lexicographic order -- total degree first, ties broken by the packed
 key -- is used only to print terms.
@@ -78,6 +81,7 @@ __all__ = [
     "MPoly",
     "RatFunc",
     "QMatrix",
+    "dot",
     "mat_inverse",
     "det",
     "signed_minors",
@@ -105,13 +109,13 @@ _SHIFT = 10
 _MASK = (1 << _SHIFT) - 1
 _MAX_EXP = _MASK  # 1023
 
-# numpy thresholds for polynomial multiplication (2-core Xeon VM, numpy 2.4).
-# On the products of one rational-ops and one small-algebra benchmark pass,
-# numpy overtakes the Python double loop at 400-500 term pairs.  On the 2014
-# int64 products of at least 500 pairs in one seed-1 pass of each, the box
-# kernel, its geometry included, ties the sort at about 2^12.25 ~ 4900 pairs
-# and is 2.7x faster in total from 2^17 pairs; at 1.5 to 2 box cells per
-# pair the two tie, and beyond 2 the sort is faster.
+# numpy thresholds of the product kernel, applied to a sum's totals; set on
+# single products (2-core Xeon VM, numpy 2.4).  On one rational-ops and one
+# small-algebra benchmark pass, numpy overtakes the Python double loop at
+# 400-500 term pairs.  On the 2014 int64 products of at least 500 pairs in
+# one seed-1 pass of each, the box route, its geometry included, ties the
+# sort at about 2^12.25 ~ 4900 pairs and is 2.7x faster in total from 2^17
+# pairs; at 1.5 to 2 box cells per pair the two tie, beyond 2 the sort wins.
 _NP_PAIR_CUTOFF = 500
 _NP_COEF_BOUND = 1 << 62
 _NP_BOX_PAIR_CUTOFF = 5000
@@ -137,21 +141,24 @@ def _key_degree(key: int) -> int:
     return deg
 
 
-def _dict_mul_py(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    if len(a) > len(b):
-        a, b = b, a
+def _dot_py(products) -> dict[int, int]:
     out: dict[int, int] = {}
     get = out.get
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = ka + kb
-            out[k] = get(k, 0) + va * vb
+    for m, a, b in products:
+        if len(a) > len(b):
+            a, b = b, a
+        if m != 1:
+            a = {k: m * v for k, v in a.items()}
+        for ka, va in a.items():
+            for kb, vb in b.items():
+                k = ka + kb
+                out[k] = get(k, 0) + va * vb
     return out
 
 
-def _dict_mul_sort(ka, va, kb, vb) -> dict[int, int]:
-    keys = np.add.outer(ka, kb).ravel()
-    vals = np.multiply.outer(va, vb).ravel()
+def _dot_sort(arrays) -> dict[int, int]:
+    keys = np.concatenate([np.add.outer(ka, kb).ravel() for ka, _, kb, _ in arrays])
+    vals = np.concatenate([np.multiply.outer(va, vb).ravel() for _, va, _, vb in arrays])
     # Integer sums are exact in any order, so the sort need not be stable.
     order = np.argsort(keys)
     keys = keys[order]
@@ -162,55 +169,64 @@ def _dict_mul_sort(ka, va, kb, vb) -> dict[int, int]:
     return dict(zip(keys[starts][nonzero].tolist(), sums[nonzero].tolist()))
 
 
-def _dict_mul_box(da, va, db, vb, lo, widths, shifts) -> dict[int, int]:
+def _dot_box(exps, lo, widths, shifts) -> dict[int, int]:
     """Kronecker substitution into the box of product exponents.
 
-    ``da``/``db`` are the operands' exponent vectors less their per-variable
-    minima, ``lo`` is the box's lowest corner and ``widths`` its side
-    lengths.  With mixed-radix strides every exponent vector becomes one flat
-    offset, and offsets add without carries because every product lands in
-    the box; each term pair is scatter-added into its cell.  Offsets order
-    the cells as packed keys do, so the result is in ascending key order.
+    ``exps`` holds each product's exponent vectors and coefficients, the box
+    has corner ``lo`` and sides ``widths``.  With mixed-radix strides every
+    exponent vector is one flat offset; offsets add without carries, as every
+    product lands in the box, and order the cells as packed keys do, so the
+    scatter-added cells come out in ascending key order.
     """
     strides = np.concatenate(([1], np.cumprod(widths[:-1])))
     box = np.zeros(int(strides[-1] * widths[-1]), dtype=np.int64)
-    np.add.at(box, np.add.outer(da @ strides, db @ strides).ravel(),
-              np.multiply.outer(va, vb).ravel())
+    for ea, va, eb, vb in exps:
+        np.add.at(box, np.add.outer(ea @ strides, (eb - lo) @ strides).ravel(),
+                  np.multiply.outer(va, vb).ravel())
     cells = np.flatnonzero(box)
     keys = ((cells[:, None] // strides % widths + lo) << shifts).sum(axis=1)
     return dict(zip(keys.tolist(), box[cells].tolist()))
 
 
-def _dict_mul(a: dict[int, int], b: dict[int, int], nvars: int) -> dict[int, int]:
-    """Product of two primitive parts (packed key -> int), zero sums dropped
-    by the numpy kernels and kept by the Python loop.  Every exponent of the
-    product must fit its field, as ``MPoly.__mul__`` checks first."""
-    la, lb = len(a), len(b)
-    pairs = la * lb
+def _dot_kernel(nvars: int, products) -> dict[int, int]:
+    """Sum of m * a * b over int multipliers and nonzero primitive parts,
+    zero sums dropped by numpy and kept by the Python loop.  Every exponent
+    must fit its field, as ``_product_ebound`` checks first."""
+    pairs = sum(len(a) * len(b) for _, a, b in products)
     if pairs < _NP_PAIR_CUTOFF or _SHIFT * nvars > 62:
-        return _dict_mul_py(a, b)
+        return _dot_py(products)
     try:
-        va = np.fromiter(a.values(), dtype=np.int64, count=la)
-        vb = np.fromiter(b.values(), dtype=np.int64, count=lb)
+        arrays = [(m, *(np.fromiter(it, dtype=np.int64, count=len(d))
+                        for d in (a, b) for it in (d, d.values())))
+                  for m, a, b in products]
     except OverflowError:  # a coefficient lies outside int64
-        return _dict_mul_py(a, b)
-    # int() before negating: -2**63 has no int64 negation
-    abound = max(int(va.max()), -int(va.min()))
-    bbound = max(int(vb.max()), -int(vb.min()))
-    # a cell sums at most min(la, lb) products, so every partial sum fits
-    if abound * bbound * min(la, lb) >= _NP_COEF_BOUND:
-        return _dict_mul_py(a, b)
-    ka = np.fromiter(a.keys(), dtype=np.int64, count=la)
-    kb = np.fromiter(b.keys(), dtype=np.int64, count=lb)
+        return _dot_py(products)
+    # a cell sums at most min(|a|, |b|) products of each pair; int() before
+    # negating, as -2**63 has no int64 negation
+    if sum(abs(m) * max(int(va.max()), -int(va.min())) * max(int(vb.max()), -int(vb.min()))
+           * min(len(va), len(vb)) for m, _, va, _, vb in arrays) >= _NP_COEF_BOUND:
+        return _dot_py(products)
+    arrays = [(ka, va if m == 1 else va * m, kb, vb) for m, ka, va, kb, vb in arrays]
     if pairs >= _NP_BOX_PAIR_CUTOFF:
         shifts = np.arange(0, _SHIFT * nvars, _SHIFT, dtype=np.int64)
-        ea = (ka[:, None] >> shifts) & _MASK
-        eb = (kb[:, None] >> shifts) & _MASK
-        alo, blo = ea.min(axis=0), eb.min(axis=0)
-        widths = ea.max(axis=0) - alo + eb.max(axis=0) - blo + 1
-        if math.prod(widths.tolist()) <= _NP_BOX_RATIO * pairs:
-            return _dict_mul_box(ea - alo, va, eb - blo, vb, alo + blo, widths, shifts)
-    return _dict_mul_sort(ka, va, kb, vb)
+        exps = [((ka[:, None] >> shifts) & _MASK, va, (kb[:, None] >> shifts) & _MASK, vb)
+                for ka, va, kb, vb in arrays]
+        lo = np.min([ea.min(axis=0) + eb.min(axis=0) for ea, _, eb, _ in exps], axis=0)
+        hi = np.max([ea.max(axis=0) + eb.max(axis=0) for ea, _, eb, _ in exps], axis=0)
+        if math.prod((hi - lo + 1).tolist()) <= _NP_BOX_RATIO * pairs:
+            return _dot_box(exps, lo, hi - lo + 1, shifts)
+    return _dot_sort(arrays)
+
+
+def _product_ebound(a: "MPoly", b: "MPoly") -> int:
+    """A bound on every exponent of the nonzero a * b; past ``_MAX_EXP`` the
+    exact maxima decide, and raise ``OverflowError`` if they are past it too."""
+    ebound = a._ebound + b._ebound
+    if ebound > _MAX_EXP:
+        ebound = max(x + y for x, y in zip(a._var_maxima(), b._var_maxima()))
+        if ebound > _MAX_EXP:
+            raise OverflowError("per-variable degree exceeds supported packing range")
+    return ebound
 
 
 def _check_coeff(c) -> None:
@@ -396,12 +412,7 @@ class MPoly:
         a, b = self._coeffs, other._coeffs
         if not a or not b:
             return MPoly.zero(self.nvars)
-        ebound = self._ebound + other._ebound
-        if ebound > _MAX_EXP:  # the bounds are loose: decide on the exact maxima
-            sums = [x + y for x, y in zip(self._var_maxima(), other._var_maxima())]
-            ebound = max(sums)
-            if ebound > _MAX_EXP:
-                raise OverflowError("per-variable degree exceeds supported packing range")
+        ebound = _product_ebound(self, other)
         ca, cb = self.content, other.content
         content = cb if ca == 1 else ca if cb == 1 else ca * cb
         if len(a) == 1 or len(b) == 1:
@@ -412,7 +423,7 @@ class MPoly:
             (shift,) = a
             return MPoly(self.nvars, content, {k + shift: v for k, v in b.items()},
                          _internal=True, ebound=ebound)
-        return MPoly._build(self.nvars, _dict_mul(a, b, self.nvars), content, ebound)
+        return MPoly._build(self.nvars, _dot_kernel(self.nvars, [(1, a, b)]), content, ebound)
 
     __rmul__ = __mul__
 
@@ -523,6 +534,30 @@ class MPoly:
 
     def __repr__(self):
         return f"MPoly({self.to_text()})"
+
+
+def dot(products: Iterable[tuple[int | Fraction, MPoly, MPoly]]) -> MPoly:
+    """Sum of sign * u * v over (sign, u, v) triples: the contents come over
+    one common denominator, one kernel call sums every term pair, and one
+    ``_build`` forms the result.  A zero sign or operand drops its product;
+    an exponent leaving the packing range raises ``OverflowError``."""
+    products = list(products)
+    if not products:
+        raise ValueError("dot needs at least one product")
+    nvars = products[0][1].nvars
+    live, ebound = [], 0
+    for sign, u, v in products:
+        _check_coeff(sign)
+        if u.nvars != nvars or v.nvars != nvars:
+            raise ValueError(f"variable-count mismatch: {u.nvars}, {v.nvars} vs {nvars}")
+        if sign and u._coeffs and v._coeffs:
+            ebound = max(ebound, _product_ebound(u, v))
+            live.append((sign * u.content * v.content, u._coeffs, v._coeffs))
+    if not live:
+        return MPoly.zero(nvars)
+    den = math.lcm(*(c.denominator for c, _, _ in live))
+    raw = _dot_kernel(nvars, [(c.numerator * den // c.denominator, a, b) for c, a, b in live])
+    return MPoly._build(nvars, raw, Fraction(1, den), ebound)
 
 
 # ---------------------------------------------------------------------------

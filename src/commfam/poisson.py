@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import MPoly, QMatrix, RatFunc, maximal_minors, rank, signed_minors
+from .exact import MPoly, QMatrix, RatFunc, dot, maximal_minors, rank, signed_minors
 from .reports import CheckRecord, failed, passed
 
 ANCHOR_POISSON_COMMUTE = "{H_i, H_j} = 0"
@@ -58,9 +58,13 @@ class ZeroAlpha(ValueError):
 
 def _pairwise_kernel(u, v, n: int):
     """P(u, v) = sum_j (u_x_j v_xi_j - u_xi_j v_x_j) on two ``MPoly`` or two
-    ``RatFunc`` values in 2n variables ordered (x_1, xi_1, ..., x_n, xi_n)."""
-    terms = [u.partial(x) * v.partial(x + 1) - u.partial(x + 1) * v.partial(x)
+    ``RatFunc`` values in 2n variables ordered (x_1, xi_1, ..., x_n, xi_n);
+    on ``MPoly`` values the whole sum is one ``dot``."""
+    pairs = [(u.partial(x), v.partial(x + 1), u.partial(x + 1), v.partial(x))
              for x in range(0, 2 * n, 2)]
+    if isinstance(u, MPoly) and pairs:
+        return dot(t for p, q, r, s in pairs for t in ((1, p, q), (-1, r, s)))
+    terms = [p * q - r * s for p, q, r, s in pairs]
     return sum(terms[1:], terms[0]) if terms else u * 0
 
 
@@ -72,9 +76,10 @@ def poisson_bracket(f: RatFunc, g: RatFunc) -> RatFunc:
     P the kernel above, operands a/c and b/c over one factor map (the rule
     of ``RatFunc.same_den``), c its product, give
     (c P(a,b) - a P(c,b) - b P(a,c)) / c^3, c^3 kept as c's factors cubed
-    (the quotient rule would give c^4).  Other operands go through P as
-    ``RatFunc`` values, whose partials raise only the factors holding the
-    variable and whose sums work over the lcm of the factor maps.
+    (the quotient rule would give c^4), each P and the numerator one
+    ``exact.dot``.  Other operands go through P as ``RatFunc`` values, whose
+    partials raise only the factors holding the variable and whose sums work
+    over the lcm of the factor maps.
     """
     if f.nvars != g.nvars or f.nvars % 2:
         raise ValueError(f"bracket operands need the same even number of variables, "
@@ -84,9 +89,9 @@ def poisson_bracket(f: RatFunc, g: RatFunc) -> RatFunc:
         return _pairwise_kernel(f, g, n)
     c = f.den
     a, b = f.num, g.num
-    num = (c * _pairwise_kernel(a, b, n)
-           - a * _pairwise_kernel(c, b, n)
-           - b * _pairwise_kernel(a, c, n))
+    num = dot([(1, c, _pairwise_kernel(a, b, n)),
+               (-1, a, _pairwise_kernel(c, b, n)),
+               (-1, b, _pairwise_kernel(a, c, n))])
     return f.over_den(num, 3)
 
 

@@ -9,11 +9,11 @@ import pytest
 
 from commfam import exact
 from commfam.exact import (MPoly, QMatrix, Rat, RatFunc, Singular, collect, det,
-                           kron, mat_inverse, rank)
+                           dot, kron, mat_inverse, rank)
 from commfam.exact import (_MAX_EXP, _NP_BOX_PAIR_CUTOFF, _NP_BOX_RATIO,
                            _NP_COEF_BOUND, _NP_PAIR_CUTOFF, _common_monomial_key,
-                           _dict_mul_py, _pack, _unpack)
-from kernel_routes import box_cells, expected_kernel, nonzero, routed_mul
+                           _pack, _unpack)
+from kernel_routes import box_cells, expected_route, nonzero, python_dot, routed_dot, routed_mul
 from rank_oracle import fraction_rank
 
 
@@ -113,20 +113,25 @@ def test_mpoly_embed_rejects_out_of_range_targets(nvars, var_map):
         MPoly.var(1, 0).embed(nvars, var_map)
 
 
+def py_mul(a, b):
+    """``a * b`` of two primitive parts by the Python route, zero sums dropped."""
+    return python_dot([(1, a, b)])
+
+
 def arrays(terms):
-    """Packed keys and coefficients as the numpy kernels take them."""
+    """Packed keys and coefficients as the numpy routes take them."""
     return (np.fromiter(terms.keys(), dtype=np.int64, count=len(terms)),
             np.fromiter(terms.values(), dtype=np.int64, count=len(terms)))
 
 
 def box_mul(a, b, nvars):
-    """``exact._dict_mul_box`` on the box that ``a`` and ``b`` span."""
+    """``exact._dot_box`` on the box that ``a`` and ``b`` span."""
     shifts = np.arange(0, 10 * nvars, 10)
     (ka, va), (kb, vb) = arrays(a), arrays(b)
     ea, eb = (ka[:, None] >> shifts) & _MAX_EXP, (kb[:, None] >> shifts) & _MAX_EXP
     alo, blo = ea.min(axis=0), eb.min(axis=0)
     widths = ea.max(axis=0) - alo + eb.max(axis=0) - blo + 1
-    return exact._dict_mul_box(ea - alo, va, eb - blo, vb, alo + blo, widths, shifts)
+    return exact._dot_box([(ea, va, eb, vb)], alo + blo, widths, shifts)
 
 
 def test_dict_mul_kernels_agree():
@@ -134,11 +139,11 @@ def test_dict_mul_kernels_agree():
     for _ in range(20):
         a = {rng.randrange(1 << 30): rng.randint(-50, 50) for _ in range(30)}
         b = {rng.randrange(1 << 30): rng.randint(-50, 50) for _ in range(25)}
-        assert exact._dict_mul_sort(*arrays(a), *arrays(b)) == nonzero(_dict_mul_py(a, b))
+        assert exact._dot_sort([(*arrays(a), *arrays(b))]) == py_mul(a, b)
         # the same terms folded into a small box: 3 variables, exponents below 8
         a, b = ({k & _pack([7, 7, 7]): v for k, v in d.items()} for d in (a, b))
-        py = nonzero(_dict_mul_py(a, b))
-        for out in (exact._dict_mul_sort(*arrays(a), *arrays(b)), box_mul(a, b, 3)):
+        py = py_mul(a, b)
+        for out in (exact._dot_sort([(*arrays(a), *arrays(b))]), box_mul(a, b, 3)):
             assert out == py and list(out) == sorted(out)
 
 
@@ -159,10 +164,10 @@ def test_dict_mul_kernels_agree_across_the_cutoff(nvars):
         for _ in range(3):
             a = {k: rng.randint(-50, 50) or 1 for k in rand_keys(rng, nvars, la)}
             b = {k: rng.randint(-50, 50) or 1 for k in rand_keys(rng, nvars, lb)}
-            out, kernel = routed_mul(a, b, nvars)
+            out, route = routed_mul(a, b, nvars)
             big = la * lb >= _NP_PAIR_CUTOFF and nvars == 6
-            assert kernel == ("_dict_mul_sort" if big else "_dict_mul_py")
-            assert nonzero(out) == nonzero(_dict_mul_py(a, b))
+            assert route == ("_dot_sort" if big else "_dot_py")
+            assert nonzero(out) == py_mul(a, b)
 
 
 def test_dict_mul_np_drops_cancelled_terms():
@@ -170,9 +175,9 @@ def test_dict_mul_np_drops_cancelled_terms():
     n = _NP_PAIR_CUTOFF
     a = {0: 1, 1: -1}
     b = {k: 1 for k in range(n)}
-    out, kernel = routed_mul(a, b, 1)
-    assert kernel == "_dict_mul_sort"
-    assert out == {0: 1, n: -1} == nonzero(_dict_mul_py(a, b))
+    out, route = routed_mul(a, b, 1)
+    assert route == "_dot_sort"
+    assert out == {0: 1, n: -1} == py_mul(a, b)
 
 
 @pytest.mark.parametrize("offset,m,ca,cb", [
@@ -185,9 +190,9 @@ def test_dict_mul_coefficient_bound(offset, m, ca, cb):
     # a has m terms, so m products meet on every inner key: the worst sum
     a = {k: -ca for k in range(m)}
     b = {k: cb for k in range(-(-_NP_PAIR_CUTOFF // m) + m)}
-    out, kernel = routed_mul(a, b, 1)
-    assert kernel == ("_dict_mul_sort" if offset < 0 else "_dict_mul_py")
-    assert out == nonzero(_dict_mul_py(a, b))
+    out, route = routed_mul(a, b, 1)
+    assert route == ("_dot_sort" if offset < 0 else "_dot_py")
+    assert out == py_mul(a, b)
     assert min(out.values()) == -m * ca * cb
 
 
@@ -280,6 +285,26 @@ def test_chained_products_raise_at_exactly_1024():
         chain * (x + y)
 
 
+def test_dot_raises_where_a_product_leaves_the_packing_range():
+    x, y = MPoly.var(2, 0), MPoly.var(2, 1)
+    top = power(2, 0, _MAX_EXP)
+    assert dot([(1, top, y), (-1, y, top)]).is_zero
+    with pytest.raises(OverflowError):
+        dot([(1, top, y), (1, top, x)])
+    # a zero sign or a zero operand drops its product
+    assert dot([(0, top, x), (1, top, MPoly.zero(2)), (1, top, y)]) == top * y
+
+
+def test_dot_refuses_what_it_cannot_sum():
+    x = MPoly.var(2, 0)
+    with pytest.raises(ValueError, match="at least one"):
+        dot([])
+    with pytest.raises(ValueError, match="variable-count"):
+        dot([(1, x, x), (1, x, MPoly.var(3, 0))])
+    with pytest.raises(TypeError, match="float"):
+        dot([(0.5, x, x)])
+
+
 @pytest.mark.parametrize("nvars", [1, 4, 7])
 def test_monomial_shift_matches_the_product_kernel(nvars):
     rng = random.Random(31 + nvars)
@@ -290,7 +315,7 @@ def test_monomial_shift_matches_the_product_kernel(nvars):
         p = rand_poly(rng, nvars, terms=rng.randint(1, 12))
         if p.is_zero:
             continue
-        want = MPoly._build(nvars, _dict_mul_py(m._coeffs, p._coeffs),
+        want = MPoly._build(nvars, py_mul(m._coeffs, p._coeffs),
                             m.content * p.content, _MAX_EXP)
         for got in (m * p, p * m):
             assert (got.content, got._coeffs) == (want.content, want._coeffs)
@@ -316,14 +341,14 @@ def test_no_numpy_array_is_built_below_the_cutoff(monkeypatch):
 ], ids=["bound-1", "bound", "bound+1"])
 def test_dict_mul_coefficient_bound_in_the_box(offset, m, ca, cb):
     # the worst cell of test_dict_mul_coefficient_bound, with enough pairs
-    # for the box kernel: b runs along x in two rows, y^0 and y^1
+    # for the box route: b runs along x in two rows, y^0 and y^1
     a = {k: -ca for k in range(m)}
     count = -(-_NP_BOX_PAIR_CUTOFF // m) + m
     row = -(-count // 2)
     b = {_pack([k % row, k // row]): cb for k in range(count)}
-    out, kernel = routed_mul(a, b, 2)
-    assert kernel == ("_dict_mul_box" if offset < 0 else "_dict_mul_py")
-    assert out == nonzero(_dict_mul_py(a, b))
+    out, route = routed_mul(a, b, 2)
+    assert route == ("_dot_box" if offset < 0 else "_dot_py")
+    assert out == py_mul(a, b)
     assert min(out.values()) == -m * ca * cb
 
 
@@ -337,11 +362,11 @@ def test_coefficients_beyond_the_int64_bound_take_the_python_loop(coeff, pairs):
     a = {k: 1 for k in range(20)}
     a[5] = coeff
     b = {k: 1 for k in range(pairs // 20)}
-    out, kernel = routed_mul(a, b, 1)
-    assert kernel == "_dict_mul_py"
+    out, route = routed_mul(a, b, 1)
+    assert route == "_dot_py"
     # the key 12 meets a[0..12]: twelve ones and the coefficient
     assert out[12] == coeff + 12
-    assert nonzero(out) == nonzero(_dict_mul_py(a, b))
+    assert nonzero(out) == py_mul(a, b)
 
 
 def line(nvars, la, lb):
@@ -369,11 +394,16 @@ def top_at_max_exp(a, b, nvars):
     return {k + lift: v for k, v in b.items()}
 
 
-def assert_route(a, b, nvars, kernel):
-    assert expected_kernel(a, b, nvars) == kernel
-    out, taken = routed_mul(a, b, nvars)
-    assert taken == kernel
-    assert out == nonzero(_dict_mul_py(a, b)) and list(out) == sorted(out)
+def assert_route(a, b, nvars, route):
+    return assert_sum_route([(1, a, b)], nvars, route)
+
+
+def assert_sum_route(products, nvars, route):
+    assert expected_route(products, nvars) == route
+    out, taken = routed_dot(products, nvars)
+    assert taken == route
+    assert out == python_dot(products)
+    assert route == "_dot_py" or list(out) == sorted(out)
     return out
 
 
@@ -381,8 +411,8 @@ def assert_route(a, b, nvars, kernel):
 def test_box_kernel_from_the_box_pair_cutoff(nvars):
     # 49 x 102 = 4998 pairs sort, 50 x 100 = 5000 pairs take the box
     assert _NP_BOX_PAIR_CUTOFF == 5000
-    assert_route(*line(nvars, 49, 102), nvars, "_dict_mul_sort")
-    assert_route(*line(nvars, 50, 100), nvars, "_dict_mul_box")
+    assert_route(*line(nvars, 49, 102), nvars, "_dot_sort")
+    assert_route(*line(nvars, 50, 100), nvars, "_dot_box")
 
 
 @pytest.mark.parametrize("nvars", [3, 6])
@@ -391,9 +421,9 @@ def test_box_kernel_up_to_the_box_ratio(nvars):
     # 73 x 137 = 10001 cells one more
     assert _NP_BOX_RATIO * 5000 == 100 * 100 == 73 * 137 - 1
     at, beyond = spread(nvars, 50, 100, 100, 100), spread(nvars, 50, 100, 73, 137)
-    assert box_cells(*at, nvars) == 10000 and box_cells(*beyond, nvars) == 10001
-    assert_route(*at, nvars, "_dict_mul_box")
-    assert_route(*beyond, nvars, "_dict_mul_sort")
+    assert box_cells([(1, *at)], nvars) == 10000 and box_cells([(1, *beyond)], nvars) == 10001
+    assert_route(*at, nvars, "_dot_box")
+    assert_route(*beyond, nvars, "_dot_sort")
 
 
 @pytest.mark.parametrize("nvars", [1, 3, 6])
@@ -401,7 +431,7 @@ def test_box_kernel_with_the_top_field_at_max_exp(nvars):
     # at one variable the top field is the variable the terms run along
     a, b = line(nvars, 50, 100)
     b = top_at_max_exp(a, b, nvars)
-    out = assert_route(a, b, nvars, "_dict_mul_box")
+    out = assert_route(a, b, nvars, "_dot_box")
     assert max(_unpack(k, nvars)[-1] for k in out) == _MAX_EXP
 
 
@@ -413,9 +443,62 @@ def test_box_kernel_drops_cancelled_cells(nvars):
     pad = [0] * (nvars - 2)
     a = {_pack([i, dy, *pad]): 1 - 2 * dy for i in range(50) for dy in (0, 1)}
     b = {_pack([0, j, *pad]): 1 for j in range(100)}
-    out = assert_route(a, b, nvars, "_dict_mul_box")
+    out = assert_route(a, b, nvars, "_dot_box")
     assert out == {_pack([i, dy, *pad]): 1 - 2 * (dy > 0)
                    for i in range(50) for dy in (0, 100)}
+
+
+def halves(a, b, multipliers=(1, -3)):
+    """``a`` times each half of ``b``'s terms: one sum, two products."""
+    items = list(b.items())
+    cut = len(items) // 2
+    return [(m, a, dict(part)) for m, part in zip(multipliers, (items[:cut], items[cut:]))]
+
+
+def test_sums_take_numpy_from_the_pair_cutoff_on_their_total():
+    # 20 x 12 + 20 x 12 = 480 pairs stay in Python, 20 x 13 + 20 x 12 = 500
+    # take numpy, though each product alone is below the cutoff
+    a = {k: k - 7 for k in range(20)}
+    small, large = ({k: 1 + k % 3 for k in range(w)} for w in (12, 13))
+    assert 20 * 13 + 20 * 12 == _NP_PAIR_CUTOFF
+    assert_sum_route([(1, a, small), (-2, a, small)], 1, "_dot_py")
+    assert_sum_route([(1, a, large), (-2, a, small)], 1, "_dot_sort")
+
+
+@pytest.mark.parametrize("nvars", [1, 3, 6])
+def test_sums_take_the_box_from_the_box_pair_cutoff_on_their_total(nvars):
+    # 49 x 51 + 49 x 51 = 4998 pairs sort, 50 x 50 + 50 x 50 = 5000 take the box
+    assert_sum_route(halves(*line(nvars, 49, 102)), nvars, "_dot_sort")
+    assert_sum_route(halves(*line(nvars, 50, 100)), nvars, "_dot_box")
+
+
+@pytest.mark.parametrize("nvars", [3, 6])
+def test_sums_take_the_box_up_to_the_ratio_on_the_union_box(nvars):
+    # each half spans a smaller box than the whole, and neither holds both
+    # the lowest and the highest corner; the rule reads the union
+    for (a, b), route in ((spread(nvars, 50, 100, 100, 100), "_dot_box"),
+                          (spread(nvars, 50, 100, 73, 137), "_dot_sort")):
+        products = halves(a, b)
+        assert box_cells(products, nvars) == box_cells([(1, a, b)], nvars)
+        assert max(box_cells([p], nvars) for p in products) < box_cells(products, nvars)
+        for ordered in (products, products[::-1]):
+            assert_sum_route(ordered, nvars, route)
+
+
+@pytest.mark.parametrize("offset,multipliers,ca,cb", [
+    (-1, (1, 2), 715827883, 2147483647),
+    (0, (1, 3), 1 << 29, 1 << 31),
+    (1, (2, 3), 5581 * 8681, 49477 * 384773),
+], ids=["bound-1", "bound", "bound+1"])
+def test_sums_take_python_at_the_joint_coefficient_bound(offset, multipliers, ca, cb):
+    # each product alone is below the bound; the cell sums of the whole
+    # reach -sum(multipliers) * ca * cb, the joint bound plus offset
+    assert sum(multipliers) * ca * cb == _NP_COEF_BOUND + offset
+    assert all(m * ca * cb < _NP_COEF_BOUND for m in multipliers)
+    b = {k: cb for k in range(_NP_PAIR_CUTOFF)}
+    products = [(m, {0: -ca}, b) for m in multipliers]
+    out = assert_sum_route(products, 1, "_dot_sort" if offset < 0 else "_dot_py")
+    assert set(out.values()) == {-sum(multipliers) * ca * cb}
 
 
 def test_ratfunc_equality_by_cross_multiplication():

@@ -1,7 +1,9 @@
 """Property tests of the ``MPoly``/``RatFunc`` ring axioms at the guards of
-the product kernels: products on both sides of the numpy pair cutoff,
+the product kernel: products on both sides of the numpy pair cutoff,
 exponents near the packing limit, coefficients near the numpy int64 bound,
-and small exponents whose products fill the dense exponent box.
+and small exponents whose products fill the dense exponent box.  ``dot``,
+the kernel's many-product case, is checked against the sum of its products
+at the same guards, the joint int64 bound of a sum included.
 The ``QMatrix`` integer form (numerators over one denominator) is checked
 against plain ``Fraction`` loops, and its fraction-free ``rank`` against a
 ``Fraction`` Gauss-Jordan rank.
@@ -16,9 +18,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from commfam import exact
-from commfam.exact import (_MAX_EXP, MPoly, QMatrix, RatFunc, Singular, kron, mat_inverse,
-                           rank)
-from kernel_routes import expected_kernel, nonzero, routed_mul
+from commfam.exact import (_MAX_EXP, _NP_COEF_BOUND, _NP_PAIR_CUTOFF, MPoly, QMatrix,
+                           RatFunc, Singular, dot, kron, mat_inverse, rank)
+from kernel_routes import ROUTES, expected_route, nonzero, python_dot, routed_mul
 from rank_oracle import fraction_rank
 
 # Fixed examples and no example database: every run checks the same inputs.
@@ -92,9 +94,9 @@ def test_embed_is_a_ring_map_onto_the_normal_form(nvars, data):
 def assert_routed_product(nvars, a, b):
     if a.is_zero or b.is_zero:
         return
-    out, kernel = routed_mul(a._coeffs, b._coeffs, nvars)
-    assert kernel == expected_kernel(a._coeffs, b._coeffs, nvars)
-    assert nonzero(out) == nonzero(exact._dict_mul_py(a._coeffs, b._coeffs))
+    out, route = routed_mul(a._coeffs, b._coeffs, nvars)
+    assert route == expected_route([(1, a._coeffs, b._coeffs)], nvars)
+    assert nonzero(out) == python_dot([(1, a._coeffs, b._coeffs)])
 
 
 @pytest.mark.parametrize("nvars", [2, 6])
@@ -109,6 +111,110 @@ def test_dict_mul_matches_python_kernel(nvars, data):
 @given(data=st.data())
 def test_dict_mul_matches_python_kernel_in_the_box(nvars, data):
     assert_routed_product(nvars, *(data.draw(box_polys(nvars)) for _ in range(2)))
+
+
+def traced_dot(products):
+    """``dot(products)``, the (m, a, b) triples it handed the kernel (None
+    when it called none) and the route the kernel took."""
+    seen, taken = [], []
+    with pytest.MonkeyPatch.context() as m:
+        kernel = exact._dot_kernel
+        m.setattr(exact, "_dot_kernel",
+                  lambda nvars, triples: seen.append(triples) or kernel(nvars, triples))
+        for name in ROUTES:
+            route = getattr(exact, name)
+            m.setattr(exact, name, lambda *args, r=route, n=name: taken.append(n) or r(*args))
+        out = dot(products)
+    assert len(seen) == len(taken) <= 1
+    return out, seen[0] if seen else None, taken[0] if taken else None
+
+
+def summed(nvars, products):
+    """sign * u * v summed by ``*`` and ``+``, one product at a time."""
+    total = MPoly.zero(nvars)
+    for sign, u, v in products:
+        total = total + u * v * sign
+    return total
+
+
+def assert_dot_is_the_sum(nvars, products):
+    out, triples, route = traced_dot(products)
+    want = summed(nvars, products)
+    # == compares the stored normal forms
+    assert out == want and out._ebound >= max(out._var_maxima(), default=0)
+    if triples is not None:
+        assert route == expected_route(triples, nvars)
+    return route
+
+
+@st.composite
+def sums(draw, nvars, operands):
+    """One to four (sign, u, v) triples of nonzero values, in which one sign
+    or one operand may then be replaced by zero."""
+    operands = operands.filter(lambda p: not p.is_zero)
+    products = [[draw(st.sampled_from([1, -1, 2, Fraction(-3, 4)])), draw(operands),
+                 draw(operands)] for _ in range(draw(st.integers(1, 4)))]
+    spot = draw(st.sampled_from([None, 0, 1, 2]))
+    if spot is not None:
+        products[draw(st.integers(0, len(products) - 1))][spot] = (
+            0 if spot == 0 else MPoly.zero(nvars))
+    return [tuple(p) for p in products]
+
+
+@pytest.mark.parametrize("nvars", [2, 6])
+@FIXED
+@given(data=st.data())
+def test_dot_is_the_sum_of_its_products(nvars, data):
+    assert_dot_is_the_sum(nvars, data.draw(sums(nvars, polys(nvars))))
+
+
+@pytest.mark.parametrize("nvars", [2, 6])
+@FIXED
+@given(data=st.data())
+def test_dot_is_the_sum_of_its_products_in_the_box(nvars, data):
+    assert_dot_is_the_sum(nvars, data.draw(sums(nvars, box_polys(nvars))))
+
+
+@pytest.mark.parametrize("nvars", [2, 6])
+@FIXED
+@given(data=st.data())
+def test_one_pair_dot_is_the_product(nvars, data):
+    u, v = (data.draw(polys(nvars)) for _ in range(2))
+    for sign in (1, -1):
+        out = dot([(sign, u, v)])
+        want = u * v * sign
+        assert (out.content, out._coeffs) == (want.content, want._coeffs)
+
+
+def kernel_bound(m, a, b):
+    """The share of the kernel's coefficient bound that one product takes."""
+    return (abs(m) * max(map(abs, a.values())) * max(map(abs, b.values()))
+            * min(len(a), len(b)))
+
+
+@pytest.mark.parametrize("nvars", [2, 6])
+@FIXED
+@given(data=st.data())
+def test_dot_takes_python_at_the_joint_int64_bound(nvars, data):
+    # Integer operands, so each kernel multiplier is sign * u.content *
+    # v.content, and each share is at most 2^27 * 2^27 * 40 < 2^60.  Each sign
+    # is as large as keeps its product alone below the bound, so any two
+    # products reach it together.
+    terms = st.dictionaries(st.tuples(*[EXP] * nvars),
+                            st.integers(-(1 << 27), 1 << 27).filter(bool),
+                            min_size=20, max_size=40)
+    products = []
+    for _ in range(data.draw(st.integers(2, 3))):
+        u, v = (MPoly.from_terms(nvars, data.draw(terms)) for _ in range(2))
+        share = kernel_bound(u.content * v.content, u._coeffs, v._coeffs)
+        sign = data.draw(st.sampled_from([1, -1])) * ((_NP_COEF_BOUND - 1) // share)
+        products.append((sign, u, v))
+    out, triples, route = traced_dot(products)
+    shares = [kernel_bound(*t) for t in triples]
+    assert max(shares) < _NP_COEF_BOUND <= sum(shares)
+    assert sum(len(a) * len(b) for _, a, b in triples) >= _NP_PAIR_CUTOFF
+    assert route == expected_route(triples, nvars) == "_dot_py"
+    assert out == summed(nvars, products)
 
 
 @FIXED

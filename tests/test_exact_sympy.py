@@ -14,7 +14,9 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from commfam.exact import _NP_PAIR_CUTOFF, MPoly, QMatrix, RatFunc, det, signed_minors
+from commfam import exact, poisson
+from commfam.exact import (_NP_BOX_PAIR_CUTOFF, _NP_PAIR_CUTOFF, MPoly, QMatrix, RatFunc, det,
+                           signed_minors)
 from commfam.poisson import ConeDifferential, cone_to_symplectic, poisson_bracket
 
 XS = sympy.symbols("x0:4")
@@ -175,7 +177,26 @@ def split_pair(rng):
     return a / p / q, b / (p * q)
 
 
-def test_poisson_bracket_matches_sympy_on_both_routes():
+def ring_poly(p, ring):
+    return ring({exps: sympy.QQ(c.numerator, c.denominator) for exps, c in p.terms()})
+
+
+def assert_bracket_over_c4(f, g, got):
+    """{a/c, b/c} c^4 by the quotient rule d(a/c) = (c da - a dc) / c^2, in
+    sympy's sparse polynomial ring: ``sympy.cancel`` on a bracket of this
+    size takes tens of seconds."""
+    ring, *xs = sympy.ring("x0:4", sympy.QQ)
+    a, b, c = ring_poly(f.num, ring), ring_poly(g.num, ring), ring_poly(f.den, ring)
+
+    def quotient(p, x):
+        return c * p.diff(x) - p * c.diff(x)
+    num = sum((quotient(a, xs[2 * j]) * quotient(b, xs[2 * j + 1])
+               - quotient(a, xs[2 * j + 1]) * quotient(b, xs[2 * j]) for j in range(2)),
+              ring(0))
+    assert ring_poly(got.num, ring) * c ** 4 == num * ring_poly(got.den, ring)
+
+
+def test_poisson_bracket_matches_sympy_on_both_routes(monkeypatch):
     rng = random.Random(96)
     pairs = [(symplectic_operand(rng), symplectic_operand(rng)) for _ in range(6)]
     pairs += [(cone_operand(rng), cone_operand(rng)) for _ in range(6)]
@@ -192,6 +213,24 @@ def test_poisson_bracket_matches_sympy_on_both_routes():
         got = poisson_bracket(f, g)
         assert sympy.expand(to_sympy(got.num) * den - num * to_sympy(got.den)) == 0
     assert routes[True] >= 6 and routes[False] >= 6
+    # 20-term numerators over one 5-term c: the c^3 numerator, one dot, sums
+    # at least _NP_BOX_PAIR_CUTOFF term pairs and takes the box route
+    den = rand_poly(rng, terms=4, degree=1, nvars=4) + MPoly.one(4)
+    f, g = (RatFunc(rand_poly(rng, terms=20, degree=3, nvars=4), den) for _ in range(2))
+    sums, boxed = [], []
+    dot, box = poisson.dot, exact._dot_box
+
+    def counted_dot(products):
+        products = list(products)
+        sums.append(sum(u.term_count * v.term_count for _, u, v in products))
+        return dot(products)
+    monkeypatch.setattr(poisson, "dot", counted_dot)
+    monkeypatch.setattr(exact, "_dot_box", lambda exps, *args: boxed.append(
+        sum(len(ea) * len(eb) for ea, _, eb, _ in exps)) or box(exps, *args))
+    got = poisson_bracket(f, g)
+    monkeypatch.undo()
+    assert f.same_den(g) and sums[-1] >= _NP_BOX_PAIR_CUTOFF and boxed[-1] == sums[-1]
+    assert_bracket_over_c4(f, g, got)
 
 
 def assert_no_monomial_factor_divides(f):

@@ -1,8 +1,8 @@
 """Negative controls for the checks fed by the signed-bijection kernel, by
 the quantization bridges (dual numbers, hbar-localization, cone bracket) and
-by the sparse-polynomial product kernels (Poisson brackets at n = 3, Leibniz
-compositions at N = 4 and symbols at N = 3, where products fill the dense
-exponent box).
+by the sparse-polynomial product kernel, ``*`` and ``dot`` (Poisson brackets
+at n = 3, Leibniz compositions at N = 4 and symbols at N = 3, where products
+and sums of products fill the dense exponent box).
 
 Each entry names an anchor, a true instance whose records for that anchor
 pass, and one documented perturbation.  Under the perturbation the same
@@ -201,7 +201,7 @@ def leg_function(terms):
     return RatFunc(MPoly.from_terms(2, terms))
 
 
-# four quadratics of (x, xi): at n = 3 the bracket products fill the box
+# four quadratics of (x, xi): at n = 3 the bracket sums fill the box
 CLASSICAL_FS = [leg_function({(0, 0): 1, (1, 1): 2, (0, 2): -1}),
                 leg_function({(1, 0): 3, (0, 1): -2, (2, 0): 1}),
                 leg_function({(0, 1): 1, (1, 1): -3, (2, 0): 2, (0, 0): 4}),
@@ -213,7 +213,7 @@ def poisson_commute_instance():
 
 
 def op_commute_instance():
-    # at N = 3 no Leibniz product of [H_k, H_l] reaches the box kernel
+    # at N = 3 no Leibniz product of [H_k, H_l] reaches the box route
     spec = OpFamilySpec([Fraction(p) for p in (-2, 1, 3, 5)], RatDiffOp.partial(1, 1, 2))
     return [check_commute(weyl.rational_hamiltonians(spec))]
 
@@ -292,7 +292,7 @@ NEGATIVE_CONTROLS = {
                             z1_added_to_second_symbol),
 }
 
-# the anchors decided by the polynomial product kernels at n = 3, N = 3 and N = 4
+# the anchors decided by the polynomial product kernel at n = 3, N = 3 and N = 4
 KERNEL_ANCHORS = [ANCHOR_POISSON_COMMUTE, ANCHOR_OP_COMMUTE, ANCHOR_SYMBOL_MATCH,
                   ANCHOR_SYMBOL_COMMUTE]
 
@@ -319,8 +319,8 @@ def test_perturbation_turns_pass_into_fail(monkeypatch, anchor):
                               "symbol-commute"])
 def test_kernel_controls_run_through_the_box_kernel(monkeypatch, anchor):
     calls = []
-    original = exact._dict_mul_box
-    monkeypatch.setattr(exact, "_dict_mul_box", lambda *args: calls.append(1) or original(*args))
+    original = exact._dot_box
+    monkeypatch.setattr(exact, "_dot_box", lambda *args: calls.append(1) or original(*args))
     NEGATIVE_CONTROLS[anchor][1]()
     assert calls
 
