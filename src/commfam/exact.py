@@ -26,6 +26,7 @@ with zero tolerance:
 * ``collect`` and ``SparseSum`` -- the storage rule and the ``+``, ``-``,
   negation and ``scale`` of the sparse sums built on this tower:
   ``weyl.RatDiffOp``, ``quantize.HElem`` and ``quantize.LocalSeries``.
+  ``_leibniz`` composes and commutes the first two by one Leibniz rule.
 
 Normal form: a nonzero ``MPoly`` is ``content * primitive``, where the
 primitive part maps packed exponent keys to integers with gcd one and a
@@ -932,6 +933,43 @@ def collect(items: Iterable[tuple[object, object]]) -> dict:
     for key, c in items:
         acc[key] = acc[key] + c if key in acc else c
     return {k: c for k, c in acc.items() if not c.is_zero}
+
+
+def _leibniz(a: dict, b: dict, trunc: int | None = None,
+             commutator: bool = False) -> Iterator[tuple[tuple, RatFunc]]:
+    """Items (key, coefficient) that ``collect`` sums to the composition a b,
+    or with ``commutator`` to a b - b a, of two maps from keys to ``RatFunc``
+    coefficients.  A key is a derivative multi-index, one entry per variable
+    of the coefficients, then grades that add (``HElem``'s hbar power); a
+    pair whose grades sum past ``trunc`` forms nothing.  By Leibniz,
+    (f D^alpha)(g D^beta) = sum_{gamma <= alpha} C(alpha, gamma) f (D^gamma g)
+    D^(alpha - gamma + beta), whose gamma = 0 term is the same in both
+    orders: a commutator forms only the gamma != 0 terms of a b and, negated,
+    of b a.  Each D^gamma g is formed once, from D^(gamma - e_j) g, j the
+    first nonzero index of gamma, which the gamma loop reaches first.
+    """
+    for left, right, sign in [(a, b, 1), (b, a, -1)][:1 + commutator]:
+        derived = {(kb, (0,) * g.nvars): g for kb, g in right.items()}
+        for ka, f in left.items():
+            nd = f.nvars
+            alpha = ka[:nd]
+            # gamma = 0 comes first; a commutator drops it
+            gammas = list(itertools.product(*(range(x + 1) for x in alpha)))[commutator:]
+            for kb in right:
+                grade = tuple(map(operator.add, ka[nd:], kb[nd:]))
+                if trunc is not None and sum(grade) > trunc:
+                    continue
+                for gamma in gammas:
+                    g = derived.get((kb, gamma))
+                    if g is None:
+                        j = next(i for i, x in enumerate(gamma) if x)
+                        prev = gamma[:j] + (gamma[j] - 1,) + gamma[j + 1:]
+                        g = derived[kb, gamma] = derived[kb, prev].partial(j)
+                    if g.is_zero:
+                        continue
+                    scale = sign * math.prod(map(math.comb, alpha, gamma))
+                    target = tuple(x - y + z for x, y, z in zip(alpha, gamma, kb))
+                    yield target + grade, f * g if scale == 1 else f * g * scale
 
 
 class SparseSum:

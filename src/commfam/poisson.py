@@ -56,16 +56,15 @@ class ZeroAlpha(ValueError):
 # The canonical bracket.
 
 
-def _pairwise_kernel(u, v, n: int):
-    """P(u, v) = sum_j (u_x_j v_xi_j - u_xi_j v_x_j) on two ``MPoly`` or two
-    ``RatFunc`` values in 2n variables ordered (x_1, xi_1, ..., x_n, xi_n);
-    on ``MPoly`` values the whole sum is one ``dot``."""
-    pairs = [(u.partial(x), v.partial(x + 1), u.partial(x + 1), v.partial(x))
-             for x in range(0, 2 * n, 2)]
-    if isinstance(u, MPoly) and pairs:
+def _pairwise_kernel(du: list, dv: list):
+    """P(u, v) = sum_j (u_x_j v_xi_j - u_xi_j v_x_j) from the partials
+    du = (u_x_1, u_xi_1, ..., u_x_n, u_xi_n) and dv of two ``MPoly`` or two
+    ``RatFunc`` values, n >= 1; on ``MPoly`` values the whole sum is one ``dot``."""
+    pairs = [(du[x], dv[x + 1], du[x + 1], dv[x]) for x in range(0, len(du), 2)]
+    if isinstance(du[0], MPoly):
         return dot(t for p, q, r, s in pairs for t in ((1, p, q), (-1, r, s)))
     terms = [p * q - r * s for p, q, r, s in pairs]
-    return sum(terms[1:], terms[0]) if terms else u * 0
+    return sum(terms[1:], terms[0])
 
 
 def poisson_bracket(f: RatFunc, g: RatFunc) -> RatFunc:
@@ -77,21 +76,25 @@ def poisson_bracket(f: RatFunc, g: RatFunc) -> RatFunc:
     of ``RatFunc.same_den``), c its product, give
     (c P(a,b) - a P(c,b) - b P(a,c)) / c^3, c^3 kept as c's factors cubed
     (the quotient rule would give c^4), each P and the numerator one
-    ``exact.dot``.  Other operands go through P as ``RatFunc`` values, whose
-    partials raise only the factors holding the variable and whose sums work
-    over the lcm of the factor maps.
+    ``exact.dot``, and each partial of a, b and c taken once.  Other
+    operands go through P as ``RatFunc`` values, whose partials raise only
+    the factors holding the variable and whose sums work over the lcm of the
+    factor maps.
     """
     if f.nvars != g.nvars or f.nvars % 2:
         raise ValueError(f"bracket operands need the same even number of variables, "
                          f"got {f.nvars} and {g.nvars}")
     n = f.nvars // 2
+    if n == 0:
+        return f * 0
     if not f.same_den(g):
-        return _pairwise_kernel(f, g, n)
+        return _pairwise_kernel(*([p.partial(i) for i in range(2 * n)] for p in (f, g)))
     c = f.den
     a, b = f.num, g.num
-    num = dot([(1, c, _pairwise_kernel(a, b, n)),
-               (-1, a, _pairwise_kernel(c, b, n)),
-               (-1, b, _pairwise_kernel(a, c, n))])
+    da, db, dc = ([p.partial(i) for i in range(2 * n)] for p in (a, b, c))
+    num = dot([(1, c, _pairwise_kernel(da, db)),
+               (-1, a, _pairwise_kernel(dc, db)),
+               (-1, b, _pairwise_kernel(da, dc))])
     return f.over_den(num, 3)
 
 

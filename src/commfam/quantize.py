@@ -11,8 +11,12 @@ Two desk-scale renderings of first-order quantization live here.
 
 * hbar-localization: the coefficient algebra A_h is the Rees construction on
   one-variable differential operators (each derivative carries one power of
-  hbar, so the stored (order, power) pairs satisfy power >= order).  Adjoining
-  a formal X with the rule
+  hbar, so the stored (order, power) pairs satisfy power >= order).  It
+  composes by the Leibniz rule of ``exact._leibniz``, hbar powers adding:
+  (a D^k)(b D^k') = sum_{i <= k} C(k, i) a b^(i) D^(k - i + k').  ad(f)(b) =
+  f b - b f is the same sum over i != 0, minus the sum with f and b swapped:
+  the i = 0 terms a b D^(k + k') cancel, so ``h_ad`` never forms them.
+  Adjoining a formal X with the rule
 
       (a X^n)(b X^m) = sum_{al >= 0} C(-n, al) a ad(f)^al(b) X^(n+m+al)
 
@@ -31,7 +35,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .exact import MPoly, RatFunc, SparseSum, collect, maximal_minors
+from .exact import MPoly, RatFunc, SparseSum, _leibniz, collect, maximal_minors
 from .poisson import classical_hamiltonians, poisson_bracket
 from .reports import CheckRecord, failed, passed
 
@@ -245,22 +249,7 @@ class HElem(SparseSum):
     def __mul__(self, other: "HElem") -> "HElem":
         """Composition; hbar powers add, derivatives pass by Leibniz."""
         self._compat(other)
-        items = []
-        for (k1, m1), c1 in self.coeffs.items():
-            for (k2, m2), c2 in other.coeffs.items():
-                m = m1 + m2
-                if m > self.trunc:
-                    continue
-                g = c2
-                for i in range(k1 + 1):
-                    coeff = c1 * g
-                    binom = math.comb(k1, i)
-                    if binom != 1:
-                        coeff = coeff * binom
-                    items.append(((k1 + k2 - i, m), coeff))
-                    if i < k1:
-                        g = g.partial(0)
-        return HElem.build(self.trunc, items)
+        return HElem.build(self.trunc, _leibniz(self.coeffs, other.coeffs, self.trunc))
 
     def __eq__(self, other):
         if not isinstance(other, HElem):
@@ -276,8 +265,9 @@ class HElem(SparseSum):
 
 
 def h_ad(f: HElem, b: HElem) -> HElem:
-    """ad(f)(b) = f b - b f, computed in A_h."""
-    return f * b - b * f
+    """ad(f)(b) = f b - b f in A_h, without the Leibniz terms that cancel."""
+    f._compat(b)
+    return HElem.build(f.trunc, _leibniz(f.coeffs, b.coeffs, f.trunc, commutator=True))
 
 
 def h_inverse(f: HElem) -> HElem:
@@ -506,7 +496,7 @@ def check_degeneration(a: HElem, b: HElem) -> CheckRecord:
     M - 1, so both sides are compared on that window; they agree exactly
     there.
     """
-    comm = a * b - b * a
+    comm = h_ad(a, b)
     linear = HElem.build(a.trunc, (((k, m - 1), c) for (k, m), c in comm.coeffs.items()
                                    if m >= 1))
     want = _truncate_xi_degree(poisson_bracket(b.shadow(), a.shadow()), a.trunc - 1)

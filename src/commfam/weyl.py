@@ -2,9 +2,13 @@
 
 An operator is a finite sum  sum_a  f_a(z_1..z_N) D^a  over derivative
 multi-indices a, with rational-function coefficients.  Composition follows
-the multi-index Leibniz rule and stays exact; the symbol map sends the top
-total-degree part to a polynomial in (xi_1..xi_N) over Q(z_1..z_N), matching
-the variable layout of the Poisson module so symbols can be bracketed there.
+the multi-index Leibniz rule (f D^a)(g D^b) = sum_{c <= a} C(a, c) f (D^c g)
+D^(a - c + b) and stays exact.  The commutator is the same sum over c != 0,
+minus the sum with the operators swapped: the c = 0 terms f g D^(a + b)
+cancel, so ``do_commutator`` never forms them (``exact._leibniz``).  The
+symbol map sends the top total-degree part to a polynomial in (xi_1..xi_N)
+over Q(z_1..z_N), matching the variable layout of the Poisson module so
+symbols can be bracketed there.
 
 Two constructions of commuting families live here:
 
@@ -29,12 +33,10 @@ away.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import MPoly, RatFunc, SparseSum, collect, maximal_minors, signed_minors
+from .exact import MPoly, RatFunc, SparseSum, _leibniz, collect, maximal_minors, signed_minors
 from .poisson import classical_hamiltonians, poisson_bracket
 from .reports import CheckRecord, failed, passed
 
@@ -51,13 +53,6 @@ class ZeroOperator(ValueError):
 
 class ZeroPhi(ArithmeticError):
     """The function determinant of the chosen basis vanishes."""
-
-
-def _multi_binom(alpha: tuple[int, ...], gamma: tuple[int, ...]) -> int:
-    out = 1
-    for a, g in zip(alpha, gamma):
-        out *= math.comb(a, g)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,40 +162,13 @@ class RatDiffOp(SparseSum):
 def do_compose(a: RatDiffOp, b: RatDiffOp) -> RatDiffOp:
     """Operator composition by the multi-index Leibniz rule, exact."""
     a._compat(b)
-    nvars = a.nvars
-    derivative_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], RatFunc] = {}
-
-    def derived(beta: tuple[int, ...], gamma: tuple[int, ...]) -> RatFunc:
-        key = (beta, gamma)
-        if key in derivative_cache:
-            return derivative_cache[key]
-        if all(g == 0 for g in gamma):
-            value = b.coeffs[beta]
-        else:
-            j = next(i for i, g in enumerate(gamma) if g > 0)
-            prev = tuple(g - (1 if i == j else 0) for i, g in enumerate(gamma))
-            value = derived(beta, prev).partial(j)
-        derivative_cache[key] = value
-        return value
-
-    items = []
-    for alpha, f in a.coeffs.items():
-        for beta, _ in b.coeffs.items():
-            for gamma in itertools.product(*(range(x + 1) for x in alpha)):
-                g = derived(beta, gamma)
-                if g.is_zero:
-                    continue
-                coeff = f * g
-                binom = _multi_binom(alpha, gamma)
-                if binom != 1:
-                    coeff = coeff * binom
-                target = tuple(x - y + z for x, y, z in zip(alpha, gamma, beta))
-                items.append((target, coeff))
-    return RatDiffOp.build(nvars, items)
+    return RatDiffOp.build(a.nvars, _leibniz(a.coeffs, b.coeffs))
 
 
 def do_commutator(a: RatDiffOp, b: RatDiffOp) -> RatDiffOp:
-    return do_compose(a, b) - do_compose(b, a)
+    """[a, b] by the Leibniz rule without its gamma = 0 terms, which cancel."""
+    a._compat(b)
+    return RatDiffOp.build(a.nvars, _leibniz(a.coeffs, b.coeffs, commutator=True))
 
 
 def symbol(a: RatDiffOp) -> RatFunc:

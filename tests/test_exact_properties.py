@@ -6,7 +6,9 @@ the kernel's many-product case, is checked against the sum of its products
 at the same guards, the joint int64 bound of a sum included.
 The ``QMatrix`` integer form (numerators over one denominator) is checked
 against plain ``Fraction`` loops, and its fraction-free ``rank`` against a
-``Fraction`` Gauss-Jordan rank.
+``Fraction`` Gauss-Jordan rank.  The Leibniz commutators of ``weyl`` and
+``quantize``, which skip the terms that cancel, are checked against the
+difference of the two compositions.
 """
 
 import math
@@ -20,6 +22,8 @@ from hypothesis import given, settings, strategies as st
 from commfam import exact
 from commfam.exact import (_MAX_EXP, _NP_COEF_BOUND, _NP_PAIR_CUTOFF, MPoly, QMatrix,
                            RatFunc, Singular, dot, kron, mat_inverse, rank)
+from commfam.quantize import HElem, h_ad
+from commfam.weyl import RatDiffOp, do_commutator, do_compose
 from kernel_routes import ROUTES, expected_route, nonzero, python_dot, routed_mul
 from rank_oracle import fraction_rank
 
@@ -378,3 +382,52 @@ def test_rank_matches_fraction_gauss_jordan(shape_rows):
     assert rank(m) == want
     transpose = QMatrix(c, r, [rows[i][j] for j in range(c) for i in range(r)])
     assert rank(transpose) == want
+
+
+# Leibniz commutators against the difference of the two compositions.  Each
+# coefficient is a small polynomial over one of a few denominators, so the
+# derivatives D^gamma g raise factor exponents as well as differentiate
+# numerators.
+LEIBNIZ = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def leibniz_coefficients(draw, nvars):
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * nvars),
+                                 st.integers(-3, 3), min_size=1, max_size=3))
+    num = MPoly.from_terms(nvars, terms)
+    j = draw(st.integers(0, nvars - 1))
+    den = draw(st.sampled_from([MPoly.one(nvars), MPoly.var(nvars, j) + 1,
+                                MPoly.var(nvars, j) * MPoly.var(nvars, 0) - 2]))
+    return RatFunc(num, den)
+
+
+@st.composite
+def rat_diff_ops(draw, nvars):
+    alphas = draw(st.lists(st.tuples(*[st.integers(0, 2)] * nvars), max_size=3))
+    return RatDiffOp.build(nvars, [(alpha, draw(leibniz_coefficients(nvars)))
+                                   for alpha in alphas])
+
+
+@st.composite
+def helems(draw, trunc):
+    # (order k, hbar power m) with k <= m <= trunc, as the Rees condition asks
+    keys = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)).map(
+        lambda kd: (kd[0], min(kd[0] + kd[1], trunc))), max_size=4))
+    return HElem.build(trunc, [(key, draw(leibniz_coefficients(1))) for key in keys])
+
+
+@LEIBNIZ
+@given(data=st.data())
+def test_do_commutator_is_the_difference_of_the_compositions(data):
+    nvars = data.draw(st.integers(1, 3))
+    a, b = data.draw(rat_diff_ops(nvars)), data.draw(rat_diff_ops(nvars))
+    assert do_commutator(a, b) == do_compose(a, b) - do_compose(b, a)
+
+
+@LEIBNIZ
+@given(data=st.data())
+def test_h_ad_is_the_difference_of_the_products(data):
+    trunc = data.draw(st.integers(2, 5))
+    f, b = data.draw(helems(trunc)), data.draw(helems(trunc))
+    assert h_ad(f, b) == f * b - b * f

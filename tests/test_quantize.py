@@ -196,6 +196,18 @@ def test_helem_product_leibniz():
     assert h_ad(z, D) == HElem.build(trunc, [((0, 1), RatFunc.const(1, -1))])
 
 
+def test_h_ad_of_functions_forms_no_product(monkeypatch):
+    # ad(f)(g) for two functions has only i = 0 Leibniz terms, which cancel
+    z = RatFunc.var(1, 0)
+    f = HElem.function(z * z + RatFunc.const(1, 1), 4)
+    g = HElem.function(RatFunc.const(1, 1) / (z - RatFunc.const(1, 2)), 4)
+    products = []
+    mul = RatFunc.__mul__
+    monkeypatch.setattr(RatFunc, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    assert h_ad(f, g).is_zero
+    assert not products
+
+
 def test_helem_inverse_two_sided():
     trunc = 5
     z = RatFunc.var(1, 0)

@@ -93,6 +93,18 @@ def test_commutator_examples():
     assert do_commutator(a, z_op()) == z_op()
 
 
+def test_commutator_of_multiplications_forms_no_product(monkeypatch):
+    # [f, g] has only gamma = 0 Leibniz terms, f g and g f, which cancel
+    z = RatFunc.var(2, 0)
+    f = RatDiffOp.multiplication(z * z + RatFunc.var(2, 1))
+    g = RatDiffOp.multiplication(RatFunc.const(2, 1) / (z - RatFunc.const(2, 3)))
+    products = []
+    mul = RatFunc.__mul__
+    monkeypatch.setattr(RatFunc, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    assert do_commutator(f, g).is_zero
+    assert not products
+
+
 def test_symbol_examples_and_errors():
     zd1 = do_compose(z_op(), d_op()) + RatDiffOp.identity(1)
     sym = symbol(zd1)
