@@ -16,9 +16,11 @@ trial runs.  Each kind has a per-trial function ``(params, rng, t) -> records``;
 ``run_scenario`` alone seeds each trial through SplitMix64, appends ``-t<k>``
 to its record names, turns a declared precondition error of trial k into one
 skipped record ``precondition-t<k>``, and with ``--jobs`` fans trials out
-across processes.  Reports are JSON documents (see ``reports``); identical
-(kind, params, seed) give byte-identical reports apart from the duration
-field, whatever the job count.
+across processes.  hbar-localization also runs its one-time checks after
+trial 0, with that trial's generator, under untagged names.  Reports are
+JSON documents (see ``reports``); identical (kind, params, seed) give
+byte-identical reports apart from the duration field, whatever the job
+count.
 
 Seed-operator grammar for ``T``: ``d`` or ``d<k>`` for the k-th derivative,
 ``z*d1+<c>`` for the first-order operator z d/dz + c with rational c.
@@ -473,9 +475,6 @@ RUNNERS = {
     "hbar-localization": _trial_hbar_localization,
 }
 
-# kind -> (params, rng) -> untagged records, run once after trial 0
-TRIAL_ZERO_HOOKS = {"hbar-localization": _trial_zero_hbar_localization}
-
 # Errors a library function raises when a drawn sample breaks a stated
 # hypothesis.  The trial that raises one becomes a single skipped record.
 DECLARED_ERRORS = (Singular, poisson.DependentFamily, poisson.ZeroDelta0,
@@ -492,8 +491,8 @@ def _run_trials(kind: str, params: dict, seed: int,
         try:
             records = [CheckRecord(f"{r.name}-t{t}", r.anchor, r.status, r.witness)
                        for r in RUNNERS[kind](params, rng, t)]
-            if t == 0 and kind in TRIAL_ZERO_HOOKS:
-                records += TRIAL_ZERO_HOOKS[kind](params, rng)
+            if t == 0 and kind == "hbar-localization":
+                records += _trial_zero_hbar_localization(params, rng)
         except DECLARED_ERRORS as exc:
             records = [skipped(f"precondition-t{t}", "declared error surfaced",
                                f"{type(exc).__name__}: {exc}")]

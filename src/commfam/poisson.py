@@ -334,16 +334,19 @@ class ConeDifferential:
 
 
 def nabla(alpha: ConeDifferential, omega: ConeDifferential) -> ConeDifferential:
-    """grad_alpha(w) = alpha^i d(w / alpha^i): weight i in, weight i+1 out."""
+    """grad_alpha(w) = alpha^i d(w / alpha^i): weight i in, weight i+1 out.
+
+    Computed as d(w inv) / inv with inv = alpha^(-i).  For i > 0 inv keeps
+    alpha as a denominator factor with exponent i, so the division cancels
+    it instead of expanding alpha^i; i = 0 gives inv = 1.
+    """
     if alpha.weight != 1:
         raise ValueError("the reference differential must have weight 1")
     if alpha.f.is_zero:
         raise ZeroAlpha("reference differential is zero")
     i = omega.weight
-    scaled = omega.f / (alpha.f ** i) if i else omega.f
-    derived = scaled.partial(0)
-    result = (alpha.f ** i) * derived if i else derived
-    return ConeDifferential(result, i + 1)
+    inv = alpha.f ** -i
+    return ConeDifferential((omega.f * inv).partial(0) / inv, i + 1)
 
 
 def cone_bracket(omega: ConeDifferential, omega2: ConeDifferential,

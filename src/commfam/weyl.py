@@ -124,9 +124,9 @@ class RatDiffOp(SparseSum):
         if not isinstance(other, RatDiffOp):
             return NotImplemented
         self._compat(other)
-        if set(self.coeffs) != set(other.coeffs):
-            return (self - other).is_zero
-        return all(self.coeffs[a] == other.coeffs[a] for a in self.coeffs)
+        # no stored coefficient is zero, so different key sets differ as operators
+        return (self.coeffs.keys() == other.coeffs.keys()
+                and all(self.coeffs[a] == other.coeffs[a] for a in self.coeffs))
 
     __hash__ = None
 
@@ -241,17 +241,20 @@ def closed_form_coefficient(spec: OpFamilySpec, i: int, k: int) -> RatFunc:
     return coeff
 
 
+def _leg_sum(qs: list[RatFunc], T: RatDiffOp) -> RatDiffOp:
+    """sum_j q_j T_{z_j} (legs 1-based): each coefficient c of T, lifted to
+    leg j, times q_j, collected once; a zero q_j adds nothing."""
+    N = len(qs)
+    return RatDiffOp.build(N, ((alpha, q * c)
+                               for j, q in enumerate(qs, start=1) if not q.is_zero
+                               for alpha, c in T.lift_to_leg(j, N).coeffs.items()))
+
+
 def rational_hamiltonians(spec: OpFamilySpec) -> list[RatDiffOp]:
     """The closed-form commuting family H_1..H_N for the marked points."""
-    out = []
-    for k in range(1, spec.N + 1):
-        terms = RatDiffOp.zero(spec.N)
-        for i in range(1, spec.N + 1):
-            q = closed_form_coefficient(spec, i, k)
-            lifted = spec.T.lift_to_leg(i, spec.N)
-            terms = terms + do_compose(RatDiffOp.multiplication(q), lifted)
-        out.append(terms)
-    return out
+    N = spec.N
+    return [_leg_sum([closed_form_coefficient(spec, i, k) for i in range(1, N + 1)], spec.T)
+            for k in range(1, N + 1)]
 
 
 def hamiltonians_from_basis(fs: list[RatFunc], T: RatDiffOp) -> list[RatDiffOp]:
@@ -275,22 +278,12 @@ def hamiltonians_from_basis(fs: list[RatFunc], T: RatDiffOp) -> list[RatDiffOp]:
     phi = signed_minors(table, one=one)[(1 << N) - 1]
     if phi.is_zero:
         raise ZeroPhi("function determinant det(f_i(z_j)) = 0")
-    lifted = [T.lift_to_leg(j, N) for j in range(1, N + 1)]
     # cofactors[j][i] = F_i^(j): the maximal minors of the table without column j
     cofactors = [maximal_minors([row[:j] + row[j + 1:] for row in table], one=one)
                  for j in range(N)]
-    out = []
-    for i in range(N):
-        h = RatDiffOp.zero(N)
-        for j in range(N):
-            coeff = cofactors[j][i] / phi
-            if j % 2 == 1:
-                coeff = -coeff
-            if coeff.is_zero:
-                continue
-            h = h + do_compose(RatDiffOp.multiplication(coeff), lifted[j])
-        out.append(h)
-    return out
+    quotients = [[cofactors[j][i] / phi for j in range(N)] for i in range(N)]
+    return [_leg_sum([-q if j % 2 else q for j, q in enumerate(row)], T)
+            for row in quotients]
 
 
 def basis_match_constant(points, k: int) -> Fraction:

@@ -347,6 +347,38 @@ def test_nabla_examples():
         nabla(w, zdz)
 
 
+def test_nabla_cancels_alpha_factor():
+    # alpha = z^2+1 stays one denominator factor with its exponent, so
+    # alpha^i d(w / alpha^i) keeps z^2+1 once, never (z^2+1)^(2i)
+    z = RatFunc.var(1, 0)
+    alpha = ConeDifferential(z * z + 1, 1)
+    f = RatFunc(MPoly.from_terms(1, {(3,): Fraction(2), (1,): Fraction(-1),
+                                     (0,): Fraction(5)}))
+    for i in (1, 2, 3):
+        assert nabla(alpha, ConeDifferential(f, i)).f.den == (z * z + 1).num, i
+
+
+def test_nabla_matches_literal_definition():
+    rng = random.Random(29)
+    z = RatFunc.var(1, 0)
+    alphas = [RatFunc.const(1, 1), z + RatFunc.const(1, 3), z * z + 1,
+              (z - 2) / (z * z + z + 1)]
+
+    def rand_poly(degree):
+        poly = MPoly.from_terms(1, {(e,): Fraction(rng.randint(-4, 4))
+                                    for e in range(degree + 1)})
+        return MPoly.one(1) if poly.is_zero else poly
+
+    for a in alphas:
+        for i in range(-2, 4):
+            for _ in range(3):
+                f = RatFunc(rand_poly(3), rand_poly(2))
+                # the reference: alpha^i d(w / alpha^i), literally
+                want = (a ** i) * (f / a ** i).partial(0)
+                got = nabla(ConeDifferential(a, 1), ConeDifferential(f, i))
+                assert got.weight == i + 1 and got.f == want, (a, i)
+
+
 def test_cone_bracket_frozen_and_alpha_independent():
     z = RatFunc.var(1, 0)
     one = RatFunc.const(1, 1)

@@ -11,8 +11,8 @@ from commfam.poisson import poisson_bracket
 from commfam.weyl import (OpFamilySpec, RatDiffOp, ZeroOperator, ZeroPhi,
                           basis_match_constant, check_basis_matches_closed_form,
                           check_commute, check_symbol_matches_classical,
-                          do_commutator, do_compose, hamiltonians_from_basis,
-                          rational_hamiltonians, symbol)
+                          _leg_sum, do_commutator, do_compose,
+                          hamiltonians_from_basis, rational_hamiltonians, symbol)
 from permutation_oracle import det_by_rows
 
 
@@ -217,6 +217,27 @@ def old_hamiltonians_from_basis(fs, T):
                 h = h + do_compose(RatDiffOp.multiplication(coeff), lifted[j])
         out.append(h)
     return out
+
+
+def test_leg_sum_matches_composition_with_multiplications():
+    # the reference: sum_j of q_j composed with T lifted to leg j
+    rng = random.Random(41)
+    euler = do_compose(z_op(), d_op()) + RatDiffOp.multiplication(
+        RatFunc.const(1, Fraction(-3, 2)))
+    for T in (d_op(), d_op(2), euler):
+        for N in (1, 2, 3):
+            zs = [RatFunc.var(N, k) for k in range(N)]
+            qs = [sum((v * rng.randint(-3, 3) for v in zs), RatFunc.const(N, rng.randint(1, 3)))
+                  / (rng.choice(zs) - RatFunc.const(N, rng.randint(-3, 3)))
+                  for _ in range(N)]
+            for zero_leg in (None, rng.randrange(N)):
+                if zero_leg is not None:
+                    qs[zero_leg] = RatFunc.const(N, 0)
+                want = RatDiffOp.zero(N)
+                for j, q in enumerate(qs, start=1):
+                    want = want + do_compose(RatDiffOp.multiplication(q),
+                                             T.lift_to_leg(j, N))
+                assert _leg_sum(qs, T) == want, (T, N, zero_leg)
 
 
 def test_hamiltonians_from_basis_match_permutation_expansion():
