@@ -29,7 +29,8 @@ print("== the determinant family inside the eps-algebra ==")
 one = RatFunc.const(2, 1)
 fx = RatFunc.var(2, 0)
 fxi = RatFunc.var(2, 1)
-records = quantize.dual_commuting_family([one, fx + fxi * fxi, fx * fxi])
+fs = [one, fx + fxi * fxi, fx * fxi]
+records = quantize.dual_commuting_family(fs, poisson.classical_hamiltonians(fs))
 for record in records:
     print(f"  {record.name}: {record.status}")
 

@@ -357,11 +357,12 @@ def _trial_cone_p1(params, rng, t) -> list[CheckRecord]:
         poisson.ConeDifferential(z + RatFunc.const(1, rng.randint(1, bound)), 1),
         poisson.ConeDifferential(z * z + RatFunc.const(1, 1), 1),
     ]
-    records = [poisson.check_alpha_independence(w1, w2, alphas),
+    brackets = [poisson.cone_bracket(w1, w2, alpha) for alpha in alphas]
+    records = [poisson.check_alpha_independence(brackets),
                poisson.check_cone_antisymmetry(w1, alphas[0])]
     w3 = _random_cone_diff(rng, bound)
     return records + [poisson.check_cone_jacobi(w1, w2, w3, alphas[0]),
-                      poisson.check_cone_vs_canonical(w1, w2, alphas[1])]
+                      poisson.check_cone_vs_canonical(brackets[1], w1, w2)]
 
 
 def _trial_dual_number(params, rng, t) -> list[CheckRecord]:
@@ -380,7 +381,7 @@ def _trial_dual_number(params, rng, t) -> list[CheckRecord]:
             records.append(failed("dual-family", quantize.ANCHOR_DUAL_COMM,
                                   f"no usable family after {rejected} draws"))
         else:
-            records.extend(quantize.dual_commuting_family(drawn[0]))
+            records.extend(quantize.dual_commuting_family(*drawn))
     return records
 
 

@@ -975,12 +975,23 @@ def _leibniz(a: dict, b: dict, trunc: int | None = None,
 class SparseSum:
     """Base of frozen dataclasses with a field ``coeffs``, a map from keys to
     nonzero coefficients.  Results are rebuilt through the dataclass, so
-    ``__post_init__`` validates them; ``+`` first calls the subclass's
-    ``_compat``.  Equality stays with each subclass."""
+    ``__post_init__`` validates them; ``+`` and ``==`` first call the
+    subclass's ``_compat``.  Because no stored coefficient is zero, two sums
+    are equal iff their key sets and coefficients are; a subclass whose
+    equal ``coeffs`` are not its equality overrides ``==``."""
 
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._compat(other)
+        return (self.coeffs.keys() == other.coeffs.keys()
+                and all(c == other.coeffs[k] for k, c in self.coeffs.items()))
+
+    __hash__ = None
 
     def _with(self, coeffs: dict):
         return dataclasses.replace(self, coeffs=coeffs)

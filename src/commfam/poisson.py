@@ -369,14 +369,13 @@ def cone_to_symplectic(omega: ConeDifferential) -> RatFunc:
     return lifted * (RatFunc.var(2, 1) ** (-omega.weight))
 
 
-def check_alpha_independence(omega: ConeDifferential, omega2: ConeDifferential,
-                             alphas: list[ConeDifferential]) -> CheckRecord:
-    """The bracket of a fixed pair agrees across all reference differentials."""
-    if len(alphas) < 2:
-        raise ValueError("need at least two reference differentials")
-    first = cone_bracket(omega, omega2, alphas[0])
-    for alt in alphas[1:]:
-        other = cone_bracket(omega, omega2, alt)
+def check_alpha_independence(brackets: list[ConeDifferential]) -> CheckRecord:
+    """One pair's brackets {w, w'}, each formed with its own reference
+    differential alpha, all agree."""
+    if len(brackets) < 2:
+        raise ValueError("need at least two brackets to compare")
+    first = brackets[0]
+    for other in brackets[1:]:
         if not (first - other).is_zero:
             return failed("cone-alpha-independence", ANCHOR_CONE_ALPHA,
                           f"brackets differ: {first.f.to_text()} vs {other.f.to_text()}")
@@ -400,10 +399,11 @@ def check_cone_jacobi(a: ConeDifferential, b: ConeDifferential, c: ConeDifferent
     return failed("cone-jacobi", ANCHOR_CONE_JACOBI, jac.f.to_text())
 
 
-def check_cone_vs_canonical(omega: ConeDifferential, omega2: ConeDifferential,
-                            alpha: ConeDifferential) -> CheckRecord:
-    """The cone bracket, carried to (x, xi), is the canonical bracket."""
-    lhs = cone_to_symplectic(cone_bracket(omega, omega2, alpha))
+def check_cone_vs_canonical(bracket: ConeDifferential, omega: ConeDifferential,
+                            omega2: ConeDifferential) -> CheckRecord:
+    """``bracket``, the cone bracket {w, w'} under any reference differential,
+    carried to (x, xi), is the canonical bracket of w and w' carried there."""
+    lhs = cone_to_symplectic(bracket)
     rhs = poisson_bracket(cone_to_symplectic(omega), cone_to_symplectic(omega2))
     if lhs == rhs:
         return passed("cone-vs-canonical", ANCHOR_CONE_CANONICAL)

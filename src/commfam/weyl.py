@@ -120,16 +120,6 @@ class RatDiffOp(SparseSum):
         if self.nvars != other.nvars:
             raise ValueError("operator variable counts differ")
 
-    def __eq__(self, other):
-        if not isinstance(other, RatDiffOp):
-            return NotImplemented
-        self._compat(other)
-        # no stored coefficient is zero, so different key sets differ as operators
-        return (self.coeffs.keys() == other.coeffs.keys()
-                and all(self.coeffs[a] == other.coeffs[a] for a in self.coeffs))
-
-    __hash__ = None
-
     def apply(self, f: RatFunc) -> RatFunc:
         """Act on a rational function: the defining action of the algebra."""
         if f.nvars != self.nvars:

@@ -29,7 +29,8 @@ from commfam.poisson import (ANCHOR_CONE_ALPHA, ANCHOR_CONE_ANTISYM,
                              WedgeForm, check_alpha_independence,
                              check_cone_antisymmetry, check_cone_jacobi,
                              check_cone_vs_canonical, check_grassmann,
-                             check_hyperplane_incidence, hyperplane_coefficients,
+                             check_hyperplane_incidence, classical_hamiltonians,
+                             hyperplane_coefficients,
                              random_decomposable, random_vector)
 from commfam.quantize import (ANCHOR_DEGEN, ANCHOR_DUAL_ASSOC, ANCHOR_DUAL_COMM,
                               ANCHOR_LIFT_FREE, ANCHOR_LOCAL_ASSOC, ANCHOR_LOCAL_INV,
@@ -49,7 +50,7 @@ def dual_family():
     one = RatFunc.const(2, 1)
     x = RatFunc.var(2, 0)
     xi = RatFunc.var(2, 1)
-    return dual_commuting_family([one, x, xi])
+    return dual_commuting_family([one, x, xi], classical_hamiltonians([one, x, xi]))
 
 
 def delta1_plus_one(module, one):
@@ -175,10 +176,12 @@ def cone_instance():
     w2 = ConeDifferential(one / (z + one), -1)
     w3 = ConeDifferential(z + RatFunc.const(1, 3), 0)
     alphas = [ConeDifferential(one, 1), ConeDifferential(z + RatFunc.const(1, 2), 1)]
-    return [check_alpha_independence(w1, w2, alphas),
+    # looked up on the module at each call, so cone_bracket_with reaches it
+    brackets = [poisson.cone_bracket(w1, w2, alpha) for alpha in alphas]
+    return [check_alpha_independence(brackets),
             check_cone_antisymmetry(w1, alphas[0]),
             check_cone_jacobi(w1, w2, w3, alphas[0]),
-            check_cone_vs_canonical(w1, w2, alphas[1])]
+            check_cone_vs_canonical(brackets[1], w1, w2)]
 
 
 def cone_bracket_with(weights):

@@ -11,7 +11,8 @@ import pytest
 from commfam.exact import MPoly, RatFunc
 from commfam.poisson import (ConeDifferential, DependentFamily, WedgeForm,
                              ZeroAlpha, ZeroDelta0,
-                             check_alpha_independence, check_grassmann,
+                             check_alpha_independence,
+                             check_cone_vs_canonical, check_grassmann,
                              check_hyperplane_incidence,
                              check_poisson_commute, classical_hamiltonians,
                              cone_bracket, cone_to_symplectic,
@@ -389,7 +390,7 @@ def test_cone_bracket_frozen_and_alpha_independent():
     br2 = cone_bracket(zdz, dz, zdz)
     assert (br - br2).is_zero
     assert cone_bracket(zdz, zdz, dz).is_zero
-    record = check_alpha_independence(zdz, dz, [dz, zdz])
+    record = check_alpha_independence([br, br2])
     assert record.status == "pass"
 
 
@@ -408,7 +409,8 @@ def test_cone_bracket_randomised_properties():
 
     for _ in range(10):
         w1, w2, w3 = rand_diff(), rand_diff(), rand_diff()
-        assert check_alpha_independence(w1, w2, alphas).status == "pass"
+        brackets = [cone_bracket(w1, w2, alpha) for alpha in alphas]
+        assert check_alpha_independence(brackets).status == "pass"
         assert (cone_bracket(w1, w2, alphas[0])
                 + cone_bracket(w2, w1, alphas[0])).is_zero
         jac = (cone_bracket(w1, cone_bracket(w2, w3, alphas[0]), alphas[0])
@@ -435,3 +437,23 @@ def test_cone_bracket_matches_canonical_bracket():
         s1 = cone_to_symplectic(w1)
         s2 = cone_to_symplectic(w2)
         assert lhs == poisson_bracket(s1, s2)
+
+
+def test_cone_checks_fail_on_wrong_brackets():
+    z = RatFunc.var(1, 0)
+    one = RatFunc.const(1, 1)
+    w1 = ConeDifferential(z * z + one, 2)
+    w2 = ConeDifferential(one / (z + one), -1)
+    dz = ConeDifferential(one, 1)
+    bracket = cone_bracket(w1, w2, dz)
+    assert check_cone_vs_canonical(bracket, w1, w2).status == "pass"
+    # the bracket with the weight factors i and i' swapped
+    i, i2 = w1.weight, w2.weight
+    swapped = ConeDifferential(w1.f * nabla(dz, w2).f * i2 - w2.f * nabla(dz, w1).f * i,
+                               i + i2 + 1)
+    record = check_cone_vs_canonical(swapped, w1, w2)
+    assert record.status == "fail" and record.witness
+    record = check_alpha_independence([bracket, bracket + ConeDifferential(one, bracket.weight)])
+    assert record.status == "fail" and "brackets differ" in record.witness
+    with pytest.raises(ValueError, match="at least two"):
+        check_alpha_independence([bracket])

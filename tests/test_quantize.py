@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from commfam.exact import RatFunc, maximal_minors
-from commfam.poisson import poisson_bracket
+from commfam.poisson import classical_hamiltonians, poisson_bracket
 from commfam import quantize
 from commfam.quantize import (DualNum, HElem, LocalSeries, TruncationMismatch,
                               ZeroBody, _neg_binomial, check_degeneration,
@@ -95,6 +95,21 @@ def test_sparse_sums_are_unhashable(make):
         hash(value)
 
 
+def test_sparse_sum_equality_compares_keys_and_coefficients():
+    z = RatFunc.var(1, 0)
+    a = HElem.build(3, [((0, 0), z), ((1, 2), RatFunc.const(1, 2))])
+    assert a == HElem.build(3, [((1, 2), RatFunc.const(1, 2)), ((0, 0), z)])
+    assert a != HElem.build(3, [((0, 0), z), ((1, 2), RatFunc.const(1, 3))])
+    assert a != HElem.build(3, [((0, 0), z), ((1, 3), RatFunc.const(1, 2))])
+    assert a != HElem.function(z, 3)
+    assert HElem.zero(3) == HElem.zero(3)
+    assert HElem.one(1) != RatDiffOp.identity(1)
+    with pytest.raises(TruncationMismatch):
+        _ = a == HElem.function(z, 4)
+    with pytest.raises(ValueError, match="variable counts differ"):
+        _ = RatDiffOp.identity(1) == RatDiffOp.identity(2)
+
+
 def test_soul_factor_identity():
     # for body-only elements: soul(a.b - b.a) = 2 {a, b}
     rng = random.Random(5)
@@ -113,7 +128,7 @@ def test_dual_commuting_family_refuses_one_hamiltonian():
     one = RatFunc.const(2, 1)
     x = RatFunc.var(2, 0)
     with pytest.raises(ValueError, match="at least three"):
-        dual_commuting_family([one, x])
+        dual_commuting_family([one, x], [x])
 
 
 def test_dual_minors_match_permutation_expansion(monkeypatch):
@@ -130,7 +145,8 @@ def test_dual_minors_match_permutation_expansion(monkeypatch):
     x = RatFunc.var(2, 0)
     xi = RatFunc.var(2, 1)
     for fs in ([one, x, xi], [one, x, xi, x * xi + x * x]):
-        assert all(r.status == "pass" for r in dual_commuting_family(fs))
+        records = dual_commuting_family(fs, classical_hamiltonians(fs))
+        assert all(r.status == "pass" for r in records)
         lifts, minors = seen.pop()
         n = len(fs) - 1
         assert minors == [det_by_rows([lifts[r] for r in range(n + 1) if r != skip],
@@ -144,25 +160,37 @@ def test_dual_commuting_family_linear():
     one = RatFunc.const(2, 1)
     x = RatFunc.var(2, 0)
     xi = RatFunc.var(2, 1)
-    records = dual_commuting_family([one, x, xi])
+    records = dual_commuting_family([one, x, xi], classical_hamiltonians([one, x, xi]))
     assert all(r.status == "pass" for r in records)
     names = {r.name for r in records}
     assert any("soul-vs-bracket" in n for n in names)
 
 
+def test_dual_soul_check_reads_the_classical_family_it_is_given():
+    """A classical list that disagrees with the dual family fails the soul
+    record of that pair, while the dual commutator still vanishes."""
+    one = RatFunc.const(2, 1)
+    x = RatFunc.var(2, 0)
+    xi = RatFunc.var(2, 1)
+    fs = [one, x, xi]
+    h1, h2 = classical_hamiltonians(fs)
+    records = {r.name: r for r in dual_commuting_family(fs, [h1, h2 + RatFunc.var(4, 0)])}
+    assert records["dual-commutator-12"].status == "pass"
+    assert records["dual-soul-vs-bracket-12"].status == "fail"
+
+
 def test_dual_commuting_family_random_quadratic():
     import commfam.cli as cli
-    from commfam.poisson import DependentFamily, ZeroDelta0, classical_hamiltonians
+    from commfam.poisson import DependentFamily, ZeroDelta0
     rng = random.Random(7)
-    fs = None
-    while fs is None:
+    drawn = None
+    while drawn is None:
         cand = [cli._random_poly_2vars(rng, 2, 4) for _ in range(3)]
         try:
-            classical_hamiltonians(cand)
-            fs = cand
+            drawn = cand, classical_hamiltonians(cand)
         except (DependentFamily, ZeroDelta0):
             continue
-    records = dual_commuting_family(fs)
+    records = dual_commuting_family(*drawn)
     assert all(r.status == "pass" for r in records)
 
 
