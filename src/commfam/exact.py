@@ -11,9 +11,11 @@ with zero tolerance:
   ``dot`` sums signed products of them as one product.
 * ``RatFunc`` -- a polynomial over a denominator kept as a map from known
   factors to exponents.  Sums, differences and equality work over the lcm
-  of the two maps, products add exponents, and no polynomial gcd or
-  division is ever taken: equality is decided by cross-multiplying with the
-  cofactors, never by normalisation to a canonical form.
+  of the maps, products add exponents, and no polynomial gcd or division is
+  ever taken: equality is decided by cross-multiplying with the cofactors,
+  never by normalisation to a canonical form.  ``rat_dot`` sums signed
+  products of them without forming any: one ``dot`` per factor map of the
+  products, and one more over the lcm of those maps.
 * ``QMatrix`` -- dense matrices over Q, stored as integer numerators over
   one canonical common denominator, so sums, products, Kronecker products,
   inverses and rank run in Python integers; inverse and rank use
@@ -26,7 +28,9 @@ with zero tolerance:
 * ``collect`` and ``SparseSum`` -- the storage rule and the ``+``, ``-``,
   negation and ``scale`` of the sparse sums built on this tower:
   ``weyl.RatDiffOp``, ``quantize.HElem`` and ``quantize.LocalSeries``.
-  ``_leibniz`` composes and commutes the first two by one Leibniz rule.
+  ``_leibniz`` composes and commutes the first two by one Leibniz rule; it
+  yields each term as a (scale, f, g) triple, and ``collect_products`` sums
+  the triples of each key with one ``rat_dot``.
 
 Normal form: a nonzero ``MPoly`` is ``content * primitive``, where the
 primitive part maps packed exponent keys to integers with gcd one and a
@@ -83,6 +87,7 @@ __all__ = [
     "RatFunc",
     "QMatrix",
     "dot",
+    "rat_dot",
     "mat_inverse",
     "det",
     "signed_minors",
@@ -90,6 +95,7 @@ __all__ = [
     "rank",
     "kron",
     "collect",
+    "collect_products",
     "SparseSum",
 ]
 
@@ -634,6 +640,17 @@ def _reduce(num: MPoly, factors: dict) -> tuple[MPoly, dict]:
     return (_shift_down(num, shift) if shift else num), factors
 
 
+def _product_map(fa: dict, fb: dict) -> dict:
+    """The factor map of a product, exponents added; a map is shared, never
+    copied, when the other is empty."""
+    if not fa or not fb:
+        return fa or fb
+    out = dict(fa)
+    for p, e in fb.items():
+        out[p] = out.get(p, 0) + e
+    return out
+
+
 def _power_product(items: Iterable[tuple[_Factor, int]]) -> MPoly | None:
     """The product of ``p ** k`` over (factor, k) pairs; None for no pairs."""
     out = None
@@ -656,9 +673,10 @@ class RatFunc:
     content.  Factors enter where they are born: a denominator passed to the
     constructor, or the numerator of a divisor.
 
-    * ``+``, ``-`` and ``==`` work over the lcm of the two maps: each factor
-      takes its larger exponent and each numerator is multiplied by its
-      cofactor, so equal maps add or compare the numerators alone.
+    * ``+``, ``-`` and ``==`` work over the lcm of the two maps, which
+      ``_lcm_cofactors`` forms with the cofactors for ``rat_dot`` too: each
+      factor takes its larger exponent and each numerator is multiplied by
+      its cofactor, so equal maps add or compare the numerators alone.
     * ``*`` adds exponents; ``/`` first cancels the factors the two
       denominators share.
     * ``partial(i)`` raises by one the exponent of each factor containing
@@ -743,20 +761,6 @@ class RatFunc:
             return RatFunc.const(self.nvars, other)
         return None
 
-    def _over_lcm(self, other: "RatFunc") -> tuple[MPoly, MPoly, dict]:
-        """Both numerators over the lcm of the factor maps, and that map."""
-        fa, fb = self._factors, other._factors
-        lcm = dict(fa)
-        for p, e in fb.items():
-            if e > lcm.get(p, 0):
-                lcm[p] = e
-        nums = []
-        for num, own in ((self.num, fa), (other.num, fb)):
-            cofactor = _power_product((p, e - own.get(p, 0)) for p, e in lcm.items()
-                                      if e > own.get(p, 0))
-            nums.append(num if cofactor is None else num * cofactor)
-        return nums[0], nums[1], lcm
-
     def __add__(self, other):
         if type(other) is not RatFunc:
             other = self._coerce(other)
@@ -764,7 +768,8 @@ class RatFunc:
                 return NotImplemented
         if self.same_den(other):
             return RatFunc._of(self.num + other.num, self._factors)
-        a, b, lcm = self._over_lcm(other)
+        lcm, cofactors = _lcm_cofactors([self._factors, other._factors])
+        a, b = (f.num if c is None else f.num * c for f, c in zip((self, other), cofactors))
         return RatFunc._of(a + b, lcm)
 
     __radd__ = __add__
@@ -788,12 +793,7 @@ class RatFunc:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        factors = self._factors
-        if other._factors:
-            factors = dict(factors)
-            for p, e in other._factors.items():
-                factors[p] = factors.get(p, 0) + e
-        return RatFunc._of(self.num * other.num, factors)
+        return RatFunc._of(self.num * other.num, _product_map(self._factors, other._factors))
 
     __rmul__ = __mul__
 
@@ -890,7 +890,8 @@ class RatFunc:
             return NotImplemented
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch")
-        a, b, _ = self._over_lcm(other)
+        _, cofactors = _lcm_cofactors([self._factors, other._factors])
+        a, b = (f.num if c is None else f.num * c for f, c in zip((self, other), cofactors))
         return a == b
 
     __hash__ = None
@@ -902,6 +903,50 @@ class RatFunc:
         if self.is_polynomial():
             return f"RatFunc({self.num.to_text()})"
         return f"RatFunc(({self.num.to_text()}) / ({self.den.to_text()}))"
+
+
+def _lcm_cofactors(maps: Sequence[dict]) -> tuple[dict, list[MPoly | None]]:
+    """The lcm of factor maps, each factor at its largest exponent, and each
+    map's cofactor up to it: None where the map is the lcm."""
+    lcm = dict(maps[0])
+    for factors in maps[1:]:
+        for p, e in factors.items():
+            if e > lcm.get(p, 0):
+                lcm[p] = e
+    return lcm, [_power_product((p, e - own.get(p, 0)) for p, e in lcm.items()
+                                if e > own.get(p, 0)) for own in maps]
+
+
+def rat_dot(products: Iterable[tuple[int | Fraction, RatFunc, RatFunc]]) -> RatFunc:
+    """Sum of s * f * g over (s, f, g) triples of a scalar and two ``RatFunc``
+    values, with no product formed and no ``_reduce`` between terms.
+
+    The triples are grouped by the factor map of f * g, and each group's
+    numerators are summed by one ``dot``.  A second ``dot`` brings the group
+    sums that do not vanish over the lcm of their maps, each distinct map's
+    cofactor formed once; the sum whose map is the lcm joins by ``+``, with
+    no product by 1.  One ``_reduce`` ends the sum.  A zero scale or operand
+    drops its product; the empty sum raises ``ValueError``.
+    """
+    products = list(products)
+    if not products:
+        raise ValueError("rat_dot needs at least one product")
+    groups: dict[frozenset, tuple[dict, list]] = {}
+    for s, f, g in products:
+        if s and f.num._coeffs and g.num._coeffs:
+            factors = _product_map(f._factors, g._factors)
+            _, triples = groups.setdefault(frozenset(factors.items()), (factors, []))
+            triples.append((s, f.num, g.num))
+    parts = [(num, factors) for factors, triples in groups.values()
+             if (num := dot(triples))._coeffs]
+    if not parts:
+        return RatFunc._of(MPoly.zero(products[0][1].nvars), _NO_FACTORS)
+    if len(parts) == 1:
+        return RatFunc._of(*parts[0])
+    lcm, cofactors = _lcm_cofactors([factors for _, factors in parts])
+    num = dot((1, n, c) for (n, _), c in zip(parts, cofactors) if c is not None)
+    num = sum((n for (n, _), c in zip(parts, cofactors) if c is None), num)
+    return RatFunc._of(num, lcm)
 
 
 def _common_monomial_key(poly: MPoly) -> int:
@@ -928,6 +973,7 @@ def collect(items: Iterable[tuple[object, object]]) -> dict:
     Keys keep the order of their first appearance and each sum adds its
     summands in the order given: ``RatFunc`` sums are not canonical, so that
     order fixes the stored forms and with them the cost of later arithmetic.
+    Summands that are products come as triples to ``collect_products``.
     """
     acc = {}
     for key, c in items:
@@ -935,18 +981,33 @@ def collect(items: Iterable[tuple[object, object]]) -> dict:
     return {k: c for k, c in acc.items() if not c.is_zero}
 
 
+def collect_products(items: Iterable[tuple[object, tuple]]) -> dict:
+    """The map from keys to nonzero sums of (key, (s, f, g)) items: the
+    triples of each key are summed by one ``rat_dot``, and the sums that
+    vanish are dropped.  Keys keep the order of their first appearance; the
+    order of the triples does not change a sum's stored form, as ``rat_dot``
+    forms it from exact integer sums over one map."""
+    groups: dict = {}
+    for key, product in items:
+        groups.setdefault(key, []).append(product)
+    return {key: c for key, products in groups.items()
+            if not (c := rat_dot(products)).is_zero}
+
+
 def _leibniz(a: dict, b: dict, trunc: int | None = None,
-             commutator: bool = False) -> Iterator[tuple[tuple, RatFunc]]:
-    """Items (key, coefficient) that ``collect`` sums to the composition a b,
-    or with ``commutator`` to a b - b a, of two maps from keys to ``RatFunc``
-    coefficients.  A key is a derivative multi-index, one entry per variable
-    of the coefficients, then grades that add (``HElem``'s hbar power); a
-    pair whose grades sum past ``trunc`` forms nothing.  By Leibniz,
+             commutator: bool = False) -> Iterator[tuple[tuple, tuple]]:
+    """Items (key, (scale, f, D^gamma g)) that ``collect_products`` sums to
+    the composition a b, or with ``commutator`` to a b - b a, of two maps
+    from keys to ``RatFunc`` coefficients; no term's product is formed here.
+    A key is a derivative multi-index, one entry per variable of the
+    coefficients, then grades that add (``HElem``'s hbar power); a pair whose
+    grades sum past ``trunc`` yields nothing.  By Leibniz,
     (f D^alpha)(g D^beta) = sum_{gamma <= alpha} C(alpha, gamma) f (D^gamma g)
     D^(alpha - gamma + beta), whose gamma = 0 term is the same in both
-    orders: a commutator forms only the gamma != 0 terms of a b and, negated,
-    of b a.  Each D^gamma g is formed once, from D^(gamma - e_j) g, j the
-    first nonzero index of gamma, which the gamma loop reaches first.
+    orders: a commutator yields only the gamma != 0 terms of a b and, with
+    negated scales, of b a.  Each D^gamma g is formed once, from
+    D^(gamma - e_j) g, j the first nonzero index of gamma, which the gamma
+    loop reaches first.
     """
     for left, right, sign in [(a, b, 1), (b, a, -1)][:1 + commutator]:
         derived = {(kb, (0,) * g.nvars): g for kb, g in right.items()}
@@ -969,7 +1030,7 @@ def _leibniz(a: dict, b: dict, trunc: int | None = None,
                         continue
                     scale = sign * math.prod(map(math.comb, alpha, gamma))
                     target = tuple(x - y + z for x, y, z in zip(alpha, gamma, kb))
-                    yield target + grade, f * g if scale == 1 else f * g * scale
+                    yield target + grade, (scale, f, g)
 
 
 class SparseSum:

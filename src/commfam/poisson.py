@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import MPoly, QMatrix, RatFunc, dot, maximal_minors, rank, signed_minors
+from .exact import MPoly, QMatrix, RatFunc, dot, maximal_minors, rank, rat_dot, signed_minors
 from .reports import CheckRecord, failed, passed
 
 ANCHOR_POISSON_COMMUTE = "{H_i, H_j} = 0"
@@ -59,12 +59,11 @@ class ZeroAlpha(ValueError):
 def _pairwise_kernel(du: list, dv: list):
     """P(u, v) = sum_j (u_x_j v_xi_j - u_xi_j v_x_j) from the partials
     du = (u_x_1, u_xi_1, ..., u_x_n, u_xi_n) and dv of two ``MPoly`` or two
-    ``RatFunc`` values, n >= 1; on ``MPoly`` values the whole sum is one ``dot``."""
-    pairs = [(du[x], dv[x + 1], du[x + 1], dv[x]) for x in range(0, len(du), 2)]
-    if isinstance(du[0], MPoly):
-        return dot(t for p, q, r, s in pairs for t in ((1, p, q), (-1, r, s)))
-    terms = [p * q - r * s for p, q, r, s in pairs]
-    return sum(terms[1:], terms[0])
+    ``RatFunc`` values, n >= 1: the whole sum is one ``dot`` or one
+    ``rat_dot``, so no product is formed on its own."""
+    fused = dot if isinstance(du[0], MPoly) else rat_dot
+    return fused(t for x in range(0, len(du), 2)
+                 for t in ((1, du[x], dv[x + 1]), (-1, du[x + 1], dv[x])))
 
 
 def poisson_bracket(f: RatFunc, g: RatFunc) -> RatFunc:
@@ -78,8 +77,8 @@ def poisson_bracket(f: RatFunc, g: RatFunc) -> RatFunc:
     (the quotient rule would give c^4), each P and the numerator one
     ``exact.dot``, and each partial of a, b and c taken once.  Other
     operands go through P as ``RatFunc`` values, whose partials raise only
-    the factors holding the variable and whose sums work over the lcm of the
-    factor maps.
+    the factors holding the variable, and P is one ``exact.rat_dot``: one
+    ``dot`` per factor map of its products and one over their lcm.
     """
     if f.nvars != g.nvars or f.nvars % 2:
         raise ValueError(f"bracket operands need the same even number of variables, "

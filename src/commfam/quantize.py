@@ -15,7 +15,10 @@ Two desk-scale renderings of first-order quantization live here.
   composes by the Leibniz rule of ``exact._leibniz``, hbar powers adding:
   (a D^k)(b D^k') = sum_{i <= k} C(k, i) a b^(i) D^(k - i + k').  ad(f)(b) =
   f b - b f is the same sum over i != 0, minus the sum with f and b swapped:
-  the i = 0 terms a b D^(k + k') cancel, so ``h_ad`` never forms them.
+  the i = 0 terms a b D^(k + k') cancel, so ``h_ad`` never forms them.  The
+  products of each (order, power) key are summed as one ``exact.rat_dot``,
+  with no product formed on its own; so is the soul a b' + a' b of a dual
+  product.
   Adjoining a formal X with the rule
 
       (a X^n)(b X^m) = sum_{al >= 0} C(-n, al) a ad(f)^al(b) X^(n+m+al)
@@ -35,7 +38,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .exact import MPoly, RatFunc, SparseSum, _leibniz, collect, maximal_minors
+from .exact import (MPoly, RatFunc, SparseSum, _leibniz, collect, collect_products,
+                    maximal_minors, rat_dot)
 from .poisson import poisson_bracket
 from .reports import CheckRecord, failed, passed
 
@@ -96,7 +100,7 @@ class DualNum:
 def dual_mul(a: DualNum, b: DualNum) -> DualNum:
     """The eps-deformed product: bodies multiply, souls pick up the bracket."""
     body = a.body * b.body
-    soul = a.body * b.soul + a.soul * b.body + poisson_bracket(a.body, b.body)
+    soul = rat_dot([(1, a.body, b.soul), (1, a.soul, b.body)]) + poisson_bracket(a.body, b.body)
     return DualNum(body, soul)
 
 
@@ -243,7 +247,8 @@ class HElem(SparseSum):
     def __mul__(self, other: "HElem") -> "HElem":
         """Composition; hbar powers add, derivatives pass by Leibniz."""
         self._compat(other)
-        return HElem.build(self.trunc, _leibniz(self.coeffs, other.coeffs, self.trunc))
+        return HElem(self.trunc, collect_products(_leibniz(self.coeffs, other.coeffs,
+                                                           self.trunc)))
 
     def _compat(self, other: "HElem") -> None:
         if self.trunc != other.trunc:
@@ -254,7 +259,8 @@ class HElem(SparseSum):
 def h_ad(f: HElem, b: HElem) -> HElem:
     """ad(f)(b) = f b - b f in A_h, without the Leibniz terms that cancel."""
     f._compat(b)
-    return HElem.build(f.trunc, _leibniz(f.coeffs, b.coeffs, f.trunc, commutator=True))
+    return HElem(f.trunc, collect_products(_leibniz(f.coeffs, b.coeffs, f.trunc,
+                                                    commutator=True)))
 
 
 def h_inverse(f: HElem) -> HElem:
@@ -359,22 +365,26 @@ def localize_product(u: LocalSeries, v: LocalSeries) -> LocalSeries:
     u._compat(v)
     f = u.f
     cap = 2 * u.trunc + 16
+    # chains[m][alpha] = ad(f)^alpha(b) for b = v.coeffs[m], up to its last
+    # nonzero term; ad(f) is taken only when some X-power n >= 1 needs it
+    need_ad = any(u.coeffs)
+    chains = {}
+    for m, b in v.coeffs.items():
+        chain = chains[m] = [b]
+        while need_ad and not (adb := h_ad(f, chain[-1])).is_zero:
+            if len(chain) > cap:
+                raise RuntimeError("ad(f) iteration failed to terminate")
+            chain.append(adb)
     items = []
     for n, a in u.coeffs.items():
-        for m, b in v.coeffs.items():
+        for m, chain in chains.items():
             if n == 0:
-                items.append((m, a * b))
+                items.append((m, a * chain[0]))
                 continue
-            adb = b
-            alpha = 0
-            while not adb.is_zero:
-                if alpha > cap:
-                    raise RuntimeError("ad(f) iteration failed to terminate")
+            for alpha, adb in enumerate(chain):
                 binom = _neg_binomial(n, alpha)
                 if binom:
                     items.append((n + m + alpha, (a * adb).scale(binom)))
-                adb = h_ad(f, adb)
-                alpha += 1
     return LocalSeries.build(f, items)
 
 

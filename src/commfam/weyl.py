@@ -5,10 +5,12 @@ multi-indices a, with rational-function coefficients.  Composition follows
 the multi-index Leibniz rule (f D^a)(g D^b) = sum_{c <= a} C(a, c) f (D^c g)
 D^(a - c + b) and stays exact.  The commutator is the same sum over c != 0,
 minus the sum with the operators swapped: the c = 0 terms f g D^(a + b)
-cancel, so ``do_commutator`` never forms them (``exact._leibniz``).  The
-symbol map sends the top total-degree part to a polynomial in (xi_1..xi_N)
-over Q(z_1..z_N), matching the variable layout of the Poisson module so
-symbols can be bracketed there.
+cancel, so ``do_commutator`` never forms them (``exact._leibniz``).  Neither
+forms its terms one by one: the products of each D^(a - c + b) are summed as
+one ``exact.rat_dot``, one ``dot`` per denominator map and one over their lcm.
+The symbol map sends the top total-degree part to a polynomial in
+(xi_1..xi_N) over Q(z_1..z_N), matching the variable layout of the Poisson
+module so symbols can be bracketed there.
 
 Two constructions of commuting families live here:
 
@@ -36,7 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import MPoly, RatFunc, SparseSum, _leibniz, collect, maximal_minors, signed_minors
+from .exact import (MPoly, RatFunc, SparseSum, _leibniz, collect, collect_products,
+                    maximal_minors, signed_minors)
 from .poisson import classical_hamiltonians, poisson_bracket
 from .reports import CheckRecord, failed, passed
 
@@ -152,13 +155,13 @@ class RatDiffOp(SparseSum):
 def do_compose(a: RatDiffOp, b: RatDiffOp) -> RatDiffOp:
     """Operator composition by the multi-index Leibniz rule, exact."""
     a._compat(b)
-    return RatDiffOp.build(a.nvars, _leibniz(a.coeffs, b.coeffs))
+    return RatDiffOp(a.nvars, collect_products(_leibniz(a.coeffs, b.coeffs)))
 
 
 def do_commutator(a: RatDiffOp, b: RatDiffOp) -> RatDiffOp:
     """[a, b] by the Leibniz rule without its gamma = 0 terms, which cancel."""
     a._compat(b)
-    return RatDiffOp.build(a.nvars, _leibniz(a.coeffs, b.coeffs, commutator=True))
+    return RatDiffOp(a.nvars, collect_products(_leibniz(a.coeffs, b.coeffs, commutator=True)))
 
 
 def symbol(a: RatDiffOp) -> RatFunc:

@@ -8,7 +8,10 @@ The ``QMatrix`` integer form (numerators over one denominator) is checked
 against plain ``Fraction`` loops, and its fraction-free ``rank`` against a
 ``Fraction`` Gauss-Jordan rank.  The Leibniz commutators of ``weyl`` and
 ``quantize``, which skip the terms that cancel, are checked against the
-difference of the two compositions.
+difference of the two compositions.  ``rat_dot``, the fused ``RatFunc`` sum
+of products, is checked against the products formed one by one and summed
+by ``+``, and so are the Leibniz coefficient sums that ``collect_products``
+forms with it.
 """
 
 import math
@@ -20,8 +23,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from commfam import exact
-from commfam.exact import (_MAX_EXP, _NP_COEF_BOUND, _NP_PAIR_CUTOFF, MPoly, QMatrix,
-                           RatFunc, Singular, dot, kron, mat_inverse, rank)
+from commfam.exact import (_MAX_EXP, _NP_COEF_BOUND, _NP_PAIR_CUTOFF, _SHIFT, MPoly,
+                           QMatrix, RatFunc, Singular, _common_monomial_key, _leibniz,
+                           collect, dot, kron, mat_inverse, rank, rat_dot)
 from commfam.quantize import HElem, h_ad
 from commfam.weyl import RatDiffOp, do_commutator, do_compose
 from kernel_routes import ROUTES, expected_route, nonzero, python_dot, routed_mul
@@ -398,7 +402,8 @@ def leibniz_coefficients(draw, nvars):
     num = MPoly.from_terms(nvars, terms)
     j = draw(st.integers(0, nvars - 1))
     den = draw(st.sampled_from([MPoly.one(nvars), MPoly.var(nvars, j) + 1,
-                                MPoly.var(nvars, j) * MPoly.var(nvars, 0) - 2]))
+                                MPoly.var(nvars, j) * MPoly.var(nvars, 0) - 2,
+                                MPoly.var(nvars, j) ** 2]))
     return RatFunc(num, den)
 
 
@@ -431,3 +436,96 @@ def test_h_ad_is_the_difference_of_the_products(data):
     trunc = data.draw(st.integers(2, 5))
     f, b = data.draw(helems(trunc)), data.draw(helems(trunc))
     assert h_ad(f, b) == f * b - b * f
+
+
+def pairwise(items):
+    """The Leibniz sums as formed before ``rat_dot``: each (key, (scale, f, g))
+    term built as the product f * g * scale, and the terms of each key summed
+    pairwise by ``collect``."""
+    return collect((key, f * g * scale) for key, (scale, f, g) in items)
+
+
+@LEIBNIZ
+@given(data=st.data())
+def test_operator_leibniz_sums_match_the_pairwise_route(data):
+    nvars = data.draw(st.integers(1, 3))
+    a, b = data.draw(rat_diff_ops(nvars)), data.draw(rat_diff_ops(nvars))
+    assert do_compose(a, b) == RatDiffOp(nvars, pairwise(_leibniz(a.coeffs, b.coeffs)))
+    assert do_commutator(a, b) == RatDiffOp(nvars, pairwise(
+        _leibniz(a.coeffs, b.coeffs, commutator=True)))
+
+
+@LEIBNIZ
+@given(data=st.data())
+def test_helem_leibniz_sums_match_the_pairwise_route(data):
+    trunc = data.draw(st.integers(2, 5))
+    f, b = data.draw(helems(trunc)), data.draw(helems(trunc))
+    assert f * b == HElem(trunc, pairwise(_leibniz(f.coeffs, b.coeffs, trunc)))
+    assert h_ad(f, b) == HElem(trunc, pairwise(
+        _leibniz(f.coeffs, b.coeffs, trunc, commutator=True)))
+
+
+# Fused RatFunc sums.  Every denominator is a product of powers of four
+# factors in three variables: the monomials x and y, which ``_reduce``
+# cancels, and x + 1 and x z - 2.  The exponent vectors below give factor
+# maps that are equal, disjoint ((1,0,0,0) and (0,1,0,1)) and nested
+# ((1,0,1,0) in (2,0,1,0)); numerators carry a monomial factor so that
+# ``_reduce`` fires on products and sums.
+X, Y, Z = (MPoly.var(3, i) for i in range(3))
+FACTORS = [X, Y, X + 1, X * Z - 2]
+MAPS = [(0, 0, 0, 0), (1, 0, 0, 0), (1, 0, 1, 0), (2, 0, 1, 0), (0, 1, 0, 1),
+        (0, 2, 0, 0), (1, 1, 1, 1)]
+# 1, -1, binomials C(n, k) and their negatives, and a fraction
+SCALES = [1, -1, 2, -3, 6, 10, Fraction(-3, 4)]
+
+
+@st.composite
+def factored(draw):
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), st.integers(-3, 3),
+                                 min_size=1, max_size=3))
+    num = MPoly.from_terms(3, terms) * draw(st.sampled_from([MPoly.one(3), X, X * Y, Y ** 2]))
+    f = RatFunc(num)
+    for p, e in zip(FACTORS, draw(st.sampled_from(MAPS))):
+        for _ in range(e):
+            f = f / RatFunc(p)
+    return f
+
+
+@st.composite
+def fused_sums(draw):
+    """One to five (scale, f, g) triples; then, maybe, the negated triples
+    of a prefix with f and g swapped, so part or all of the sum cancels."""
+    triples = [(draw(st.sampled_from(SCALES)), draw(factored()), draw(factored()))
+               for _ in range(draw(st.integers(1, 5)))]
+    cancel = draw(st.integers(0, len(triples)))
+    return triples + [(-s, g, f) for s, f, g in triples[:cancel]]
+
+
+def assert_reduced(r):
+    """No factor x_i of the map divides every numerator term (``_reduce``)."""
+    if r.is_zero:
+        assert not r._factors
+        return
+    common = _common_monomial_key(r.num)
+    for p in r._factors:
+        if len(p) == 1:
+            assert not (common >> (p.span.bit_length() - 1)) & ((1 << _SHIFT) - 1)
+
+
+@LEIBNIZ
+@given(triples=fused_sums())
+def test_rat_dot_is_the_sum_of_its_products(triples):
+    out = rat_dot(triples)
+    products = [f * g * s for s, f, g in triples]
+    want = sum(products[1:], products[0])
+    assert out == want and out.is_zero == want.is_zero
+    assert_reduced(out)
+
+
+def test_rat_dot_of_a_sum_that_cancels_is_zero_without_factors():
+    f = RatFunc(X + 1, (X * Z - 2) * Y)
+    g = RatFunc(Y, X ** 2)
+    out = rat_dot([(3, f, g), (-1, g, f), (-2, f, g)])
+    assert out.is_zero and not out._factors
+    with pytest.raises(ValueError):
+        rat_dot([])

@@ -272,6 +272,62 @@ def test_localize_product_central_collapse():
     assert prod.coeffs[3] == a * b
 
 
+def localize_product_per_n(u, v):
+    """The product rule with ad(f)^alpha(b) recomputed for every X-power n
+    of u, as before the chains were shared: the oracle for the product."""
+    items = []
+    for n, a in u.coeffs.items():
+        for m, b in v.coeffs.items():
+            if n == 0:
+                items.append((m, a * b))
+                continue
+            adb, alpha = b, 0
+            while not adb.is_zero:
+                binom = _neg_binomial(n, alpha)
+                if binom:
+                    items.append((n + m + alpha, (a * adb).scale(binom)))
+                adb = h_ad(u.f, adb)
+                alpha += 1
+    return LocalSeries.build(u.f, items)
+
+
+def test_localize_product_takes_each_ad_chain_once(monkeypatch):
+    # the chain b, ad(f) b, ad(f)^2 b, ... depends on b alone, so the h_ad
+    # calls do not grow with the X-powers of u, and X^0 alone needs none
+    trunc = 4
+    z = RatFunc.var(1, 0)
+    f = HElem.function(z * z + RatFunc.const(1, 1), trunc)
+    a = HElem.function(z + RatFunc.const(1, 2), trunc)
+    b = HElem.hbar_derivative(trunc) + HElem.function(z, trunc)
+    v = LocalSeries.build(f, [(0, b), (1, b * b)])
+    calls = []
+    ad = quantize.h_ad
+    counts = []
+    for powers in ([0], [1], [0, 1, 2, 3]):
+        u = LocalSeries.build(f, [(n, a) for n in powers])
+        want = localize_product_per_n(u, v)
+        monkeypatch.setattr(quantize, "h_ad", lambda f, b: calls.append(1) or ad(f, b))
+        calls.clear()
+        got = localize_product(u, v)
+        counts.append(len(calls))
+        monkeypatch.undo()
+        # the same items in the same order give the same stored coefficients
+        assert list(got.coeffs) == list(want.coeffs)
+        assert all(got.coeffs[k] == c for k, c in want.coeffs.items())
+    assert counts[0] == 0 and 0 < counts[1] == counts[2]
+
+
+def test_localize_product_guard_stops_an_ad_chain_that_never_vanishes(monkeypatch):
+    trunc = 3
+    f = HElem.function(RatFunc.var(1, 0), trunc)
+    calls = []
+    monkeypatch.setattr(quantize, "h_ad", lambda f, b: calls.append(1) or b)
+    with pytest.raises(RuntimeError, match="failed to terminate"):
+        localize_product(LocalSeries.x_power(f), LocalSeries.one(f))
+    # alpha = 0 .. cap are kept, and ad(f)^(cap + 1) b raises
+    assert len(calls) == 2 * trunc + 16 + 1
+
+
 def test_x_derivative_identity():
     for trunc in (3, 4, 5):
         assert check_x_derivative_identity(trunc).status == "pass"
