@@ -124,8 +124,11 @@ def scenario_from_config(config: dict, seed_override: int | None = None,
 
 # Least and greatest value of each integer parameter (None: unbounded).
 # Outside them a trial crashes, never ends (grassmann at bound 0 redraws an
-# all-zero form), or passes without deciding anything (n = 1 is one
-# Hamiltonian; d, size, g, N or M = 0 leave nothing to check).
+# all-zero form; skew-matrix's det is an O(2^size size) subset expansion, and
+# at size 40 its subset dict exhausts memory), or passes without deciding
+# anything (n = 1 is one Hamiltonian; d, size, g, N or M = 0 leave nothing to
+# check).  One skew-matrix trial took 0.06 s at size 14, 0.3 s at 16 and
+# 1.8 s at 18 (2-core Xeon VM), so size stops at 16.
 PARAM_RANGES = {
     "trials": (1, None), "n": (2, None), "d": (1, None), "size": (1, None),
     "g": (1, None), "N": (1, None), "M": (1, None), "bound": (0, None),
@@ -136,6 +139,7 @@ KIND_RANGES = {
     "identity-suite": {"n": (2, ncfam.MAX_LEGS)},
     "cone-p1": {"bound": (1, None)},
     "grassmann": {"bound": (1, None)},
+    "skew-matrix": {"size": (1, 16)},
 }
 # Without configured points, weyl-rational and weyl-basis draw N distinct
 # integers in [-POINT_BOUND, POINT_BOUND], so N is at most 2 POINT_BOUND + 1.

@@ -19,8 +19,12 @@ with zero tolerance:
 * ``QMatrix`` -- dense matrices over Q, stored as integer numerators over
   one canonical common denominator, so sums, products, Kronecker products,
   inverses and rank run in Python integers; inverse and rank use
-  fraction-free Bareiss elimination.  The determinant (``det``, by
-  ``signed_minors``) shares no code with it and cross-checks it.
+  fraction-free Bareiss elimination.  A product is one numpy ``dtype=object``
+  matmul of the numerators -- numpy's C loop over Python ints, never int64 or
+  float -- and ``kron`` is one comprehension.  ``mul_on_leg`` multiplies by
+  a matrix placed on one tensor leg, I (x) b (x) I, by contracting that leg's
+  index alone, without forming the Kronecker product.  The determinant
+  (``det``, by ``signed_minors``) shares no code with it and cross-checks it.
 * ``signed_minors`` -- the one signed-bijection kernel: every determinant
   and every family of maximal minors Delta_0..Delta_k, whatever the entries
   (``Rat``, ``MPoly``, ``RatFunc``, dual numbers, Kronecker-placed matrices),
@@ -1080,6 +1084,11 @@ class SparseSum:
 # Dense exact matrices.
 
 
+def _obj(nums: list[int], *shape: int) -> np.ndarray:
+    """Python ints as an object-dtype array, so numpy's loops stay exact."""
+    return np.array(nums, dtype=object).reshape(shape)
+
+
 class QMatrix:
     """Dense matrix over Q, stored as integer numerators over one denominator.
 
@@ -1196,13 +1205,11 @@ class QMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("shape mismatch for matrix product")
-        n, m, p = self.rows, self.cols, other.cols
-        a, b = self._nums, other._nums
-        # an empty sum is 0, so m = 0 gives zeros
-        arows = [a[i * m:(i + 1) * m] for i in range(n)]
-        bcols = [b[j::p] for j in range(p)]
-        out = [sum(map(operator.mul, arow, col)) for arow in arows for col in bcols]
-        return QMatrix._of_ints(n, p, out, self._den * other._den)
+        # one object-dtype matmul: numpy's C loop over the Python ints, never
+        # a fixed width; an empty sum is the int 0, so m = 0 gives zeros
+        n, p = self.rows, other.cols
+        out = _obj(self._nums, n, self.cols) @ _obj(other._nums, other.rows, p)
+        return QMatrix._of_ints(n, p, out.ravel().tolist(), self._den * other._den)
 
     def __eq__(self, other):
         if not isinstance(other, QMatrix):
@@ -1235,15 +1242,33 @@ class QMatrix:
 
 def kron(a: QMatrix, b: QMatrix) -> QMatrix:
     """Kronecker product, first factor on the slower index."""
-    na, nb = a._nums, b._nums
-    brows = [nb[k * b.cols:(k + 1) * b.cols] for k in range(b.rows)]
-    out = []
-    for i in range(a.rows):
-        arow = na[i * a.cols:(i + 1) * a.cols]
-        for brow in brows:
-            for x in arow:
-                out.extend([x * y for y in brow])
+    arows = [a._nums[i * a.cols:(i + 1) * a.cols] for i in range(a.rows)]
+    brows = [b._nums[k * b.cols:(k + 1) * b.cols] for k in range(b.rows)]
+    out = [x * y for arow in arows for brow in brows for x in arow for y in brow]
     return QMatrix._of_ints(a.rows * b.rows, a.cols * b.cols, out, a._den * b._den)
+
+
+def mul_on_leg(m: QMatrix, b: QMatrix, leg: int, n: int) -> QMatrix:
+    """m (I_{d^(leg-1)} (x) b (x) I_{d^(n-leg)}) for a d x d matrix ``b``,
+    without forming the d^n x d^n Kronecker product.
+
+    Column (u, j, w) of m, j being the index of leg ``leg``, meets row j of
+    b only: the numerators of m, reshaped to (rows, U, d, W) with
+    U = d^(leg-1) and W = d^(n-leg), are contracted with those of b over j by
+    one object-dtype ``tensordot``.  That is
+    rows * d^(n+1) products in place of rows * d^(2n).
+    """
+    d = b.rows
+    if b.cols != d:
+        raise ValueError("leg matrices must be square")
+    if not 1 <= leg <= n:
+        raise ValueError(f"leg {leg} out of range 1..{n}")
+    if m.cols != d ** n:
+        raise ValueError("shape mismatch for matrix product")
+    nums = _obj(m._nums, m.rows, d ** (leg - 1), d, d ** (n - leg))
+    # axes (rows, U, W, d) -> (rows, U, d, W)
+    out = np.tensordot(nums, _obj(b._nums, d, d), axes=(2, 0)).transpose(0, 1, 3, 2)
+    return QMatrix._of_ints(m.rows, m.cols, out.ravel().tolist(), m._den * b._den)
 
 
 def mat_inverse(m: QMatrix) -> QMatrix:

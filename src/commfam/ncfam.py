@@ -28,6 +28,10 @@ product: ``family_minors`` for Delta_0..Delta_n of a ``LegFamily`` and
 ``rest_brackets`` for the n brackets of n - 1 rows on legs 1..n-1.
 
 Elements of the tensor power are plain d^n x d^n ``QMatrix`` values.
+The alternating sums of 2a and 2b apply each leg factor f_i^(leg) with
+``exact.mul_on_leg``, a contraction over that leg's index alone; the
+d^n x d^n ``leg_embed`` matrix is formed only by the Laplace expansion, and
+by the tests as the contraction's oracle.
 Only Delta_0 is ever inverted, once per draw: ``sample_family``
 builds the minors and Delta_0^{-1} together, redraws while Delta_0 is
 ``Singular`` and reports how many draws it discarded.  The Hamiltonians and
@@ -41,7 +45,8 @@ import random
 from dataclasses import dataclass
 from functools import reduce
 
-from .exact import QMatrix, Singular, kron, mat_inverse, maximal_minors, signed_minors
+from .exact import (QMatrix, Singular, kron, mat_inverse, maximal_minors, mul_on_leg,
+                    signed_minors)
 from .reports import CheckRecord, failed, passed
 from .rng import resample
 
@@ -173,11 +178,13 @@ def _alternating_sum(fs, quotients: list[QMatrix], leg: int) -> QMatrix:
     """sum_i (-1)^i [f_1,..,^f_i,..,f_n]^(1..n-1) [f_1,..,f_n]^-1 f_i^(leg).
 
     ``quotients[i-1]`` is the rest bracket of f_i times Delta_0^{-1}; only
-    the leg factor f_i^(leg) is multiplied here."""
+    the leg factor f_i^(leg) is multiplied here, by ``mul_on_leg``: a
+    contraction over the index of leg ``leg`` alone, so f_i^(leg) is never
+    embedded as a d^n x d^n matrix (``leg_embed``)."""
     n = len(fs)
     total = None
     for i, (row, quotient) in enumerate(zip(fs, quotients), start=1):
-        term = quotient * leg_embed(row[leg - 1], leg, n)
+        term = mul_on_leg(quotient, row[leg - 1], leg, n)
         if i % 2 == 1:
             term = -term
         total = term if total is None else total + term

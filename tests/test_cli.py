@@ -278,6 +278,8 @@ BAD_CONFIGS = {
     "hbar-M-0": "kind = hbar-localization\nseed = 1\nM = 0\n",
     "hyperplane-g-0": "kind = hyperplane\nseed = 1\ng = 0\n",
     "skew-size-0": "kind = skew-matrix\nseed = 1\nsize = 0\n",
+    # det's subset expansion grows about x5 per +2; size 40 exhausted memory
+    "skew-size-above-cap": "kind = skew-matrix\nseed = 1\nsize = 17\n",
     "skew-bound-negative": "kind = skew-matrix\nseed = 1\nbound = -1\n",
     "cone-bound-0": "kind = cone-p1\nseed = 1\nbound = 0\n",
     "grassmann-bound-0": "kind = grassmann\nseed = 1\narity = 2\nbound = 0\n",
@@ -294,6 +296,13 @@ BAD_CONFIGS = {
 def test_least_accepted_sizes_run_and_pass(kind, params):
     report = run_scenario(make_scenario(kind, trials=1, **params))
     assert report.checks and report.all_passed()
+
+
+def test_skew_matrix_size_stops_at_its_measured_cap():
+    cap = cli.KIND_RANGES["skew-matrix"]["size"][1]
+    assert run_scenario(make_scenario("skew-matrix", trials=1, size=cap)).all_passed()
+    with pytest.raises(ConfigError, match=f"^field 'size': must be at most {cap}$"):
+        make_scenario("skew-matrix", size=cap + 1)
 
 
 @pytest.mark.parametrize("text", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())

@@ -721,8 +721,10 @@ def first_dependent_column(m):
 
 
 def test_inner_dimension_zero_gives_zero_matrix():
-    assert QMatrix(2, 0, []) * QMatrix(0, 2, []) == QMatrix.zeros(2, 2)
-    assert QMatrix(0, 0, []) * QMatrix(0, 3, []) == QMatrix.zeros(0, 3)
+    for n, p in [(2, 2), (0, 3), (3, 0), (1, 1)]:
+        empty = QMatrix(n, 0, []) * QMatrix(0, p, [])
+        assert empty == QMatrix.zeros(n, p)
+        assert all(type(e.numerator) is int for e in empty.data)
 
 
 def test_rat_kernels_match_fraction_loops():
@@ -739,6 +741,22 @@ def test_rat_kernels_match_fraction_loops():
                     k = kron(a, b)
                     assert (k.rows, k.cols) == (n * m, m * p)
                     assert k.data == fraction_kron(a, b)
+
+
+def test_qmatrix_product_stays_exact_past_int64():
+    # an int64 matmul overflows on 2^70 and wraps (-2^63)^2 to 0; a float one
+    # drops the +1 next to 2^140; either breaks the equality with the Fraction
+    # loops or the int type of the entries
+    big = 2 ** 70
+    cases = [([[-2 ** 63]], [[-2 ** 63]]),
+             ([[big, -big], [-2 ** 63, 1]], [[-2 ** 63, big + 1], [big, -1]]),
+             ([[big, Rat(-big, 3)], [Rat(1, 2), -2 ** 63]], [[big + 1], [-3]])]
+    for a, b in cases:
+        a, b = QMatrix.from_rows(a), QMatrix.from_rows(b)
+        product = a * b
+        assert product.data == fraction_mul(a, b)
+        assert all(type(e.numerator) is int and type(e.denominator) is int
+                   for e in product.data)
 
 
 def test_rat_inverse_matches_adjugate_oracle():

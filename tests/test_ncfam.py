@@ -6,7 +6,7 @@ import random
 import pytest
 
 from commfam.cli import run_scenario, scenario_from_config
-from commfam.exact import QMatrix, Rat, Singular, kron, mat_inverse
+from commfam.exact import QMatrix, Rat, Singular, kron, mat_inverse, mul_on_leg
 from commfam import ncfam
 from commfam.ncfam import (LegFamily, bracket, check_identity_2a,
                            check_identity_2b, check_laplace_expansion,
@@ -49,6 +49,36 @@ def test_leg_embed_identity_and_single_leg():
     # explicit Kronecker: b on leg 1 of 2 is b (x) I
     assert leg_embed(b, 1, 2) == kron(b, QMatrix.identity(2))
     assert leg_embed(b, 2, 2) == kron(QMatrix.identity(2), b)
+
+
+def test_mul_on_leg_is_the_product_with_the_embedded_leg():
+    # the contraction against its oracle m * leg_embed(b, leg, n), on every
+    # leg; Rat entries and entries past 2^70 keep it honest about exactness
+    rng = random.Random(37)
+    big = 2 ** 70
+    for d in (1, 2, 3):
+        for n in range(1, 5):
+            for leg in range(1, n + 1):
+                rows = rng.choice((1, 3))
+                m = QMatrix(rows, d ** n, [Rat(rng.randint(-9, 9), rng.randint(1, 4))
+                                           for _ in range(rows * d ** n)])
+                m = m + QMatrix(rows, d ** n, [big * rng.randint(-1, 1)
+                                               for _ in range(rows * d ** n)])
+                b = QMatrix(d, d, [Rat(rng.randint(-9, 9), rng.randint(1, 4))
+                                   for _ in range(d * d)])
+                b = b + QMatrix(d, d, [big + 1] + [0] * (d * d - 1))
+                assert mul_on_leg(m, b, leg, n) == m * leg_embed(b, leg, n), (d, n, leg)
+
+
+def test_mul_on_leg_refuses_bad_shapes():
+    b = QMatrix.identity(2)
+    for m, leg, n, match in [(QMatrix.zeros(1, 8), 0, 3, "out of range"),
+                             (QMatrix.zeros(1, 8), 4, 3, "out of range"),
+                             (QMatrix.zeros(1, 4), 1, 3, "shape mismatch")]:
+        with pytest.raises(ValueError, match=match):
+            mul_on_leg(m, b, leg, n)
+    with pytest.raises(ValueError, match="square"):
+        mul_on_leg(QMatrix.zeros(1, 8), QMatrix.zeros(2, 3), 1, 3)
 
 
 def test_leg_embed_distinct_legs_commute():
@@ -321,15 +351,11 @@ def off_by_one(m):
     return QMatrix(m.rows, m.cols, data)
 
 
-def perturb_first_call(monkeypatch, name):
-    original = getattr(ncfam, name)
-    calls = itertools.count()
-
-    def perturbed(*args):
-        out = original(*args)
-        return off_by_one(out) if next(calls) == 0 else out
-
-    monkeypatch.setattr(ncfam, name, perturbed)
+def perturb_leg(rows, leg):
+    """``rows`` with the leg-``leg`` factor of f_1 off by one in one entry."""
+    first = list(rows[0])
+    first[leg - 1] = off_by_one(first[leg - 1])
+    return [first, *rows[1:]]
 
 
 @pytest.fixture
@@ -342,18 +368,17 @@ def assert_fails_with_entry(record):
     assert "entry" in record.witness
 
 
-def test_negative_control_identity_2a(monkeypatch, sample_n3):
+def test_negative_control_identity_2a(sample_n3):
     rows, _, quotients = suite_rows(sample_n3)
     assert check_identity_2a(rows, quotients).status == "pass"
-    perturb_first_call(monkeypatch, "leg_embed")
-    assert_fails_with_entry(check_identity_2a(rows, quotients))
+    # 2a multiplies by f_i on leg n only; the quotients are left as built
+    assert_fails_with_entry(check_identity_2a(perturb_leg(rows, 3), quotients))
 
 
-def test_negative_control_identity_2b(monkeypatch, sample_n3):
+def test_negative_control_identity_2b(sample_n3):
     rows, _, quotients = suite_rows(sample_n3)
     assert check_identity_2b(rows, quotients, 1).status == "pass"
-    perturb_first_call(monkeypatch, "leg_embed")
-    assert_fails_with_entry(check_identity_2b(rows, quotients, 1))
+    assert_fails_with_entry(check_identity_2b(perturb_leg(rows, 1), quotients, 1))
 
 
 def test_negative_control_laplace_expansion(sample_n3):
