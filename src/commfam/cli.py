@@ -144,6 +144,12 @@ KIND_RANGES = {
 # Without configured points, weyl-rational and weyl-basis draw N distinct
 # integers in [-POINT_BOUND, POINT_BOUND], so N is at most 2 POINT_BOUND + 1.
 POINT_BOUND = 6
+# corollary-legs and identity-suite work on d^n x d^n matrices, so d^n stops
+# at MAX_LEG_DIM.  One corollary-legs trial at d^n = 64 took 12.7 s at n = 6,
+# d = 2 and 0.6 s at n = 2, d = 8; past the cap it took 9.3 s at n = 4,
+# d = 3 (81) and 2.7 s at n = 2, d = 10 (100), and the matrices grow with no
+# bound in d (2-core Xeon VM).
+MAX_LEG_DIM = 64
 
 
 def _check_params(kind: str, params: dict) -> None:
@@ -155,6 +161,9 @@ def _check_params(kind: str, params: dict) -> None:
             raise ConfigError(f"field {key!r}: must be at least {least}")
         if greatest is not None and params[key] > greatest:
             raise ConfigError(f"field {key!r}: must be at most {greatest}")
+    if kind in ("corollary-legs", "identity-suite") and params["d"] ** params["n"] > MAX_LEG_DIM:
+        raise ConfigError(f"field 'd': d^n must be at most {MAX_LEG_DIM}, "
+                          f"got {params['d']}^{params['n']}")
     if kind == "grassmann":
         if params["arity"] not in (2, 3, 4):
             raise ConfigError("field 'arity': supported arities are 2, 3, 4")

@@ -40,11 +40,16 @@ Normal form: a nonzero ``MPoly`` is ``content * primitive``, where the
 primitive part maps packed exponent keys to integers with gcd one and a
 positive coefficient on the largest packed key (the packed integer reads the
 variables from the highest index down); zero has no terms and content 0.
-Any fixed sign choice gives the same equality decisions; this one costs a
-single ``max`` over the keys.  Every internal constructor must keep the
-form -- ``_build`` makes it, and ``embed`` re-signs when relabelling changes
-the largest key -- because ``==`` compares stored forms and the per-call
-paths of the product rely on it:
+The content is an ``int`` whenever its value is an integer, and a ``Rat``
+with denominator > 1 only where a division formed it: ``from_terms`` or
+``const`` given ``Rat`` values, a product with a ``Rat`` scalar, and the
+``RatFunc`` paths that divide by a non-unit content.  So a polynomial built
+from integer data carries no ``Rat`` at all.  Any fixed sign choice gives
+the same equality decisions; this one costs a single ``max`` over the keys.
+Every internal constructor must keep the form -- ``_build`` makes it, and
+``embed`` re-signs when relabelling changes the largest key -- because
+``==`` compares stored forms and the per-call paths of the product rely on
+it:
 
 * a one-term primitive part is exactly ``{key: 1}``, so a product with a
   monomial adds ``key`` to every key of the other factor, keeping its gcd
@@ -245,20 +250,34 @@ def _check_coeff(c) -> None:
         raise TypeError(f"MPoly coefficients are int or Rat, got {type(c).__name__}")
 
 
+def _canon(c: int | Fraction) -> int | Fraction:
+    """A scalar with an integer value as an ``int``, any other ``Rat`` as it is."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _over(den: int) -> int | Fraction:
+    """1 / den for a positive integer: 1 itself when den is 1."""
+    return 1 if den == 1 else Fraction(1, den)
+
+
 class MPoly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
     Internally a polynomial is stored as ``content * primitive`` where
-    ``content`` is a single rational scalar and ``primitive`` maps packed
-    exponent keys to integers with gcd one and a positive coefficient on the
-    largest packed key.  This keeps the hot convolution kernels in machine/big
-    integer arithmetic; ``terms()`` exposes the conventional view of the
-    polynomial as a map from exponent vectors to nonzero rationals.
+    ``content`` is a single scalar, ``int | Rat``, and ``primitive`` maps
+    packed exponent keys to integers with gcd one and a positive coefficient
+    on the largest packed key.  The content is an ``int`` unless a division
+    formed it (``Rat`` input to ``from_terms``, ``const`` or ``*``, or a
+    ``RatFunc`` divided by a non-unit content), and a ``Rat`` content always
+    has denominator > 1.  This keeps the hot convolution kernels, and the
+    contents of integer data, in machine/big integer arithmetic; ``terms()``
+    exposes the conventional view of the polynomial as a map from exponent
+    vectors to nonzero ``int`` or ``Rat`` coefficients.
     """
 
     __slots__ = ("nvars", "content", "_coeffs", "_ebound")
 
-    def __init__(self, nvars: int, content: Fraction, coeffs: dict[int, int],
+    def __init__(self, nvars: int, content: int | Fraction, coeffs: dict[int, int],
                  _internal: bool = False, *, ebound: int):
         if not _internal:
             raise TypeError("use MPoly.zero/const/var/from_terms to build polynomials")
@@ -271,7 +290,7 @@ class MPoly:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def _build(nvars: int, raw: dict[int, int], content: Fraction,
+    def _build(nvars: int, raw: dict[int, int], content: int | Fraction,
                ebound: int) -> "MPoly":
         if 0 in raw.values():
             raw = {k: v for k, v in raw.items() if v}
@@ -283,28 +302,30 @@ class MPoly:
         if g != 1:
             raw = {k: v // g for k, v in raw.items()}
             content = -content if g == -1 else content * g
+        if type(content) is Fraction:
+            content = _canon(content)
         return MPoly(nvars, content, raw, _internal=True, ebound=ebound)
 
     @classmethod
     def zero(cls, nvars: int) -> "MPoly":
-        return cls(nvars, Fraction(0), {}, _internal=True, ebound=0)
+        return cls(nvars, 0, {}, _internal=True, ebound=0)
 
     @classmethod
     def one(cls, nvars: int) -> "MPoly":
-        return cls(nvars, Fraction(1), {0: 1}, _internal=True, ebound=0)
+        return cls(nvars, 1, {0: 1}, _internal=True, ebound=0)
 
     @classmethod
     def const(cls, nvars: int, c) -> "MPoly":
         _check_coeff(c)
         if c == 0:
             return cls.zero(nvars)
-        return cls(nvars, Fraction(c), {0: 1}, _internal=True, ebound=0)
+        return cls(nvars, _canon(c), {0: 1}, _internal=True, ebound=0)
 
     @classmethod
     def var(cls, nvars: int, i: int) -> "MPoly":
         if not 0 <= i < nvars:
             raise IndexError(f"variable index {i} out of range for {nvars} variables")
-        return cls(nvars, Fraction(1), {1 << (_SHIFT * i): 1}, _internal=True, ebound=1)
+        return cls(nvars, 1, {1 << (_SHIFT * i): 1}, _internal=True, ebound=1)
 
     @classmethod
     def from_terms(cls, nvars: int, terms: Mapping[Sequence[int], object] |
@@ -327,7 +348,7 @@ class MPoly:
             return cls.zero(nvars)
         den = math.lcm(*(v.denominator for v in acc.values()))
         raw = {k: v.numerator * (den // v.denominator) for k, v in acc.items()}
-        return cls._build(nvars, raw, Fraction(1, den), top)
+        return cls._build(nvars, raw, _over(den), top)
 
     # -- views --------------------------------------------------------------
 
@@ -339,11 +360,11 @@ class MPoly:
     def term_count(self) -> int:
         return len(self._coeffs)
 
-    def terms(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+    def terms(self) -> Iterator[tuple[tuple[int, ...], int | Fraction]]:
         for k, v in self._coeffs.items():
             yield _unpack(k, self.nvars), self.content * v
 
-    def coeff(self, exps: Sequence[int]) -> Fraction:
+    def coeff(self, exps: Sequence[int]) -> int | Fraction:
         return self.content * self._coeffs.get(_pack(exps), 0)
 
     def total_degree(self) -> int:
@@ -376,9 +397,12 @@ class MPoly:
         big, small = ((self, other) if len(self._coeffs) >= len(other._coeffs)
                       else (other, self))
         cb, cs = big.content, small.content
-        den = cb.denominator * cs.denominator // math.gcd(cb.denominator, cs.denominator)
-        sb = cb.numerator * (den // cb.denominator)
-        ss = cs.numerator * (den // cs.denominator)
+        if type(cb) is int and type(cs) is int:
+            den, sb, ss = 1, cb, cs
+        else:
+            den = math.lcm(cb.denominator, cs.denominator)
+            sb = cb.numerator * (den // cb.denominator)
+            ss = cs.numerator * (den // cs.denominator)
         raw = big._coeffs.copy() if sb == 1 else {k: sb * v for k, v in big._coeffs.items()}
         get = raw.get
         if ss == 1:
@@ -387,7 +411,7 @@ class MPoly:
         else:
             for k, v in small._coeffs.items():
                 raw[k] = get(k, 0) + ss * v
-        return MPoly._build(self.nvars, raw, Fraction(1, den), ebound)
+        return MPoly._build(self.nvars, raw, _over(den), ebound)
 
     __radd__ = __add__
 
@@ -415,7 +439,7 @@ class MPoly:
                     return self
                 if other == 0 or self.is_zero:
                     return MPoly.zero(self.nvars)
-                return MPoly(self.nvars, self.content * other, self._coeffs,
+                return MPoly(self.nvars, _canon(self.content * other), self._coeffs,
                              _internal=True, ebound=self._ebound)
             if not isinstance(other, MPoly):
                 return NotImplemented
@@ -424,14 +448,15 @@ class MPoly:
         if not a or not b:
             return MPoly.zero(self.nvars)
         ebound = _product_ebound(self, other)
-        ca, cb = self.content, other.content
-        content = cb if ca == 1 else ca if cb == 1 else ca * cb
+        content = self.content * other.content
         if len(a) == 1 or len(b) == 1:
             # a primitive monomial has coefficient 1: multiplying by it adds
             # its key to every key, which keeps gcd 1 and the largest key
             if len(a) > len(b):
                 a, b = b, a
             (shift,) = a
+            if type(content) is Fraction:
+                content = _canon(content)
             return MPoly(self.nvars, content, {k + shift: v for k, v in b.items()},
                          _internal=True, ebound=ebound)
         return MPoly._build(self.nvars, _dot_kernel(self.nvars, [(1, a, b)]), content, ebound)
@@ -566,9 +591,11 @@ def dot(products: Iterable[tuple[int | Fraction, MPoly, MPoly]]) -> MPoly:
             live.append((sign * u.content * v.content, u._coeffs, v._coeffs))
     if not live:
         return MPoly.zero(nvars)
-    den = math.lcm(*(c.denominator for c, _, _ in live))
-    raw = _dot_kernel(nvars, [(c.numerator * den // c.denominator, a, b) for c, a, b in live])
-    return MPoly._build(nvars, raw, Fraction(1, den), ebound)
+    den = 1
+    if any(type(c) is not int for c, _, _ in live):
+        den = math.lcm(*(c.denominator for c, _, _ in live))
+        live = [(c.numerator * (den // c.denominator), a, b) for c, a, b in live]
+    return MPoly._build(nvars, _dot_kernel(nvars, live), _over(den), ebound)
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +625,7 @@ def _factor(poly: MPoly) -> _Factor:
 _NO_FACTORS: dict = {}
 
 
-def _split(poly: MPoly) -> tuple[Fraction, dict]:
+def _split(poly: MPoly) -> tuple[int | Fraction, dict]:
     """``poly = content * x^m * rest``: the content and the factor map of
     x^m * rest, with one factor x_i per variable of the monomial and ``rest``
     as one factor unless it is 1."""
@@ -611,7 +638,7 @@ def _split(poly: MPoly) -> tuple[Fraction, dict]:
             if e:
                 factors[_factor(MPoly.var(poly.nvars, i))] = e
     if len(coeffs) > 1:
-        factors[_factor(MPoly(poly.nvars, Fraction(1), coeffs, _internal=True,
+        factors[_factor(MPoly(poly.nvars, 1, coeffs, _internal=True,
                               ebound=poly._ebound))] = 1
     return poly.content, factors
 
@@ -703,7 +730,7 @@ class RatFunc:
                 raise ZeroDivisionError("zero denominator")
             c, factors = _split(den)
             if c != 1:
-                num = num * (1 / c)
+                num = num * Fraction(1, c)
         self.num, self._factors = _reduce(num, factors)
 
     @staticmethod
@@ -825,7 +852,7 @@ class RatFunc:
         c, born = _split(other.num)
         for p, e in born.items():
             factors[p] = factors.get(p, 0) + e
-        return RatFunc._of(num if c == 1 else num * (1 / c), factors)
+        return RatFunc._of(num if c == 1 else num * Fraction(1, c), factors)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)

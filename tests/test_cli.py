@@ -269,6 +269,9 @@ BAD_CONFIGS = {
     "legs-n-1": "kind = corollary-legs\nseed = 1\nn = 1\nd = 2\n",
     "legs-n-above-max-legs": "kind = corollary-legs\nseed = 1\nn = 7\nd = 1\n",
     "legs-d-0": "kind = corollary-legs\nseed = 1\nn = 2\nd = 0\n",
+    # d^n x d^n matrices: one trial at n = 4, d = 3 (81) took 9 s
+    "legs-d-power-above-cap": "kind = corollary-legs\nseed = 1\nn = 4\nd = 3\n",
+    "identity-d-power-above-cap": "kind = identity-suite\nseed = 1\nn = 2\nd = 9\n",
     "weyl-rational-N-0": "kind = weyl-rational\nseed = 1\nN = 0\n",
     "weyl-basis-N-0": "kind = weyl-basis\nseed = 1\nN = 0\n",
     # without points, N distinct points are drawn from the 13 integers in
@@ -303,6 +306,21 @@ def test_skew_matrix_size_stops_at_its_measured_cap():
     assert run_scenario(make_scenario("skew-matrix", trials=1, size=cap)).all_passed()
     with pytest.raises(ConfigError, match=f"^field 'size': must be at most {cap}$"):
         make_scenario("skew-matrix", size=cap + 1)
+
+
+@pytest.mark.parametrize("kind", ["corollary-legs", "identity-suite"])
+def test_leg_dimension_stops_at_its_measured_cap(kind):
+    cap = cli.MAX_LEG_DIM
+    for n, d in [(2, 8), (3, 4), (6, 2)]:  # the largest d with d^n <= cap
+        assert d ** n <= cap < (d + 1) ** n
+        make_scenario(kind, n=n, d=d)
+        with pytest.raises(ConfigError, match=rf"^field 'd': d\^n must be at most {cap}, "
+                                              rf"got {d + 1}\^{n}$"):
+            make_scenario(kind, n=n, d=d + 1)
+    # every size the acceptance grid and the benchmark send stays allowed
+    for n, d in [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]:
+        make_scenario(kind, n=n, d=d)
+    assert run_scenario(make_scenario(kind, trials=1, n=2, d=8)).all_passed()
 
 
 @pytest.mark.parametrize("text", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())

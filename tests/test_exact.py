@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from commfam import exact
+from commfam.cli import run_scenario, scenario_from_config
 from commfam.exact import (MPoly, QMatrix, Rat, RatFunc, Singular, collect, det,
                            dot, kron, mat_inverse, rank)
 from commfam.exact import (_MAX_EXP, _NP_BOX_PAIR_CUTOFF, _NP_BOX_RATIO,
@@ -513,6 +514,36 @@ def test_ratfunc_equality_by_cross_multiplication():
     assert RatFunc(xy + y, y) != RatFunc(xy, y)
 
 
+def test_ratfunc_denominator_with_an_int_content_divides_exactly():
+    # x / (2x + 2): the denominator's content 2 is an int, and it moves into
+    # the numerator as the Rat 1/2, never as the float 1 / 2
+    x = MPoly.var(1, 0)
+    one = MPoly.one(1)
+    f = RatFunc(x, 2 * x + 2)
+    assert f.num == MPoly.from_terms(1, {(1,): Fraction(1, 2)})
+    assert f.num.content == Fraction(1, 2) and f.den == x + one
+    assert [f.evaluate([t]) for t in range(4)] == [Fraction(t, 2 * t + 2) for t in range(4)]
+
+
+@pytest.mark.parametrize("c", [3, -1])
+def test_division_by_a_numerator_with_an_int_content_is_exact(c):
+    # f / g with g = c (x^2 + 1): c is the content of g's numerator, an int
+    x = MPoly.var(1, 0)
+    one = MPoly.one(1)
+    f = RatFunc(x + one, x)
+    g = RatFunc(c * (x * x + one))
+    assert type(g.num.content) is int and g.num.content == c
+    q = f / g
+    # hand-worked: ((x + 1) / x) / (c (x^2 + 1)) = (x + 1) / (c x (x^2 + 1))
+    assert q == RatFunc(x + one, c * x * (x * x + one))
+    assert q.den == x * (x * x + one)
+    assert q.num == (x + one) * Fraction(1, c)
+    assert [q.evaluate([t]) for t in range(1, 5)] == [
+        Fraction(t + 1, c * t * (t * t + 1)) for t in range(1, 5)]
+    # dividing by -1 forms no Rat at all
+    assert type(q.num.content) is (int if c == -1 else Fraction)
+
+
 def test_ratfunc_partial_derivative_examples():
     x1 = MPoly.var(1, 0)
     inv_x = RatFunc(MPoly.one(1), x1)
@@ -553,6 +584,41 @@ def test_ratfunc_negative_power_and_monomial_cancel():
     assert p * xi ** 3 == RatFunc.const(2, 1)
     with pytest.raises(ZeroDivisionError):
         RatFunc.const(2, 0) ** (-1)
+
+
+# one seed-1 request of each kind of the rational-ops and small-algebra
+# benchmark workloads, at their benchmark sizes
+ALGEBRA_REQUESTS = [
+    ("weyl-rational", {"N": 3, "T": "d2", "symbols": 1}),
+    ("weyl-rational", {"N": 3, "T": "z*d1+1", "symbols": 1}),
+    ("poisson-classical", {"n": 3}),
+    ("hbar-localization", {"f": "x^2+1", "M": 5}),
+    ("dual-number", {"n": 2}),
+    ("grassmann", {"arity": 4}),
+    ("weyl-basis", {"N": 3}),
+    ("cone-p1", {}),
+    ("hyperplane", {"g": 4}),
+]
+
+
+def test_no_request_forms_a_fraction_content_with_denominator_one(monkeypatch):
+    """Every content an MPoly is built with, in whole requests, is an int or
+    a Rat with denominator > 1: a Fraction(n, 1) content would mean that
+    some path does Fraction arithmetic on integers again."""
+    contents = []
+    init = MPoly.__init__
+
+    def recording_init(self, nvars, content, *args, **kwargs):
+        contents.append(content)
+        init(self, nvars, content, *args, **kwargs)
+
+    monkeypatch.setattr(MPoly, "__init__", recording_init)
+    for kind, params in ALGEBRA_REQUESTS:
+        config = {"kind": kind, "seed": 1, "trials": 1, **params}
+        assert run_scenario(scenario_from_config(config)).all_passed()
+    assert len(contents) > 1000
+    assert {type(c) for c in contents} == {int, Fraction}
+    assert [c for c in contents if type(c) is Fraction and c.denominator == 1] == []
 
 
 def test_matrix_inverse_identity_and_unipotent():

@@ -11,7 +11,9 @@ against plain ``Fraction`` loops, and its fraction-free ``rank`` against a
 difference of the two compositions.  ``rat_dot``, the fused ``RatFunc`` sum
 of products, is checked against the products formed one by one and summed
 by ``+``, and so are the Leibniz coefficient sums that ``collect_products``
-forms with it.
+forms with it.  Polynomials built from ``int`` data carry ``int``
+contents, and ``Rat`` contents have denominators > 1, through every
+constructor and operation.
 """
 
 import math
@@ -223,6 +225,77 @@ def test_dot_takes_python_at_the_joint_int64_bound(nvars, data):
     assert sum(len(a) * len(b) for _, a, b in triples) >= _NP_PAIR_CUTOFF
     assert route == expected_route(triples, nvars) == "_dot_py"
     assert out == summed(nvars, products)
+
+
+STEPS = ("+", "-", "neg", "*", "scale", "**", "partial", "embed", "dot")
+
+
+@st.composite
+def built_polys(draw, scalars, divisions=False):
+    """Every polynomial of a short program in 2 variables: two ``from_terms``
+    and a ``const`` of drawn scalars, both ``var``, ``one`` and ``zero``,
+    then steps that each apply one operation to polynomials built before;
+    with ``divisions``, a step may also take the numerator of a ``RatFunc``
+    quotient.  Products stay at most 64 term pairs and total degree 32."""
+    nvars = 2
+    terms = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), scalars,
+                            min_size=1, max_size=5)
+    pool = [MPoly.from_terms(nvars, draw(terms)), MPoly.from_terms(nvars, draw(terms)),
+            MPoly.const(nvars, draw(scalars)), MPoly.var(nvars, 0), MPoly.var(nvars, 1),
+            MPoly.one(nvars), MPoly.zero(nvars)]
+    steps = STEPS + (("over", "divide") if divisions else ())
+    for _ in range(draw(st.integers(4, 12))):
+        step = draw(st.sampled_from(steps))
+        a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        pairs = a.term_count * max(a.term_count, b.term_count)
+        degree = a.total_degree() + max(a.total_degree(), b.total_degree())
+        if step in ("*", "**", "dot") and (pairs > 64 or degree > 32):
+            step = "+"
+        if step in ("over", "divide") and b.is_zero:
+            step = "-"
+        pool.append({
+            "+": lambda: a + b,
+            "-": lambda: a - b,
+            "neg": lambda: -a,
+            "*": lambda: a * b,
+            "scale": lambda: a * draw(scalars),
+            "**": lambda: a ** draw(st.integers(0, 2)),
+            "partial": lambda: a.partial(draw(st.integers(0, nvars - 1))),
+            "embed": lambda: a.embed(nvars, [1, 0]),
+            "dot": lambda: dot([(draw(scalars), a, b), (draw(scalars), a, a)]),
+            "over": lambda: RatFunc(a, b).num,
+            "divide": lambda: (RatFunc(a) / RatFunc(b)).num,
+        }[step]())
+    return pool
+
+
+@FIXED
+@given(pool=built_polys(st.integers(-6, 6)))
+def test_int_data_builds_int_contents(pool):
+    assert [p.content for p in pool if type(p.content) is not int] == []
+
+
+RAT_DATA = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=4))
+
+
+@FIXED
+@given(pool=built_polys(RAT_DATA, divisions=True))
+def test_rat_contents_have_denominators_above_one(pool):
+    assert [p.content for p in pool
+            if not (type(p.content) is int
+                    or type(p.content) is Fraction and p.content.denominator > 1)] == []
+
+
+@pytest.mark.parametrize("n", [-4, 3])
+def test_equality_agrees_across_int_and_rat_input(n):
+    nvars = 2
+    assert MPoly.const(nvars, n) == MPoly.const(nvars, Fraction(n))
+    assert type(MPoly.const(nvars, Fraction(n)).content) is int
+    rat = MPoly.from_terms(nvars, {(1, 0): Fraction(6, 3), (0, 2): Fraction(n)})
+    ints = MPoly.from_terms(nvars, {(1, 0): 2, (0, 2): n})
+    assert rat == ints
+    assert (rat.content, rat._coeffs) == (ints.content, ints._coeffs)
+    assert type(rat.content) is int
 
 
 @FIXED
