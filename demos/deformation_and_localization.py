@@ -19,7 +19,7 @@ x = RatFunc.var(2 * n, 0)
 xi = RatFunc.var(2 * n, 1)
 a = quantize.DualNum.classical(x * x * xi)
 b = quantize.DualNum.classical(xi * xi + x)
-comm = quantize.dual_mul(a, b) - quantize.dual_mul(b, a)
+comm = quantize.dual_commutator(a, b)
 print("body of a.b - b.a:", "0" if comm.body.is_zero else "nonzero")
 print("soul equals 2 {a, b}:",
       comm.soul == poisson.poisson_bracket(a.body, b.body) * 2)

@@ -56,45 +56,70 @@ class ZeroAlpha(ValueError):
 # The canonical bracket.
 
 
-def _pairwise_kernel(du: list, dv: list):
-    """P(u, v) = sum_j (u_x_j v_xi_j - u_xi_j v_x_j) from the partials
+def _pairwise_kernel(pairs: list):
+    """sum s P(u, v) over (s, du, dv) triples, where
+    P(u, v) = sum_j (u_x_j v_xi_j - u_xi_j v_x_j) is read from the partials
     du = (u_x_1, u_xi_1, ..., u_x_n, u_xi_n) and dv of two ``MPoly`` or two
     ``RatFunc`` values, n >= 1: the whole sum is one ``dot`` or one
     ``rat_dot``, so no product is formed on its own."""
-    fused = dot if isinstance(du[0], MPoly) else rat_dot
-    return fused(t for x in range(0, len(du), 2)
-                 for t in ((1, du[x], dv[x + 1]), (-1, du[x + 1], dv[x])))
+    fused = dot if isinstance(pairs[0][1][0], MPoly) else rat_dot
+    return fused(t for s, du, dv in pairs for x in range(0, len(du), 2)
+                 for t in ((s, du[x], dv[x + 1]), (-s, du[x + 1], dv[x])))
 
 
-def poisson_bracket(f: RatFunc, g: RatFunc) -> RatFunc:
-    """Canonical bracket of two rational functions in 2n variables ordered
-    (x_1, xi_1, ..., x_n, xi_n), exact.
+def bracket_sum(pairs: list[tuple[int, RatFunc, RatFunc]]) -> RatFunc:
+    """sum s {f, g} over signed pairs (s, f, g) of rational functions in 2n
+    variables ordered (x_1, xi_1, ..., x_n, xi_n), exact; each operand's
+    partials are taken once, however many pairs it enters.
 
     Raises ``ValueError`` when the variable counts differ or are odd.  With
     P the kernel above, operands a/c and b/c over one factor map (the rule
     of ``RatFunc.same_den``), c its product, give
-    (c P(a,b) - a P(c,b) - b P(a,c)) / c^3, c^3 kept as c's factors cubed
-    (the quotient rule would give c^4), each P and the numerator one
-    ``exact.dot``, and each partial of a, b and c taken once.  Other
-    operands go through P as ``RatFunc`` values, whose partials raise only
-    the factors holding the variable, and P is one ``exact.rat_dot``: one
-    ``dot`` per factor map of its products and one over their lcm.
+    {a/c, b/c} = (c P(a,b) - a P(c,b) - b P(a,c)) / c^3, c^3 kept as c's
+    factors cubed (the quotient rule would give c^4).  When every operand
+    holds that one map, the pairs' terms are grouped by their outer factor,
+    c or an operand's numerator, so a numerator entering several pairs
+    multiplies one sum: each group's sum of P is one ``exact.dot`` and the
+    numerator over c^3 one more.  Other operands go through P as ``RatFunc``
+    values, whose partials raise only the factors holding the variable, and
+    the sum of P is one ``exact.rat_dot``: one ``dot`` per factor map of its
+    products and one over their lcm.
     """
-    if f.nvars != g.nvars or f.nvars % 2:
-        raise ValueError(f"bracket operands need the same even number of variables, "
-                         f"got {f.nvars} and {g.nvars}")
-    n = f.nvars // 2
+    first = pairs[0][1]
+    for _, f, g in pairs:
+        for u, v in ((first, f), (f, g)):
+            if u.nvars != v.nvars or v.nvars % 2:
+                raise ValueError(f"bracket operands need the same even number of "
+                                 f"variables, got {u.nvars} and {v.nvars}")
+    operands = {id(p): p for _, f, g in pairs for p in (f, g)}
+    n = first.nvars // 2
     if n == 0:
-        return f * 0
-    if not f.same_den(g):
-        return _pairwise_kernel(*([p.partial(i) for i in range(2 * n)] for p in (f, g)))
-    c = f.den
-    a, b = f.num, g.num
-    da, db, dc = ([p.partial(i) for i in range(2 * n)] for p in (a, b, c))
-    num = dot([(1, c, _pairwise_kernel(da, db)),
-               (-1, a, _pairwise_kernel(dc, db)),
-               (-1, b, _pairwise_kernel(da, dc))])
-    return f.over_den(num, 3)
+        return first * 0
+    if not all(first.same_den(p) for p in operands.values()):
+        partials = {key: [p.partial(i) for i in range(2 * n)] for key, p in operands.items()}
+        return _pairwise_kernel([(s, partials[id(f)], partials[id(g)]) for s, f, g in pairs])
+    c = first.den
+    dc = [c.partial(i) for i in range(2 * n)]
+    partials = {key: [p.num.partial(i) for i in range(2 * n)]
+                for key, p in operands.items()}
+    # c P(a,b) - a P(c,b) - b P(a,c), summed over the pairs by outer factor
+    inner, outer = [], {}
+    for s, f, g in pairs:
+        da, db = partials[id(f)], partials[id(g)]
+        inner.append((s, da, db))
+        outer.setdefault(id(f), []).append((s, dc, db))
+        outer.setdefault(id(g), []).append((s, da, dc))
+    num = dot([(1, c, _pairwise_kernel(inner))]
+              + [(-1, operands[key].num, _pairwise_kernel(group))
+                 for key, group in outer.items()])
+    return first.over_den(num, 3)
+
+
+def poisson_bracket(f: RatFunc, g: RatFunc) -> RatFunc:
+    """Canonical bracket {f, g} of two rational functions in 2n variables
+    ordered (x_1, xi_1, ..., x_n, xi_n), exact: ``bracket_sum`` of the one
+    pair (1, f, g)."""
+    return bracket_sum([(1, f, g)])
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ Two desk-scale renderings of first-order quantization live here.
   invertible iff its body is nonzero.  Building the determinant family
   H_i = Delta_0^{-1} Delta_i inside this algebra and watching the commutators
   vanish is precisely the epsilon-route to Poisson commutativity: the soul of
-  a commutator of body-only elements is 2 {body, body}.
+  a commutator of body-only elements is 2 {body, body}.  A commutator
+  ab - ba is summed in one pass (``dual_commutator``), never as two products.
 
 * hbar-localization: the coefficient algebra A_h is the Rees construction on
   one-variable differential operators (each derivative carries one power of
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 from .exact import (MPoly, RatFunc, SparseSum, _leibniz, collect, collect_products,
                     maximal_minors, rat_dot)
-from .poisson import poisson_bracket
+from .poisson import bracket_sum, poisson_bracket
 from .reports import CheckRecord, failed, passed
 
 ANCHOR_DUAL_ASSOC = "(a.b).c = a.(b.c) for a.b = ab + eps{a,b}"
@@ -104,6 +105,20 @@ def dual_mul(a: DualNum, b: DualNum) -> DualNum:
     return DualNum(body, soul)
 
 
+def dual_commutator(a: DualNum, b: DualNum) -> DualNum:
+    """ab - ba, with every product formed inside a fused sum and none on its
+    own: the body a_0 b_0 - b_0 a_0 is one ``rat_dot``, the four body-soul
+    products a_0 b_1 + a_1 b_0 - b_0 a_1 - b_1 a_0 one more, and
+    {a_0, b_0} - {b_0, a_0} one ``bracket_sum`` over the signed pairs.  Only
+    distributivity merges terms; neither commutativity nor antisymmetry is
+    assumed, since the commutator is what the checks decide."""
+    body = rat_dot([(1, a.body, b.body), (-1, b.body, a.body)])
+    soul = (rat_dot([(1, a.body, b.soul), (1, a.soul, b.body),
+                     (-1, b.body, a.soul), (-1, b.soul, a.body)])
+            + bracket_sum([(1, a.body, b.body), (-1, b.body, a.body)]))
+    return DualNum(body, soul)
+
+
 def _nonzero_part(d: DualNum) -> str:
     """The first nonzero part of ``d`` and its text, as a failure witness."""
     part = "body" if not d.body.is_zero else "soul"
@@ -119,9 +134,7 @@ def check_dual_assoc(a: DualNum, b: DualNum, c: DualNum) -> CheckRecord:
 
 def check_soul_factor(a: RatFunc, b: RatFunc) -> CheckRecord:
     """The soul of the commutator of two body-only elements is 2 {a, b}."""
-    ab = dual_mul(DualNum.classical(a), DualNum.classical(b))
-    ba = dual_mul(DualNum.classical(b), DualNum.classical(a))
-    soul = (ab - ba).soul
+    soul = dual_commutator(DualNum.classical(a), DualNum.classical(b)).soul
     want = poisson_bracket(a, b) * 2
     if soul == want:
         return passed("dual-soul-factor", ANCHOR_SOUL_FACTOR)
@@ -147,9 +160,11 @@ def dual_commuting_family(fs: list[RatFunc], classical: list[RatFunc]) -> list[C
     each commutator [H_i, H_j] vanishes and that its soul is
     2 {H_i^cl, H_j^cl}, where ``classical`` is ``classical_hamiltonians(fs)``.
 
-    The soul check compares two independent routes: the eps-route (dual
-    minors, dual inverse, dual products) and the classical route (``RatFunc``
-    minors and one bracket per pair)."""
+    Each commutator is one ``dual_commutator``, so H_i H_j and H_j H_i are
+    never formed on their own.  The soul check compares two independent
+    routes: the eps-route (dual minors, dual inverse, dual products, the
+    fused commutator) and the classical route (``RatFunc`` minors and one
+    bracket per pair)."""
     n = len(fs) - 1
     if n < 2:
         raise ValueError("need at least three functions")
@@ -161,7 +176,7 @@ def dual_commuting_family(fs: list[RatFunc], classical: list[RatFunc]) -> list[C
     records, soul_records = [], []
     for i in range(len(hs)):
         for j in range(i + 1, len(hs)):
-            comm = dual_mul(hs[i], hs[j]) - dual_mul(hs[j], hs[i])
+            comm = dual_commutator(hs[i], hs[j])
             name = f"dual-commutator-{i + 1}{j + 1}"
             if comm.is_zero:
                 records.append(passed(name, ANCHOR_DUAL_COMM))

@@ -11,9 +11,11 @@ against plain ``Fraction`` loops, and its fraction-free ``rank`` against a
 difference of the two compositions.  ``rat_dot``, the fused ``RatFunc`` sum
 of products, is checked against the products formed one by one and summed
 by ``+``, and so are the Leibniz coefficient sums that ``collect_products``
-forms with it.  Polynomials built from ``int`` data carry ``int``
-contents, and ``Rat`` contents have denominators > 1, through every
-constructor and operation.
+forms with it.  ``dual_commutator`` is checked against the difference of
+the two dual products, and ``bracket_sum`` over signed pairs against the
+sum of its brackets taken one by one, on both bracket routes.  Polynomials
+built from ``int`` data carry ``int`` contents, and ``Rat`` contents have
+denominators > 1, through every constructor and operation.
 """
 
 import math
@@ -22,13 +24,14 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from commfam import exact
 from commfam.exact import (_MAX_EXP, _NP_COEF_BOUND, _NP_PAIR_CUTOFF, _SHIFT, MPoly,
                            QMatrix, RatFunc, Singular, _common_monomial_key, _leibniz,
                            collect, dot, kron, mat_inverse, rank, rat_dot)
-from commfam.quantize import HElem, h_ad
+from commfam.poisson import bracket_sum, poisson_bracket
+from commfam.quantize import DualNum, HElem, dual_commutator, dual_mul, h_ad
 from commfam.weyl import RatDiffOp, do_commutator, do_compose
 from kernel_routes import ROUTES, expected_route, nonzero, python_dot, routed_mul
 from rank_oracle import fraction_rank
@@ -602,3 +605,95 @@ def test_rat_dot_of_a_sum_that_cancels_is_zero_without_factors():
     assert out.is_zero and not out._factors
     with pytest.raises(ValueError):
         rat_dot([])
+
+
+# Dual-number commutators and the bracket kernel, on n = 1 and n = 2 legs of
+# the symplectic space (x_1, xi_1, ..., x_n, xi_n).  Denominators are
+# products of powers of three non-monomial factors, so that factor maps stay
+# as drawn; bodies over one map take the bracket's numerator route, bodies
+# over two maps its RatFunc route.
+def symplectic_factors(n):
+    v = [MPoly.var(2 * n, i) for i in range(2 * n)]
+    return [v[0] + 1, v[0] * v[1] - 2, v[-1] + v[-2] - 3]
+
+
+SYMPLECTIC_MAPS = [(0, 0, 0), (1, 0, 0), (0, 1, 1), (2, 1, 0), (1, 1, 1)]
+
+
+@st.composite
+def symplectic_functions(draw, n, factor_map=None):
+    """A nonzero numerator of 1 to 4 terms over ``factor_map`` (exponents
+    of ``symplectic_factors(n)``), drawn when not given."""
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * (2 * n)),
+                                 st.integers(-3, 3).filter(bool), min_size=1, max_size=4))
+    den = MPoly.one(2 * n)
+    for p, e in zip(symplectic_factors(n), factor_map or draw(st.sampled_from(SYMPLECTIC_MAPS))):
+        den = den * p ** e
+    return RatFunc(MPoly.from_terms(2 * n, terms), den)
+
+
+@st.composite
+def dual_pairs(draw, n, same_map):
+    """Two dual numbers with nonzero souls over maps of their own; the bodies
+    share one factor map when ``same_map``."""
+    body_map = draw(st.sampled_from(SYMPLECTIC_MAPS))
+    a, b = (DualNum(draw(symplectic_functions(n, body_map if same_map else None)),
+                    draw(symplectic_functions(n))) for _ in range(2))
+    return a, b
+
+
+def dual_difference(a, b):
+    """The commutator as formed before ``dual_commutator``: two products."""
+    return dual_mul(a, b) - dual_mul(b, a)
+
+
+@LEIBNIZ
+@given(data=st.data())
+def test_dual_commutator_is_the_difference_of_the_products(data):
+    # nonzero souls, bodies over one factor map: the numerator route
+    a, b = data.draw(dual_pairs(data.draw(st.integers(1, 2)), same_map=True))
+    assert a.body.same_den(b.body) and not (a.soul.is_zero or b.soul.is_zero)
+    assert dual_commutator(a, b) == dual_difference(a, b)
+
+
+@LEIBNIZ
+@given(data=st.data())
+def test_dual_commutator_over_distinct_factor_maps(data):
+    # bodies over two factor maps: the RatFunc route of the bracket
+    a, b = data.draw(dual_pairs(data.draw(st.integers(1, 2)), same_map=False))
+    assume(not a.body.same_den(b.body))
+    assert dual_commutator(a, b) == dual_difference(a, b)
+
+
+@LEIBNIZ
+@given(data=st.data())
+def test_dual_commutator_on_one_leg_where_it_is_nonzero(data):
+    # one symplectic leg: the bodies' bracket need not vanish, so neither
+    # does the commutator, and a kernel that lost a term would show
+    a, b = data.draw(dual_pairs(1, same_map=data.draw(st.booleans())))
+    want = dual_difference(a, b)
+    assume(not want.is_zero)
+    got = dual_commutator(a, b)
+    assert got == want and not got.is_zero
+
+
+@st.composite
+def signed_pairs(draw, same_map):
+    """One to four (scale, f, g) pairs drawn from a pool of three functions,
+    so an operand enters several pairs and may meet itself; the pool shares
+    one factor map when ``same_map``."""
+    n = draw(st.integers(1, 2))
+    factor_map = draw(st.sampled_from(SYMPLECTIC_MAPS)) if same_map else None
+    pool = [draw(symplectic_functions(n, factor_map)) for _ in range(3)]
+    index = st.integers(0, 2)
+    return [(draw(st.sampled_from([1, -1, 2, Fraction(-3, 4)])), pool[draw(index)],
+             pool[draw(index)]) for _ in range(draw(st.integers(1, 4)))]
+
+
+@pytest.mark.parametrize("same_map", [True, False], ids=["one-map", "mixed-maps"])
+@LEIBNIZ
+@given(data=st.data())
+def test_bracket_sum_is_the_sum_of_its_brackets(same_map, data):
+    pairs = data.draw(signed_pairs(same_map))
+    brackets = [poisson_bracket(f, g) * s for s, f, g in pairs]
+    assert bracket_sum(pairs) == sum(brackets[1:], brackets[0])

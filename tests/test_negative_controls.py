@@ -125,8 +125,23 @@ def soul_factor_instance():
 
 
 def drop_eps_bracket(monkeypatch):
-    monkeypatch.setattr(quantize, "dual_mul", lambda a, b: DualNum(
-        a.body * b.body, a.body * b.soul + a.soul * b.body))
+    """The bracket sum {a_0, b_0} - {b_0, a_0} of ``dual_commutator`` read as 0."""
+    monkeypatch.setattr(quantize, "bracket_sum", lambda pairs: pairs[0][1] * 0)
+
+
+def negate_last_soul_product(monkeypatch):
+    """``rat_dot`` as the dual-number module sees it, with the sign of the
+    last of four products flipped: of the four body-soul products of
+    ``dual_commutator``, -b_1 a_0 enters as +b_1 a_0."""
+    original = quantize.rat_dot
+
+    def perturbed(products):
+        products = list(products)
+        if len(products) == 4:
+            s, f, g = products[-1]
+            products[-1] = (-s, f, g)
+        return original(products)
+    monkeypatch.setattr(quantize, "rat_dot", perturbed)
 
 
 def localization_instance(hbar_term):
@@ -266,8 +281,8 @@ NEGATIVE_CONTROLS = {
                          negate_c1),
     ANCHOR_DUAL_ASSOC: ("the Poisson bracket the dual-number module sees is "
                         "{f, g} + 1", dual_assoc_instance, bracket_plus_one),
-    ANCHOR_SOUL_FACTOR: ("the eps-bracket dropped from dual_mul", soul_factor_instance,
-                         drop_eps_bracket),
+    ANCHOR_SOUL_FACTOR: ("the eps-bracket dropped from dual_commutator",
+                         soul_factor_instance, drop_eps_bracket),
     ANCHOR_LOCAL_INV: ("h_inverse cut after its first term 1/body",
                        localization_instance(True), first_term_inverse),
     ANCHOR_LOCAL_ASSOC: ("C(n, alpha) for C(-n, alpha) in localize_product",
@@ -315,6 +330,25 @@ def test_perturbation_turns_pass_into_fail(monkeypatch, anchor):
     perturb(monkeypatch)
     failing = [r for r in instance() if r.anchor == anchor and r.status == "fail"]
     assert failing and all(r.witness for r in failing)
+
+
+def test_wrong_sign_soul_product_fails_the_dual_commutator(monkeypatch):
+    """A second control for the dual-number commutator: one of the four
+    body-soul products of ``dual_commutator`` with the wrong sign fails
+    dual-commutator-12, with a witness, on the linear family and on a
+    quadratic one whose Hamiltonians have nonzero souls."""
+    one, x, xi = RatFunc.const(2, 1), RatFunc.var(2, 0), RatFunc.var(2, 1)
+    families = ([one, x, xi], [one, x + xi * xi, x * xi])
+
+    def commutators():
+        return [r for fs in families
+                for r in dual_commuting_family(fs, classical_hamiltonians(fs))
+                if r.anchor == ANCHOR_DUAL_COMM]
+    assert [r.status for r in commutators()] == ["pass", "pass"]
+    negate_last_soul_product(monkeypatch)
+    failing = commutators()
+    assert [(r.name, r.status) for r in failing] == [("dual-commutator-12", "fail")] * 2
+    assert all(r.witness.startswith("nonzero soul: ") for r in failing)
 
 
 @pytest.mark.parametrize("anchor", KERNEL_ANCHORS,
