@@ -128,11 +128,16 @@ def scenario_from_config(config: dict, seed_override: int | None = None,
 # at size 40 its subset dict exhausts memory), or passes without deciding
 # anything (n = 1 is one Hamiltonian; d, size, g, N or M = 0 leave nothing to
 # check).  One skew-matrix trial took 0.06 s at size 14, 0.3 s at 16 and
-# 1.8 s at 18 (2-core Xeon VM), so size stops at 16.
+# 1.8 s at 18 (2-core Xeon VM), so size stops at 16.  A degree-0 leg function
+# is a constant, so no family is ever independent; the classical brackets grow
+# steeply with degree: at n = 3 one poisson-classical trial took 0.04 s at
+# degree 2 and 0.9 s at 3, one dual-number trial drawing its family 3.0 s at 3;
+# at degree 4 one poisson-classical trial took 17.8 s and asked numpy for a
+# 1.7 GiB array, at 8 for 33 GiB (2-core Xeon VM), so degree stops at 3.
 PARAM_RANGES = {
     "trials": (1, None), "n": (2, None), "d": (1, None), "size": (1, None),
     "g": (1, None), "N": (1, None), "M": (1, None), "bound": (0, None),
-    "family_every": (1, None),
+    "family_every": (1, None), "degree": (1, 3),
 }
 KIND_RANGES = {
     "corollary-legs": {"n": (2, ncfam.MAX_LEGS)},
@@ -248,7 +253,7 @@ def _trial_skew_matrix(params, rng, t) -> list[CheckRecord]:
         return [failed("inverse", "det(m) = 0 => Singular",
                        "inverse returned for a singular matrix")]
     inv = mat_inverse(m)
-    if (m * inv).is_identity() and (inv * m).is_identity():
+    if m * inv == QMatrix.identity(size) == inv * m:
         return [passed("inverse", "m m^-1 = m^-1 m = 1")]
     return [failed("inverse", "m m^-1 = m^-1 m = 1", "product is not the identity")]
 

@@ -18,13 +18,15 @@ with zero tolerance:
   products, and one more over the lcm of those maps.
 * ``QMatrix`` -- dense matrices over Q, stored as integer numerators over
   one canonical common denominator, so sums, products, Kronecker products,
-  inverses and rank run in Python integers; inverse and rank use
-  fraction-free Bareiss elimination.  A product is one numpy ``dtype=object``
-  matmul of the numerators -- numpy's C loop over Python ints, never int64 or
-  float -- and ``kron`` is one comprehension.  ``mul_on_leg`` multiplies by
-  a matrix placed on one tensor leg, I (x) b (x) I, by contracting that leg's
-  index alone, without forming the Kronecker product.  The determinant
-  (``det``, by ``signed_minors``) shares no code with it and cross-checks it.
+  inverses and rank run in Python integers.  A product is one numpy
+  ``dtype=object`` matmul of the numerators -- numpy's C loop over Python
+  ints, never int64 or float -- and ``kron`` is one comprehension.
+  ``mul_on_leg`` multiplies by a matrix placed on one tensor leg,
+  I (x) b (x) I, by contracting that leg's index alone, without forming the
+  Kronecker product.  Inverse and rank are one fraction-free Gauss-Jordan
+  elimination (Bareiss), ``_eliminate``: the inverse reads its pivot rows
+  and the rank counts them.  The determinant (``det``, by
+  ``signed_minors``) shares no code with it and cross-checks it.
 * ``signed_minors`` -- the one signed-bijection kernel: every determinant
   and every family of maximal minors Delta_0..Delta_k, whatever the entries
   (``Rat``, ``MPoly``, ``RatFunc``, dual numbers, Kronecker-placed matrices),
@@ -1247,13 +1249,6 @@ class QMatrix:
 
     __hash__ = None
 
-    def is_identity(self) -> bool:
-        if not self.is_square():
-            return False
-        n = self.rows
-        return self._den == 1 and self._nums == [int(k % (n + 1) == 0)
-                                                 for k in range(n * n)]
-
     def first_nonzero(self) -> tuple[int, int, object] | None:
         """Row-major first nonzero entry, as a failure witness."""
         k = next((k for k, x in enumerate(self._nums) if x), None)
@@ -1298,13 +1293,46 @@ def mul_on_leg(m: QMatrix, b: QMatrix, leg: int, n: int) -> QMatrix:
     return QMatrix._of_ints(m.rows, m.cols, out.ravel().tolist(), m._den * b._den)
 
 
-def mat_inverse(m: QMatrix) -> QMatrix:
-    """Exact inverse by Bareiss fraction-free Gauss-Jordan elimination on [N | I].
+def _eliminate(rows: list[list[int]], width: int) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of the first ``width`` columns.
 
-    N is the integer numerator matrix of m = N / den.  Every intermediate
-    entry is a minor of [N | I], so each division by the previous pivot is
-    exact (Bareiss 1968, Math. Comp. 22:565-578).  The elimination ends as
-    [c I | c N^-1], where c is the last pivot, so m^-1 = den * (c N^-1) / c
+    ``rows`` are integer rows of one length.  Column k < ``width`` takes as
+    its pivot the first row, in input order, not yet used as a pivot whose
+    entry there is nonzero; a column with no such row is skipped.  Every
+    other row r, earlier pivot rows included, becomes
+    (pivot * r - r[k] * pivot row) / prev, prev being the previous pivot
+    (1 at first).  Each entry is then a minor of the input on the pivot rows
+    and columns, so every division is exact (Bareiss 1968, Math. Comp.
+    22:565-578).  A column leaves every row once it is eliminated or skipped.
+
+    Returns the pivot rows in pivot order, restricted to the columns past
+    ``width``, the skipped columns, and the last pivot c.  A pivot row over c
+    is that pivot's row of the reduced row echelon form.
+    """
+    rows = list(rows)
+    skipped, prev, used = [], 1, 0
+    for k in range(width):
+        p = next((i for i in range(used, len(rows)) if rows[i][0]), None)
+        if p is None:
+            skipped.append(k)
+            rows = [row[1:] for row in rows]
+            continue
+        rows.insert(used, rows.pop(p))
+        pivot, tail = rows[used][0], rows[used][1:]
+        rows = [tail if i == used
+                else [(pivot * x - row[0] * y) // prev for x, y in zip(row[1:], tail)]
+                if row[0] else [pivot * x // prev for x in row[1:]]
+                for i, row in enumerate(rows)]
+        used += 1
+        prev = pivot
+    return rows[:used], skipped, prev
+
+
+def mat_inverse(m: QMatrix) -> QMatrix:
+    """Exact inverse by ``_eliminate`` on [N | I].
+
+    N is the integer numerator matrix of m = N / den.  The elimination ends
+    as [c I | c N^-1], c being the last pivot, so m^-1 = den * (c N^-1) / c
     needs no sign tracking for the row swaps: the result is the integer
     matrix den * (c N^-1) over c, brought to the canonical form.
 
@@ -1315,32 +1343,18 @@ def mat_inverse(m: QMatrix) -> QMatrix:
     if not m.is_square():
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    nums, den = m._nums, m._den
-    # rows[i]: columns k..n-1 of the left block, then the right block; a
-    # column leaves once it is eliminated (its entries are 0 off the
-    # diagonal, and every diagonal entry ends equal to c).
-    rows = [nums[i * n:(i + 1) * n] + [int(i == j) for j in range(n)]
-            for i in range(n)]
-    prev = 1
-    for k in range(n):
-        p = next((r for r in range(k, n) if rows[r][0]), None)
-        if p is None:
-            raise Singular(f"no nonzero pivot in column {k}")
-        rows[k], rows[p] = rows[p], rows[k]
-        pivot = rows[k][0]
-        tail = rows[k][1:]
-        for i in range(n):
-            if i == k:
-                continue
-            f = rows[i][0]
-            if f:
-                rows[i] = [(pivot * x - f * y) // prev
-                           for x, y in zip(rows[i][1:], tail)]
-            else:
-                rows[i] = [pivot * x // prev for x in rows[i][1:]]
-        rows[k] = tail
-        prev = pivot
-    return QMatrix._of_ints(n, n, [den * x for row in rows for x in row], prev)
+    pivots, skipped, c = _eliminate(
+        [m._nums[i * n:(i + 1) * n] + [int(i == j) for j in range(n)] for i in range(n)], n)
+    if skipped:
+        raise Singular(f"no nonzero pivot in column {skipped[0]}")
+    return QMatrix._of_ints(n, n, [m._den * x for row in pivots for x in row], c)
+
+
+def rank(m: QMatrix) -> int:
+    """Exact rank: the number of pivot rows ``_eliminate`` finds in the
+    numerators; the common denominator does not change the rank."""
+    cols = m.cols
+    return len(_eliminate([m._nums[i * cols:(i + 1) * cols] for i in range(m.rows)], cols)[0])
 
 
 def signed_minors(a: Sequence[Sequence], mul=operator.mul, one=1) -> dict:
@@ -1408,32 +1422,3 @@ def det(m: QMatrix):
     n = m.rows
     rows = [m._nums[i * n:(i + 1) * n] for i in range(n)]
     return Fraction(signed_minors(rows)[(1 << n) - 1], m._den ** n)
-
-
-def rank(m: QMatrix) -> int:
-    """Exact rank by fraction-free forward elimination on the numerators.
-
-    The common denominator does not change the rank.  ``rows`` holds the
-    rows not yet used as pivots, restricted to the columns not yet visited.
-    A column with no nonzero entry there is skipped; otherwise a row with
-    one leaves ``rows`` as the pivot row, and every other row r is replaced
-    by (pivot * r - r[0] * pivot row) / prev, prev being the previous pivot.
-    Each entry is then a minor of the numerator matrix on the pivot rows and
-    columns, so the division is exact (Bareiss 1968), as in ``mat_inverse``.
-    The rank is the number of pivot rows.
-    """
-    cols = m.cols
-    rows = [m._nums[i * cols:(i + 1) * cols] for i in range(m.rows)]
-    prev = 1
-    for _ in range(cols):
-        p = next((i for i, row in enumerate(rows) if row[0]), None)
-        if p is None:
-            rows = [row[1:] for row in rows]
-            continue
-        top = rows.pop(p)
-        pivot, tail = top[0], top[1:]
-        rows = [[(pivot * x - row[0] * y) // prev for x, y in zip(row[1:], tail)]
-                if row[0] else [pivot * x // prev for x in row[1:]]
-                for row in rows]
-        prev = pivot
-    return m.rows - len(rows)

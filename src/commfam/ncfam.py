@@ -28,10 +28,10 @@ product: ``family_minors`` for Delta_0..Delta_n of a ``LegFamily`` and
 ``rest_brackets`` for the n brackets of n - 1 rows on legs 1..n-1.
 
 Elements of the tensor power are plain d^n x d^n ``QMatrix`` values.
-The alternating sums of 2a and 2b apply each leg factor f_i^(leg) with
-``exact.mul_on_leg``, a contraction over that leg's index alone; the
-d^n x d^n ``leg_embed`` matrix is formed only by the Laplace expansion, and
-by the tests as the contraction's oracle.
+2a, 2b and the Laplace expansion are one alternating sum,
+``_alternating_sum``, which applies each leg factor f_i^(leg) with
+``exact.mul_on_leg``, a contraction over that leg's index alone; no leg
+factor is ever embedded as a d^n x d^n matrix.
 Only Delta_0 is ever inverted, once per draw: ``sample_family``
 builds the minors and Delta_0^{-1} together, redraws while Delta_0 is
 ``Singular`` and reports how many draws it discarded.  The Hamiltonians and
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import reduce
 
 from .exact import (QMatrix, Singular, kron, mat_inverse, maximal_minors, mul_on_leg,
                     signed_minors)
@@ -60,17 +59,6 @@ ANCHOR_LAPLACE = ("[f_1,..,f_n] = sum_{j=1..n} (-1)^(j+n) f_j^(n) "
                   "[f_1,..,^f_j,..,f_n]^(1..n-1)")
 
 MAX_LEGS = 6  # a k-leg bracket costs O(2^k k) Kronecker products; d^n dominates
-
-
-def leg_embed(b: QMatrix, leg: int, n: int) -> QMatrix:
-    """Place the d x d matrix ``b`` on tensor leg ``leg`` of n legs:
-    I_{d^(leg-1)} (x) b (x) I_{d^(n-leg)}."""
-    if not 1 <= leg <= n:
-        raise ValueError(f"leg {leg} out of range 1..{n}")
-    if b.rows != b.cols:
-        raise ValueError("leg matrices must be square")
-    eye = QMatrix.identity(b.rows)
-    return reduce(kron, [b if j == leg else eye for j in range(1, n + 1)])
 
 
 def bracket(ms: list[QMatrix]) -> QMatrix:
@@ -174,17 +162,18 @@ def check_pairwise_commute(hs: list[QMatrix]) -> CheckRecord:
     return passed("pairwise-commute", ANCHOR_COMMUTE)
 
 
-def _alternating_sum(fs, quotients: list[QMatrix], leg: int) -> QMatrix:
-    """sum_i (-1)^i [f_1,..,^f_i,..,f_n]^(1..n-1) [f_1,..,f_n]^-1 f_i^(leg).
+def _alternating_sum(fs, lefts: list[QMatrix], leg: int) -> QMatrix:
+    """sum_i (-1)^i lefts[i-1] f_i^(leg).
 
-    ``quotients[i-1]`` is the rest bracket of f_i times Delta_0^{-1}; only
-    the leg factor f_i^(leg) is multiplied here, by ``mul_on_leg``: a
+    ``lefts[i-1]`` is the rest bracket [f_1,..,^f_i,..,f_n]^(1..n-1) of f_i
+    (the Laplace expansion) or that rest times Delta_0^{-1} (2a and 2b).
+    Only the leg factor f_i^(leg) is multiplied here, by ``mul_on_leg``: a
     contraction over the index of leg ``leg`` alone, so f_i^(leg) is never
-    embedded as a d^n x d^n matrix (``leg_embed``)."""
+    embedded as a d^n x d^n matrix."""
     n = len(fs)
     total = None
-    for i, (row, quotient) in enumerate(zip(fs, quotients), start=1):
-        term = mul_on_leg(quotient, row[leg - 1], leg, n)
+    for i, (row, left) in enumerate(zip(fs, lefts), start=1):
+        term = mul_on_leg(left, row[leg - 1], leg, n)
         if i % 2 == 1:
             term = -term
         total = term if total is None else total + term
@@ -237,15 +226,14 @@ def check_laplace_expansion(fs, full: QMatrix, rests: list[QMatrix]) -> CheckRec
     """Expansion of the full bracket ``full`` = [f_1,..,f_n] along the last
     leg over ``rests`` (from ``rest_brackets``), exact equality.
 
+    Each rest carries I_d on leg n, so it commutes with f_j^(n) and the
+    right-hand side is (-1)^n times the alternating sum of 2a over the rests.
     No inverses are involved, so rows constant across legs are fine here.
     """
     n = len(fs)
-    total = None
-    for j, (row, rest) in enumerate(zip(fs, rests), start=1):
-        term = leg_embed(row[n - 1], n, n) * rest
-        if (j + n) % 2 == 1:
-            term = -term
-        total = term if total is None else total + term
+    total = _alternating_sum(fs, rests, n)
+    if n % 2 == 1:
+        total = -total
     return _verdict(f"laplace-n{n}", ANCHOR_LAPLACE,
                     _witness(full - total, "lhs - rhs"))
 

@@ -284,6 +284,13 @@ BAD_CONFIGS = {
     # det's subset expansion grows about x5 per +2; size 40 exhausted memory
     "skew-size-above-cap": "kind = skew-matrix\nseed = 1\nsize = 17\n",
     "skew-bound-negative": "kind = skew-matrix\nseed = 1\nbound = -1\n",
+    # a constant leg function never gives an independent family; at degree
+    # 8, n = 3 numpy asked for 33 GiB, and at 1100 a trial raised ValueError
+    "poisson-degree-0": "kind = poisson-classical\nseed = 1\nn = 2\ndegree = 0\n",
+    "poisson-degree-negative": "kind = poisson-classical\nseed = 1\nn = 2\ndegree = -1\n",
+    "poisson-degree-above-cap": "kind = poisson-classical\nseed = 1\nn = 3\ndegree = 8\n",
+    "dual-degree-0": "kind = dual-number\nseed = 1\nn = 2\ndegree = 0\n",
+    "dual-degree-above-cap": "kind = dual-number\nseed = 1\nn = 2\ndegree = 1100\n",
     "cone-bound-0": "kind = cone-p1\nseed = 1\nbound = 0\n",
     "grassmann-bound-0": "kind = grassmann\nseed = 1\narity = 2\nbound = 0\n",
 }
@@ -292,6 +299,7 @@ BAD_CONFIGS = {
 @pytest.mark.parametrize("kind,params", [
     ("corollary-legs", {"n": 6, "d": 1}), ("identity-suite", {"n": 2, "d": 1}),
     ("poisson-classical", {"n": 2, "bound": 1}), ("dual-number", {"n": 2, "family_every": 1}),
+    ("poisson-classical", {"n": 2, "degree": 1}), ("dual-number", {"n": 2, "degree": 1}),
     ("weyl-basis", {"N": 1}), ("hbar-localization", {"M": 1}), ("hyperplane", {"g": 1}),
     ("skew-matrix", {"size": 1, "bound": 0}), ("cone-p1", {"bound": 1}),
     ("grassmann", {"arity": 2, "bound": 1})],
@@ -306,6 +314,14 @@ def test_skew_matrix_size_stops_at_its_measured_cap():
     assert run_scenario(make_scenario("skew-matrix", trials=1, size=cap)).all_passed()
     with pytest.raises(ConfigError, match=f"^field 'size': must be at most {cap}$"):
         make_scenario("skew-matrix", size=cap + 1)
+
+
+@pytest.mark.parametrize("kind", ["poisson-classical", "dual-number"])
+def test_degree_stops_at_its_measured_cap(kind):
+    cap = cli.PARAM_RANGES["degree"][1]
+    assert run_scenario(make_scenario(kind, trials=1, n=2, degree=cap)).all_passed()
+    with pytest.raises(ConfigError, match=f"^field 'degree': must be at most {cap}$"):
+        make_scenario(kind, n=2, degree=cap + 1)
 
 
 @pytest.mark.parametrize("kind", ["corollary-legs", "identity-suite"])

@@ -5,8 +5,8 @@ and small exponents whose products fill the dense exponent box.  ``dot``,
 the kernel's many-product case, is checked against the sum of its products
 at the same guards, the joint int64 bound of a sum included.
 The ``QMatrix`` integer form (numerators over one denominator) is checked
-against plain ``Fraction`` loops, and its fraction-free ``rank`` against a
-``Fraction`` Gauss-Jordan rank.  The Leibniz commutators of ``weyl`` and
+against plain ``Fraction`` loops, and its fraction-free elimination, the one
+behind ``rank`` and ``mat_inverse``, against a ``Fraction`` Gauss-Jordan.  The Leibniz commutators of ``weyl`` and
 ``quantize``, which skip the terms that cancel, are checked against the
 difference of the two compositions.  ``rat_dot``, the fused ``RatFunc`` sum
 of products, is checked against the products formed one by one and summed
@@ -28,13 +28,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from commfam import exact
 from commfam.exact import (_MAX_EXP, _NP_COEF_BOUND, _NP_PAIR_CUTOFF, _SHIFT, MPoly,
-                           QMatrix, RatFunc, Singular, _common_monomial_key, _leibniz,
-                           collect, dot, kron, mat_inverse, rank, rat_dot)
+                           QMatrix, RatFunc, Singular, _common_monomial_key, _eliminate,
+                           _leibniz, collect, dot, kron, mat_inverse, rank, rat_dot)
 from commfam.poisson import bracket_sum, poisson_bracket
 from commfam.quantize import DualNum, HElem, dual_commutator, dual_mul, h_ad
 from commfam.weyl import RatDiffOp, do_commutator, do_compose
 from kernel_routes import ROUTES, expected_route, nonzero, python_dot, routed_mul
-from rank_oracle import fraction_rank
+from rank_oracle import fraction_pivot_rows, fraction_rank
 
 # Fixed examples and no example database: every run checks the same inputs.
 FIXED = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -399,7 +399,7 @@ def test_qmatrix_inverse_matches_fraction_gauss_jordan(data):
     inv = mat_inverse(a)
     assert_canonical(inv)
     assert inv.data == want
-    assert (a * inv).is_identity() and (inv * a).is_identity()
+    assert a * inv == QMatrix.identity(n) == inv * a
 
 
 def test_qmatrix_inverse_with_negative_last_pivot_has_positive_denominator():
@@ -462,6 +462,39 @@ def test_rank_matches_fraction_gauss_jordan(shape_rows):
     assert rank(m) == want
     transpose = QMatrix(c, r, [rows[i][j] for j in range(c) for i in range(r)])
     assert rank(transpose) == want
+
+
+@st.composite
+def deficient_products(draw):
+    """Integer rows of A B, A being r x k and B k x c with k < min(r, c), so
+    the rank is at most k; entries reach past 2^80, and zeros in A and B
+    put zeros in pivot columns.  A zero column or a repeat of an earlier
+    column is inserted at a drawn place, so a column with no pivot may come
+    before a later pivot."""
+    r, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    k = draw(st.integers(0, min(r, c) - 1))
+    entry = st.one_of(st.just(0), st.integers(-9, 9),
+                      st.integers(1 << 40, 1 << 41).map(lambda x: x * (-1) ** x))
+    a = [draw(st.lists(entry, min_size=k, max_size=k)) for _ in range(r)]
+    b = [draw(st.lists(entry, min_size=c, max_size=c)) for _ in range(k)]
+    rows = [[sum(x * b[t][j] for t, x in enumerate(row)) for j in range(c)] for row in a]
+    at = draw(st.integers(0, c))
+    source = draw(st.integers(0, at - 1)) if at and draw(st.booleans()) else None
+    return [row[:at] + [0 if source is None else row[source]] + row[at:] for row in rows]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rows=deficient_products(), data=st.data())
+def test_eliminate_matches_fraction_gauss_jordan(rows, data):
+    cols = len(rows[0])
+    assert rank(QMatrix.from_rows(rows)) == fraction_rank(rows)
+    # every pivot row over the last pivot is that pivot's reduced row: the
+    # floor divisions of the fraction-free steps were all exact
+    width = data.draw(st.integers(0, cols))
+    pivots, skipped, last = _eliminate([list(row) for row in rows], width)
+    want, want_skipped = fraction_pivot_rows(rows, width)
+    assert skipped == want_skipped
+    assert [[Fraction(x, last) for x in row] for row in pivots] == want
 
 
 # Leibniz commutators against the difference of the two compositions.  Each

@@ -11,8 +11,9 @@ from commfam import ncfam
 from commfam.ncfam import (LegFamily, bracket, check_identity_2a,
                            check_identity_2b, check_laplace_expansion,
                            check_main_id, check_pairwise_commute,
-                           family_minors, hamiltonians, leg_embed,
-                           rest_brackets, sample_family)
+                           family_minors, hamiltonians, rest_brackets,
+                           sample_family)
+from leg_oracle import leg_embed
 from permutation_oracle import perm_sign
 
 E11 = QMatrix.from_rows([[1, 0], [0, 0]])
@@ -150,7 +151,7 @@ def test_sample_family_returns_its_minors_and_the_inverse_of_delta0():
     for n, d in ((2, 2), (3, 2), (2, 3)):
         outcome = sample_family(rng, n, d)
         assert outcome.minors == family_minors(outcome.family)
-        assert (outcome.minors[0] * outcome.inv0).is_identity()
+        assert outcome.minors[0] * outcome.inv0 == QMatrix.identity(d ** n)
 
 
 def test_hamiltonians_scalar_legs_commute():
@@ -386,6 +387,15 @@ def test_negative_control_laplace_expansion(sample_n3):
     full = sample_n3.minors[0]
     assert check_laplace_expansion(rows, full, rests).status == "pass"
     assert_fails_with_entry(check_laplace_expansion(rows, off_by_one(full), rests))
+
+
+def test_negative_control_laplace_expansion_summed_side(sample_n3):
+    # f_1's leg-n factor enters the shared alternating sum only: the rests
+    # are built from legs 1..n-1 and the full bracket is left as sampled
+    rows, rests, _ = suite_rows(sample_n3)
+    record = check_laplace_expansion(perturb_leg(rows, 3), sample_n3.minors[0], rests)
+    assert record.name == "laplace-n3" and record.status == "fail"
+    assert record.witness.startswith("lhs - rhs: first nonzero entry")
 
 
 def test_negative_control_main_id(sample_n3):
