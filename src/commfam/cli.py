@@ -38,8 +38,7 @@ from fractions import Fraction
 
 from . import __version__, exact, ncfam, poisson, quantize, weyl
 from .exact import QMatrix, RatFunc, Singular, det, mat_inverse
-from .reports import (CheckRecord, Report, emit_report, failed, passed,
-                      skipped)
+from .reports import CheckRecord, Report, emit_report, failed, skipped, verdict
 from .rng import resample, trial_rng
 
 
@@ -133,7 +132,13 @@ def scenario_from_config(config: dict, seed_override: int | None = None,
 # steeply with degree: at n = 3 one poisson-classical trial took 0.04 s at
 # degree 2 and 0.9 s at 3, one dual-number trial drawing its family 3.0 s at 3;
 # at degree 4 one poisson-classical trial took 17.8 s and asked numpy for a
-# 1.7 GiB array, at 8 for 33 GiB (2-core Xeon VM), so degree stops at 3.
+# 1.7 GiB array, at 8 for 33 GiB (2-core Xeon VM), so degree stops at 3.  The
+# brackets of n + 1 leg functions grow steeply with n too: one
+# poisson-classical trial took 0.04 s at n = 3, and neither it nor a
+# dual-number trial gave a result within 60 s at n = 4, so n stops at 3 for
+# both.  One hyperplane trial took 0.021, 0.095, 0.468 and 2.43 s at g = 12,
+# 14, 16 and 18 (seed 1, 2-core Xeon VM; ``signed_minors`` is O(2^g g)), so g
+# stops at 16.
 PARAM_RANGES = {
     "trials": (1, None), "n": (2, None), "d": (1, None), "size": (1, None),
     "g": (1, None), "N": (1, None), "M": (1, None), "bound": (0, None),
@@ -145,6 +150,9 @@ KIND_RANGES = {
     "cone-p1": {"bound": (1, None)},
     "grassmann": {"bound": (1, None)},
     "skew-matrix": {"size": (1, 16)},
+    "poisson-classical": {"n": (2, 3)},
+    "dual-number": {"n": (2, 3)},
+    "hyperplane": {"g": (1, 16)},
 }
 # Without configured points, weyl-rational and weyl-basis draw N distinct
 # integers in [-POINT_BOUND, POINT_BOUND], so N is at most 2 POINT_BOUND + 1.
@@ -169,6 +177,13 @@ def _check_params(kind: str, params: dict) -> None:
     if kind in ("corollary-legs", "identity-suite") and params["d"] ** params["n"] > MAX_LEG_DIM:
         raise ConfigError(f"field 'd': d^n must be at most {MAX_LEG_DIM}, "
                           f"got {params['d']}^{params['n']}")
+    # n + 1 leg functions of degree <= D in (x, xi) lie in a space of
+    # dimension (D+1)(D+2)/2, so past it every draw is dependent
+    if "degree" in params:
+        n, degree = params["n"], params["degree"]
+        if n + 1 > (degree + 1) * (degree + 2) // 2:
+            raise ConfigError(f"field 'degree': n + 1 = {n + 1} leg functions of degree "
+                              f"at most {degree} are never independent")
     if kind == "grassmann":
         if params["arity"] not in (2, 3, 4):
             raise ConfigError("field 'arity': supported arities are 2, 3, 4")
@@ -249,13 +264,14 @@ def _trial_skew_matrix(params, rng, t) -> list[CheckRecord]:
         try:
             mat_inverse(m)
         except Singular:
-            return [passed("inverse", "det(m) = 0 => Singular")]
-        return [failed("inverse", "det(m) = 0 => Singular",
-                       "inverse returned for a singular matrix")]
+            witness = None
+        else:
+            witness = "inverse returned for a singular matrix"
+        return [verdict("inverse", "det(m) = 0 => Singular", witness)]
     inv = mat_inverse(m)
-    if m * inv == QMatrix.identity(size) == inv * m:
-        return [passed("inverse", "m m^-1 = m^-1 m = 1")]
-    return [failed("inverse", "m m^-1 = m^-1 m = 1", "product is not the identity")]
+    return [verdict("inverse", "m m^-1 = m^-1 m = 1",
+                    None if m * inv == QMatrix.identity(size) == inv * m
+                    else "product is not the identity")]
 
 
 def _trial_identity_suite(params, rng, t) -> list[CheckRecord]:
@@ -285,11 +301,13 @@ def _trial_corollary_legs(params, rng, t) -> list[CheckRecord]:
     constant = params["legs"] == "constant"
     outcome = ncfam.sample_family(rng, n, params["d"], params["bound"],
                                   constant_legs=constant)
+    if constant:
+        # structural: constant-leg Delta_0 is singular for every draw; the
+        # required behaviour is an explicit Singular report
+        return [verdict("singular-reported", "constant-leg Delta_0 raises Singular",
+                        None if outcome.family is None
+                        else f"Delta_0 inverted after {outcome.resamples} singular draws")]
     if outcome.family is None:
-        if constant:
-            # structural: constant-leg Delta_0 is singular for every draw;
-            # the required behaviour is an explicit Singular report
-            return [passed("singular-reported", "constant-leg Delta_0 raises Singular")]
         return [failed("commute", ncfam.ANCHOR_COMMUTE,
                        f"Delta_0 singular for all {outcome.resamples} draws")]
     hs = ncfam.hamiltonians(outcome.minors, outcome.inv0)
@@ -437,9 +455,10 @@ def _trial_weyl_basis(params, rng, t) -> list[CheckRecord]:
     try:
         weyl.hamiltonians_from_basis(degenerate, spec.T)
     except weyl.ZeroPhi:
-        return records + [passed("zero-phi", "repeated f_i => ZeroPhi")]
-    return records + [failed("zero-phi", "repeated f_i => ZeroPhi",
-                             "degenerate basis accepted")]
+        witness = None
+    else:
+        witness = "degenerate basis accepted"
+    return records + [verdict("zero-phi", "repeated f_i => ZeroPhi", witness)]
 
 
 def _trial_hbar_localization(params, rng, t) -> list[CheckRecord]:

@@ -43,10 +43,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 
 from .exact import (QMatrix, Singular, kron, mat_inverse, maximal_minors, mul_on_leg,
                     signed_minors)
-from .reports import CheckRecord, failed, passed
+from .reports import CheckRecord, first_witness, verdict
 from .rng import resample
 
 ANCHOR_COMMUTE = "H_i H_j = H_j H_i"
@@ -147,19 +148,11 @@ def _witness(diff: QMatrix, label: str) -> str | None:
     return f"{label}: first nonzero entry ({i},{j}) = {v}"
 
 
-def _verdict(name: str, anchor: str, witness: str | None) -> CheckRecord:
-    return passed(name, anchor) if witness is None else failed(name, anchor, witness)
-
-
 def check_pairwise_commute(hs: list[QMatrix]) -> CheckRecord:
     """Exact test H_i H_j - H_j H_i = 0 for every pair."""
-    for a in range(len(hs)):
-        for b in range(a + 1, len(hs)):
-            witness = _witness(hs[a] * hs[b] - hs[b] * hs[a],
-                               f"[H_{a + 1}, H_{b + 1}]")
-            if witness is not None:
-                return failed("pairwise-commute", ANCHOR_COMMUTE, witness)
-    return passed("pairwise-commute", ANCHOR_COMMUTE)
+    return verdict("pairwise-commute", ANCHOR_COMMUTE, first_witness(
+        _witness(hs[a] * hs[b] - hs[b] * hs[a], f"[H_{a + 1}, H_{b + 1}]")
+        for a, b in combinations(range(len(hs)), 2)))
 
 
 def _alternating_sum(fs, lefts: list[QMatrix], leg: int) -> QMatrix:
@@ -189,8 +182,8 @@ def check_identity_2a(fs, quotients: list[QMatrix]) -> CheckRecord:
     expect = QMatrix.identity(total.rows)
     if n % 2 == 1:
         expect = -expect
-    return _verdict(f"identity-2a-n{n}", ANCHOR_2A,
-                    _witness(total - expect, "lhs - (-1)^n"))
+    return verdict(f"identity-2a-n{n}", ANCHOR_2A,
+                   _witness(total - expect, "lhs - (-1)^n"))
 
 
 def check_identity_2b(fs, quotients: list[QMatrix], a: int) -> CheckRecord:
@@ -201,8 +194,8 @@ def check_identity_2b(fs, quotients: list[QMatrix], a: int) -> CheckRecord:
     n = len(fs)
     if not (1 <= a <= n - 2 or (n == 2 and a == 1)):
         raise ValueError(f"leg {a} not admissible for n = {n}")
-    return _verdict(f"identity-2b-n{n}-a{a}", ANCHOR_2B,
-                    _witness(_alternating_sum(fs, quotients, a), "lhs"))
+    return verdict(f"identity-2b-n{n}-a{a}", ANCHOR_2B,
+                   _witness(_alternating_sum(fs, quotients, a), "lhs"))
 
 
 def check_main_id(minors: list[QMatrix], inv0: QMatrix) -> CheckRecord:
@@ -213,13 +206,9 @@ def check_main_id(minors: list[QMatrix], inv0: QMatrix) -> CheckRecord:
     """
     n = len(minors) - 1
     quotients = [inv0 * m for m in minors]
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            witness = _witness(minors[i] * quotients[j] - minors[j] * quotients[i],
-                               f"pair ({i},{j})")
-            if witness is not None:
-                return failed(f"main-id-n{n}", ANCHOR_MAIN_ID, witness)
-    return passed(f"main-id-n{n}", ANCHOR_MAIN_ID)
+    return verdict(f"main-id-n{n}", ANCHOR_MAIN_ID, first_witness(
+        _witness(minors[i] * quotients[j] - minors[j] * quotients[i], f"pair ({i},{j})")
+        for i, j in combinations(range(n + 1), 2)))
 
 
 def check_laplace_expansion(fs, full: QMatrix, rests: list[QMatrix]) -> CheckRecord:
@@ -234,8 +223,8 @@ def check_laplace_expansion(fs, full: QMatrix, rests: list[QMatrix]) -> CheckRec
     total = _alternating_sum(fs, rests, n)
     if n % 2 == 1:
         total = -total
-    return _verdict(f"laplace-n{n}", ANCHOR_LAPLACE,
-                    _witness(full - total, "lhs - rhs"))
+    return verdict(f"laplace-n{n}", ANCHOR_LAPLACE,
+                   _witness(full - total, "lhs - rhs"))
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
-from .exact import MPoly, QMatrix, RatFunc, dot, maximal_minors, rank, rat_dot, signed_minors
-from .reports import CheckRecord, failed, passed
+from .exact import (MPoly, QMatrix, RatFunc, _lcm_cofactors, dot, maximal_minors, rank,
+                    rat_dot, signed_minors)
+from .reports import CheckRecord, first_witness, verdict
 
 ANCHOR_POISSON_COMMUTE = "{H_i, H_j} = 0"
 ANCHOR_GRASSMANN = {
@@ -126,22 +128,12 @@ def poisson_bracket(f: RatFunc, g: RatFunc) -> RatFunc:
 # Determinant Hamiltonians.
 
 
-def _clear_denominators(fs: list[RatFunc]) -> list[MPoly]:
-    """Each numerator times the denominators, other than 1, of the others."""
-    dens = [None if f.is_polynomial() else f.den for f in fs]
-    cleared = []
-    for i, f in enumerate(fs):
-        p = f.num
-        for j, den in enumerate(dens):
-            if j != i and den is not None:
-                p = p * den
-        cleared.append(p)
-    return cleared
-
-
 def _assert_independent(fs: list[RatFunc]) -> None:
-    """Exact rank test on the coefficient vectors, after clearing denominators."""
-    cleared = _clear_denominators(fs)
+    """Exact rank test on the coefficient vectors of the f_i times the lcm
+    of their denominators: each numerator times its cofactor up to the lcm.
+    Multiplying every f_i by one nonzero polynomial keeps their rank."""
+    _, cofactors = _lcm_cofactors([f._factors for f in fs])
+    cleared = [f.num if co is None else f.num * co for f, co in zip(fs, cofactors)]
     terms = [dict(p.terms()) for p in cleared]
     monomials = sorted(set().union(*terms))
     rows = [[t.get(m, 0) for m in monomials] for t in terms]
@@ -173,17 +165,19 @@ def classical_hamiltonians(fs: list[RatFunc]) -> list[RatFunc]:
 
 
 def check_poisson_commute(hs: list[RatFunc]) -> CheckRecord:
-    """Every pairwise bracket must vanish, decided by cross-multiplication."""
-    for i in range(len(hs)):
-        for j in range(i + 1, len(hs)):
-            br = poisson_bracket(hs[i], hs[j])
-            if not br.is_zero:
-                text = br.to_text()
-                if len(text) > 200:
-                    text = text[:200] + "..."
-                return failed("poisson-commute", ANCHOR_POISSON_COMMUTE,
-                              f"{{H_{i + 1}, H_{j + 1}}} = {text}")
-    return passed("poisson-commute", ANCHOR_POISSON_COMMUTE)
+    """Every pairwise bracket must vanish, decided by cross-multiplication;
+    the witness is the first nonzero bracket, cut at 200 characters."""
+    def witness(i: int, j: int) -> str | None:
+        br = poisson_bracket(hs[i], hs[j])
+        if br.is_zero:
+            return None
+        text = br.to_text()
+        if len(text) > 200:
+            text = text[:200] + "..."
+        return f"{{H_{i + 1}, H_{j + 1}}} = {text}"
+
+    return verdict("poisson-commute", ANCHOR_POISSON_COMMUTE,
+                   first_witness(witness(i, j) for i, j in combinations(range(len(hs)), 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +233,6 @@ def check_grassmann(form: WedgeForm, vectors: list[list[int | Fraction]]) -> Che
     """Evaluate the alternating-form identity for the form's arity; must be 0.
     The record is named ``grassmann-<arity>``."""
     k = form.arity
-    name = f"grassmann-{k}"
-    anchor = ANCHOR_GRASSMANN[k]
     L = form
     if k == 2:
         if len(vectors) != 4:
@@ -267,9 +259,8 @@ def check_grassmann(form: WedgeForm, vectors: list[list[int | Fraction]]) -> Che
                  - L(b, c, ap, cp) * L(a, c, bp, cp) * L(a, b, ap, bp))
     else:
         raise ValueError("supported arities are 2, 3, 4")
-    if value == 0:
-        return passed(name, anchor)
-    return failed(name, anchor, f"identity value = {value}")
+    return verdict(f"grassmann-{k}", ANCHOR_GRASSMANN[k],
+                   None if value == 0 else f"identity value = {value}")
 
 
 def random_vector(rng: random.Random, m: int, bound: int = 5) -> list[int]:
@@ -315,15 +306,16 @@ def check_hyperplane_incidence(points: list[list], hs: list[Fraction]) -> CheckR
     so it is the defining property of the spanned hyperplane.
     """
     g = len(points)
-    for j, p in enumerate(points):
+
+    def witness(j: int, p: list) -> str | None:
         value = 1
         for i in range(1, g + 1):
             term = hs[i - 1] * p[i - 1]
             value += term if i % 2 == 0 else -term
-        if value != 0:
-            return failed("hyperplane-incidence", ANCHOR_INCIDENCE,
-                          f"point {j + 1}: incidence value = {value}")
-    return passed("hyperplane-incidence", ANCHOR_INCIDENCE)
+        return None if value == 0 else f"point {j + 1}: incidence value = {value}"
+
+    return verdict("hyperplane-incidence", ANCHOR_INCIDENCE,
+                   first_witness(witness(j, p) for j, p in enumerate(points)))
 
 
 # ---------------------------------------------------------------------------
@@ -399,18 +391,16 @@ def check_alpha_independence(brackets: list[ConeDifferential]) -> CheckRecord:
     if len(brackets) < 2:
         raise ValueError("need at least two brackets to compare")
     first = brackets[0]
-    for other in brackets[1:]:
-        if not (first - other).is_zero:
-            return failed("cone-alpha-independence", ANCHOR_CONE_ALPHA,
-                          f"brackets differ: {first.f.to_text()} vs {other.f.to_text()}")
-    return passed("cone-alpha-independence", ANCHOR_CONE_ALPHA)
+    return verdict("cone-alpha-independence", ANCHOR_CONE_ALPHA, first_witness(
+        None if (first - other).is_zero
+        else f"brackets differ: {first.f.to_text()} vs {other.f.to_text()}"
+        for other in brackets[1:]))
 
 
 def check_cone_antisymmetry(omega: ConeDifferential, alpha: ConeDifferential) -> CheckRecord:
     anti = cone_bracket(omega, omega, alpha)
-    if anti.is_zero:
-        return passed("cone-antisymmetry", ANCHOR_CONE_ANTISYM)
-    return failed("cone-antisymmetry", ANCHOR_CONE_ANTISYM, anti.f.to_text())
+    return verdict("cone-antisymmetry", ANCHOR_CONE_ANTISYM,
+                   None if anti.is_zero else anti.f.to_text())
 
 
 def check_cone_jacobi(a: ConeDifferential, b: ConeDifferential, c: ConeDifferential,
@@ -418,9 +408,7 @@ def check_cone_jacobi(a: ConeDifferential, b: ConeDifferential, c: ConeDifferent
     jac = (cone_bracket(a, cone_bracket(b, c, alpha), alpha)
            + cone_bracket(b, cone_bracket(c, a, alpha), alpha)
            + cone_bracket(c, cone_bracket(a, b, alpha), alpha))
-    if jac.is_zero:
-        return passed("cone-jacobi", ANCHOR_CONE_JACOBI)
-    return failed("cone-jacobi", ANCHOR_CONE_JACOBI, jac.f.to_text())
+    return verdict("cone-jacobi", ANCHOR_CONE_JACOBI, None if jac.is_zero else jac.f.to_text())
 
 
 def check_cone_vs_canonical(bracket: ConeDifferential, omega: ConeDifferential,
@@ -429,7 +417,5 @@ def check_cone_vs_canonical(bracket: ConeDifferential, omega: ConeDifferential,
     carried to (x, xi), is the canonical bracket of w and w' carried there."""
     lhs = cone_to_symplectic(bracket)
     rhs = poisson_bracket(cone_to_symplectic(omega), cone_to_symplectic(omega2))
-    if lhs == rhs:
-        return passed("cone-vs-canonical", ANCHOR_CONE_CANONICAL)
-    return failed("cone-vs-canonical", ANCHOR_CONE_CANONICAL,
-                  f"cone - canonical = {(lhs - rhs).to_text()}")
+    return verdict("cone-vs-canonical", ANCHOR_CONE_CANONICAL,
+                   None if lhs == rhs else f"cone - canonical = {(lhs - rhs).to_text()}")

@@ -38,11 +38,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import combinations
 
 from .exact import (MPoly, RatFunc, SparseSum, _leibniz, collect, collect_products,
                     maximal_minors, rat_dot)
 from .poisson import bracket_sum, poisson_bracket
-from .reports import CheckRecord, failed, passed
+from .reports import CheckRecord, verdict
 
 ANCHOR_DUAL_ASSOC = "(a.b).c = a.(b.c) for a.b = ab + eps{a,b}"
 ANCHOR_DUAL_COMM = "H_i H_j - H_j H_i = 0 in dual numbers (body and soul)"
@@ -127,19 +128,15 @@ def _nonzero_part(d: DualNum) -> str:
 
 def check_dual_assoc(a: DualNum, b: DualNum, c: DualNum) -> CheckRecord:
     diff = dual_mul(dual_mul(a, b), c) - dual_mul(a, dual_mul(b, c))
-    if diff.is_zero:
-        return passed("dual-assoc", ANCHOR_DUAL_ASSOC)
-    return failed("dual-assoc", ANCHOR_DUAL_ASSOC, _nonzero_part(diff))
+    return verdict("dual-assoc", ANCHOR_DUAL_ASSOC, None if diff.is_zero else _nonzero_part(diff))
 
 
 def check_soul_factor(a: RatFunc, b: RatFunc) -> CheckRecord:
     """The soul of the commutator of two body-only elements is 2 {a, b}."""
     soul = dual_commutator(DualNum.classical(a), DualNum.classical(b)).soul
     want = poisson_bracket(a, b) * 2
-    if soul == want:
-        return passed("dual-soul-factor", ANCHOR_SOUL_FACTOR)
-    return failed("dual-soul-factor", ANCHOR_SOUL_FACTOR,
-                  f"soul - 2 {{a, b}} = {(soul - want).to_text()}")
+    return verdict("dual-soul-factor", ANCHOR_SOUL_FACTOR,
+                   None if soul == want else f"soul - 2 {{a, b}} = {(soul - want).to_text()}")
 
 
 def dual_inverse(a: DualNum) -> DualNum:
@@ -174,19 +171,14 @@ def dual_commuting_family(fs: list[RatFunc], classical: list[RatFunc]) -> list[C
     inv0 = dual_inverse(minors[0])  # ZeroBody propagates
     hs = [dual_mul(inv0, minors[i]) for i in range(1, n + 1)]
     records, soul_records = [], []
-    for i in range(len(hs)):
-        for j in range(i + 1, len(hs)):
-            comm = dual_commutator(hs[i], hs[j])
-            name = f"dual-commutator-{i + 1}{j + 1}"
-            if comm.is_zero:
-                records.append(passed(name, ANCHOR_DUAL_COMM))
-            else:
-                records.append(failed(name, ANCHOR_DUAL_COMM, _nonzero_part(comm)))
-            name = f"dual-soul-vs-bracket-{i + 1}{j + 1}"
-            if comm.soul == poisson_bracket(classical[i], classical[j]) * 2:
-                soul_records.append(passed(name, ANCHOR_SOUL_MATCH))
-            else:
-                soul_records.append(failed(name, ANCHOR_SOUL_MATCH, "soul mismatch"))
+    for i, j in combinations(range(len(hs)), 2):
+        comm = dual_commutator(hs[i], hs[j])
+        records.append(verdict(f"dual-commutator-{i + 1}{j + 1}", ANCHOR_DUAL_COMM,
+                               None if comm.is_zero else _nonzero_part(comm)))
+        soul_records.append(verdict(
+            f"dual-soul-vs-bracket-{i + 1}{j + 1}", ANCHOR_SOUL_MATCH,
+            None if comm.soul == poisson_bracket(classical[i], classical[j]) * 2
+            else "soul mismatch"))
     return records + soul_records
 
 
@@ -425,10 +417,10 @@ def _series_record(name: str, anchor: str, u: LocalSeries,
     try:
         diff = _evaluated_difference(u, v)
     except OverflowError as exc:
-        return failed(name, anchor, f"evaluation oracle overflowed: {exc}")
-    if diff.is_zero:
-        return passed(name, anchor)
-    return failed(name, anchor, f"difference starts at hbar^{diff.min_hbar_order()}")
+        witness = f"evaluation oracle overflowed: {exc}"
+    else:
+        witness = None if diff.is_zero else f"difference starts at hbar^{diff.min_hbar_order()}"
+    return verdict(name, anchor, witness)
 
 
 def check_localization_axioms(f: HElem, rng: random.Random) -> list[CheckRecord]:
@@ -463,10 +455,9 @@ def check_x_derivative_identity(trunc: int) -> CheckRecord:
     # independent oracle: substitute X = 1/z and compare in A_h directly
     inv_z = HElem.function(RatFunc.const(1, 1) / z, trunc)
     oracle = (inv_z * D) == (D * inv_z + HElem.hbar(trunc) * (inv_z * inv_z))
-    if literal and oracle and series_equal(lhs, rhs):
-        return passed("localize-x-derivative", ANCHOR_XD)
-    return failed("localize-x-derivative", ANCHOR_XD,
-                  f"literal={literal} oracle={oracle}")
+    return verdict("localize-x-derivative", ANCHOR_XD,
+                   None if literal and oracle and series_equal(lhs, rhs)
+                   else f"literal={literal} oracle={oracle}")
 
 
 def check_lift_independence(f: HElem, g: HElem) -> CheckRecord:
@@ -484,11 +475,9 @@ def check_lift_independence(f: HElem, g: HElem) -> CheckRecord:
         if power.is_zero:
             break
         xprime = xprime + power
-    expected = h_inverse(fprime)
-    if xprime.evaluate() == expected:
-        return passed("localize-lift-independence", ANCHOR_LIFT_FREE)
-    return failed("localize-lift-independence", ANCHOR_LIFT_FREE,
-                  "series inverse does not match the lift")
+    return verdict("localize-lift-independence", ANCHOR_LIFT_FREE,
+                   None if xprime.evaluate() == h_inverse(fprime)
+                   else "series inverse does not match the lift")
 
 
 def _truncate_xi_degree(f: RatFunc, bound: int) -> RatFunc:
@@ -511,10 +500,8 @@ def check_degeneration(a: HElem, b: HElem) -> CheckRecord:
                                    if m >= 1))
     want = _truncate_xi_degree(poisson_bracket(b.shadow(), a.shadow()), a.trunc - 1)
     got = _truncate_xi_degree(linear.shadow(), a.trunc - 1)
-    if got == want:
-        return passed("hbar-degeneration", ANCHOR_DEGEN)
-    return failed("hbar-degeneration", ANCHOR_DEGEN,
-                  f"hbar-linear shadow {got.to_text()} vs {want.to_text()}")
+    return verdict("hbar-degeneration", ANCHOR_DEGEN, None if got == want
+                   else f"hbar-linear shadow {got.to_text()} vs {want.to_text()}")
 
 
 def random_helem(rng: random.Random, trunc: int) -> HElem:

@@ -7,11 +7,21 @@ identity the check decides, ``status`` is one of ``pass`` / ``fail`` /
 ``skipped``, and ``witness`` serialises the first counterexample on failure
 (or the reason on a skip).  Identical scenario inputs produce byte-identical
 reports apart from ``duration_ms``.
+
+A check decides by computing a witness, the first counterexample's text or
+None, and ``verdict`` makes its record: ``pass`` exactly when the witness is
+None, and ``fail`` carrying it otherwise, so an empty witness fails too.
+``first_witness`` walks a check's cases, such as the pairs (i, j) with
+i < j, up to the first one that gives a witness.  ``failed`` is left for the
+unconditional failures, such as a draw budget exhausted before any check
+ran.  The one record built by hand is the runner's ``resample-log``, whose
+passing record carries the count of rejected draws as its witness.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 PASS = "pass"
@@ -36,8 +46,17 @@ class CheckRecord:
                    status=d["status"], witness=d.get("witness"))
 
 
-def passed(name: str, anchor: str) -> CheckRecord:
-    return CheckRecord(name, anchor, PASS)
+def verdict(name: str, anchor: str, witness: str | None) -> CheckRecord:
+    """The record of a decided check: ``pass`` exactly when ``witness`` is
+    None, else ``fail`` with the witness."""
+    return CheckRecord(name, anchor, PASS if witness is None else FAIL, witness)
+
+
+def first_witness(witnesses: Iterable[str | None]) -> str | None:
+    """The first witness that is not None, or None when there is none.  A
+    generator is read no further than that witness, so a check stops at its
+    first failing case."""
+    return next((w for w in witnesses if w is not None), None)
 
 
 def failed(name: str, anchor: str, witness: str) -> CheckRecord:

@@ -213,6 +213,16 @@ def test_skew_matrix_inverse_fails_on_a_wrong_inverse(monkeypatch):
         (f"inverse-t{t}", "fail", "product is not the identity") for t in range(2)]
 
 
+def test_singular_reported_fails_when_a_constant_leg_draw_is_inverted(monkeypatch):
+    s = make_scenario("corollary-legs", n=2, d=2, trials=1, legs="constant")
+    assert [(c.name, c.status) for c in run_scenario(s).checks] == [
+        ("singular-reported-t0", "pass")]
+    monkeypatch.setattr(cli.ncfam, "mat_inverse", lambda m: QMatrix.identity(m.rows))
+    checks = run_scenario(s).checks
+    assert [(c.name, c.status, c.witness) for c in checks] == [
+        ("singular-reported-t0", "fail", "Delta_0 inverted after 0 singular draws")]
+
+
 def test_skew_matrix_inverse_fails_when_a_singular_matrix_is_inverted(monkeypatch):
     # size 1, bound 0 draws the zero matrix [0], whose inverse must raise
     s = make_scenario("skew-matrix", size=1, bound=0, trials=1)
@@ -291,6 +301,15 @@ BAD_CONFIGS = {
     "poisson-degree-above-cap": "kind = poisson-classical\nseed = 1\nn = 3\ndegree = 8\n",
     "dual-degree-0": "kind = dual-number\nseed = 1\nn = 2\ndegree = 0\n",
     "dual-degree-above-cap": "kind = dual-number\nseed = 1\nn = 2\ndegree = 1100\n",
+    # one trial at n = 4 gave no result within 60 s; one hyperplane trial
+    # took 2.4 s at g = 18
+    "poisson-n-above-cap": "kind = poisson-classical\nseed = 1\nn = 4\n",
+    "dual-n-above-cap": "kind = dual-number\nseed = 1\nn = 4\n",
+    "hyperplane-g-above-cap": "kind = hyperplane\nseed = 1\ng = 17\n",
+    # four leg functions of degree 1 span at most a 3-space: every draw
+    # was dependent
+    "poisson-degree-1-n-3": "kind = poisson-classical\nseed = 1\nn = 3\ndegree = 1\n",
+    "dual-degree-1-n-3": "kind = dual-number\nseed = 1\nn = 3\ndegree = 1\n",
     "cone-bound-0": "kind = cone-p1\nseed = 1\nbound = 0\n",
     "grassmann-bound-0": "kind = grassmann\nseed = 1\narity = 2\nbound = 0\n",
 }
@@ -309,11 +328,24 @@ def test_least_accepted_sizes_run_and_pass(kind, params):
     assert report.checks and report.all_passed()
 
 
-def test_skew_matrix_size_stops_at_its_measured_cap():
-    cap = cli.KIND_RANGES["skew-matrix"]["size"][1]
-    assert run_scenario(make_scenario("skew-matrix", trials=1, size=cap)).all_passed()
-    with pytest.raises(ConfigError, match=f"^field 'size': must be at most {cap}$"):
-        make_scenario("skew-matrix", size=cap + 1)
+@pytest.mark.parametrize("kind,field", [
+    ("skew-matrix", "size"), ("poisson-classical", "n"), ("dual-number", "n"),
+    ("hyperplane", "g")])
+def test_size_stops_at_its_measured_cap(kind, field):
+    cap = cli.KIND_RANGES[kind][field][1]
+    assert run_scenario(make_scenario(kind, trials=1, **{field: cap})).all_passed()
+    with pytest.raises(ConfigError, match=f"^field '{field}': must be at most {cap}$"):
+        make_scenario(kind, **{field: cap + 1})
+
+
+@pytest.mark.parametrize("kind", ["poisson-classical", "dual-number"])
+def test_degree_must_give_room_for_n_plus_1_independent_functions(kind):
+    # (D+1)(D+2)/2 monomials of degree <= D in (x, xi): 3 at D = 1, 6 at D = 2
+    make_scenario(kind, n=2, degree=1)
+    make_scenario(kind, n=3, degree=2)
+    with pytest.raises(ConfigError, match="^field 'degree': n \\+ 1 = 4 leg functions "
+                                          "of degree at most 1 are never independent$"):
+        make_scenario(kind, n=3, degree=1)
 
 
 @pytest.mark.parametrize("kind", ["poisson-classical", "dual-number"])

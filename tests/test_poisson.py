@@ -136,6 +136,20 @@ def test_classical_hamiltonians_errors():
         classical_hamiltonians([one, x, x * 3])
 
 
+def test_independence_is_decided_over_the_lcm_of_the_denominators():
+    # 1/x - 1/(x+1) = 1/(x(x+1)); the lcm x^2 (x+1) of the second family is
+    # not the product of its denominators
+    one = RatFunc.const(2, 1)
+    x = RatFunc.var(2, 0)
+    with pytest.raises(DependentFamily):
+        classical_hamiltonians([one / x, one / (x + one), one / (x * (x + one))])
+    with pytest.raises(DependentFamily):
+        classical_hamiltonians([one / (x * x), one / (x * (x + one)),
+                                (x + x + one) / (x * x * (x + one))])
+    hs = classical_hamiltonians([one / x, one / (x * x), one / (x + one)])
+    assert check_poisson_commute(hs).status == "pass"
+
+
 def test_classical_hamiltonians_commute_random():
     rng = random.Random(7)
     import commfam.cli as cli
