@@ -22,8 +22,9 @@ JSON documents (see ``reports``); identical (kind, params, seed) give
 byte-identical reports apart from the duration field, whatever the job
 count.
 
-Seed-operator grammar for ``T``: ``d`` or ``d<k>`` for the k-th derivative,
-``z*d1+<c>`` for the first-order operator z d/dz + c with rational c.
+Seed-operator grammar for ``T``: ``d`` or ``d<k>`` for the k-th derivative
+(k = 1..8), ``z*d1+<c>`` for the first-order operator z d/dz + c with
+rational c.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import __version__, exact, ncfam, poisson, quantize, weyl
@@ -138,7 +139,10 @@ def scenario_from_config(config: dict, seed_override: int | None = None,
 # dual-number trial gave a result within 60 s at n = 4, so n stops at 3 for
 # both.  One hyperplane trial took 0.021, 0.095, 0.468 and 2.43 s at g = 12,
 # 14, 16 and 18 (seed 1, 2-core Xeon VM; ``signed_minors`` is O(2^g g)), so g
-# stops at 16.
+# stops at 16.  One weyl-rational trial (seed 1, T = d1) took 1.8-2.3 s at
+# N = 4 and gave no result within 95 s at N = 5, so N stops at 4 there; one
+# weyl-basis trial took 0.9 s at N = 6 and gave no result within 150 s at
+# N = 7, so N stops at 6 there (2-core Xeon VM).
 PARAM_RANGES = {
     "trials": (1, None), "n": (2, None), "d": (1, None), "size": (1, None),
     "g": (1, None), "N": (1, None), "M": (1, None), "bound": (0, None),
@@ -153,9 +157,11 @@ KIND_RANGES = {
     "poisson-classical": {"n": (2, 3)},
     "dual-number": {"n": (2, 3)},
     "hyperplane": {"g": (1, 16)},
+    "weyl-rational": {"N": (1, 4)},
+    "weyl-basis": {"N": (1, 6)},
 }
 # Without configured points, weyl-rational and weyl-basis draw N distinct
-# integers in [-POINT_BOUND, POINT_BOUND], so N is at most 2 POINT_BOUND + 1.
+# integers in [-POINT_BOUND, POINT_BOUND]; the caps on N leave room for them.
 POINT_BOUND = 6
 # corollary-legs and identity-suite work on d^n x d^n matrices, so d^n stops
 # at MAX_LEG_DIM.  One corollary-legs trial at d^n = 64 took 12.7 s at n = 6,
@@ -203,8 +209,6 @@ def _check_params(kind: str, params: dict) -> None:
             except (ValueError, TypeError, ZeroDivisionError) as exc:
                 # not rationals, a zero denominator, wrong count, repeated
                 raise ConfigError(f"field 'points': {exc} (N = {params['N']})") from exc
-        elif params["N"] > 2 * POINT_BOUND + 1:
-            raise ConfigError(f"field 'N': at most {2 * POINT_BOUND + 1} without 'points'")
 
 
 def load_scenario(path, seed_override=None, trials_override=None) -> Scenario:
@@ -219,8 +223,12 @@ def parse_operator_spec(text: str) -> weyl.RatDiffOp:
     m = re.fullmatch(r"d(\d*)", s)
     if m:
         order = int(m.group(1)) if m.group(1) else 1
-        if order < 1:
-            raise ConfigError("field 'T': derivative order must be >= 1")
+        # one weyl-rational trial (seed 1) took 5.3 s with d2 and 8.2 s with
+        # d8 at N = 4, and 0.5 s with d16 and 14.4 s with d48 at N = 3 (2-core
+        # Xeon VM); at N = 2, d1023 and d1024 overflowed the 10-bit exponent
+        # packing.  So the order stops at 8.
+        if not 1 <= order <= 8:
+            raise ConfigError(f"field 'T': derivative order must be 1 to 8, got {order}")
         return weyl.RatDiffOp.partial(1, 1, order)
     m = re.fullmatch(r"z\*?d1?\+(-?\d+(?:/0*[1-9]\d*)?)", s)  # no zero denominator
     if m:
@@ -297,16 +305,20 @@ def _trial_identity_suite(params, rng, t) -> list[CheckRecord]:
 
 
 def _trial_corollary_legs(params, rng, t) -> list[CheckRecord]:
-    n = params["n"]
-    constant = params["legs"] == "constant"
-    outcome = ncfam.sample_family(rng, n, params["d"], params["bound"],
-                                  constant_legs=constant)
-    if constant:
-        # structural: constant-leg Delta_0 is singular for every draw; the
-        # required behaviour is an explicit Singular report
+    n, d, bound = params["n"], params["d"], params["bound"]
+    if params["legs"] == "constant":
+        # structural: with f_0..f_n constant across legs, Delta_0 is the
+        # bracket [f_1..f_n], singular for every draw; the required behaviour
+        # is an explicit Singular report
+        def attempt():
+            fs = [ncfam.random_matrix(rng, d, bound) for _ in range(n + 1)]
+            return mat_inverse(ncfam.bracket(fs[1:]))
+
+        inv0, resamples = resample(attempt, Singular, retries=20)
         return [verdict("singular-reported", "constant-leg Delta_0 raises Singular",
-                        None if outcome.family is None
-                        else f"Delta_0 inverted after {outcome.resamples} singular draws")]
+                        None if inv0 is None
+                        else f"Delta_0 inverted after {resamples} singular draws")]
+    outcome = ncfam.sample_family(rng, n, d, bound)
     if outcome.family is None:
         return [failed("commute", ncfam.ANCHOR_COMMUTE,
                        f"Delta_0 singular for all {outcome.resamples} draws")]
@@ -527,7 +539,7 @@ def _run_trials(kind: str, params: dict, seed: int,
     for t in trials:
         rng = trial_rng(seed, t)
         try:
-            records = [CheckRecord(f"{r.name}-t{t}", r.anchor, r.status, r.witness)
+            records = [replace(r, name=f"{r.name}-t{t}")
                        for r in RUNNERS[kind](params, rng, t)]
             if t == 0 and kind == "hbar-localization":
                 records += _trial_zero_hbar_localization(params, rng)

@@ -20,8 +20,10 @@ dim Sym^n = C(d+n-1, n); such brackets are singular for every choice of
 entries once n >= 2.  Matrix rings contain zero divisors and never embed in a
 skew field, so the invertibility hypotheses can only be met by rows that vary
 across legs.  The identity checks therefore take per-leg rows only (a list
-of n matrices, entry j on leg j+1); the constant shape is drawn by
-``sample_family(constant_legs=True)``, which surfaces ``Singular`` honestly.
+of n matrices, entry j on leg j+1), and ``sample_family`` draws per-leg
+rows only.  The constant-leg trial of the CLI inverts the bracket
+[f_1..f_n] = Delta_0 of its generators alone and surfaces ``Singular``
+honestly.
 
 Every Delta is one ``maximal_minors`` expansion with ``kron`` as the
 product: ``family_minors`` for Delta_0..Delta_n of a ``LegFamily`` and
@@ -78,9 +80,9 @@ class LegFamily:
     """An (n+1) x n array of d x d matrices; entry a[i][j] sits on leg j.
 
     n and d are read off ``entries``.  The single-generator shape
-    a[i][j] = f_i for every j is the formal skew-field specialisation; see
-    the module docstring for why its minors are singular in the matrix
-    stand-in once n >= 2.
+    a[i][j] = f_i for every j is the formal skew-field specialisation, whose
+    Delta_0 is ``bracket([f_1..f_n])``; see the module docstring for why it is
+    singular in the matrix stand-in once n >= 2.
     """
 
     entries: tuple[tuple[QMatrix, ...], ...]  # entries[i][j-1], i = 0..n
@@ -94,11 +96,6 @@ class LegFamily:
         shapes = {(m.rows, m.cols) for row in self.entries for m in row}
         if len(shapes) > 1 or any(r != c for r, c in shapes):
             raise ValueError("entries must be d x d for one d")
-
-    @classmethod
-    def from_generators(cls, fs: list[QMatrix]) -> "LegFamily":
-        """Constant-in-leg family a[i][j] = fs[i] on len(fs) - 1 legs."""
-        return cls(tuple((f,) * (len(fs) - 1) for f in fs))
 
 
 def family_minors(fam: LegFamily) -> list[QMatrix]:
@@ -248,25 +245,18 @@ def random_matrix(rng: random.Random, d: int, bound: int = 5) -> QMatrix:
     return QMatrix(d, d, [rng.randint(-bound, bound) for _ in range(d * d)])
 
 
-def sample_family(rng: random.Random, n: int, d: int, bound: int = 5,
-                  constant_legs: bool = False) -> SampleOutcome:
-    """Draw a LegFamily with invertible Delta_0, resampling on singularity.
+def sample_family(rng: random.Random, n: int, d: int, bound: int = 5) -> SampleOutcome:
+    """Draw a per-leg LegFamily with invertible Delta_0, resampling on
+    singularity.
 
     Each draw builds its minors and inverts Delta_0; the accepted draw's
     minors and inverse are returned for ``hamiltonians`` and the identity
-    checks, so a trial inverts exactly once.  ``constant_legs = True``
-    requests the skew-field specialisation, whose Delta_0 is singular for
-    every draw once n >= 2; it exists so callers can demonstrate that the
-    failure is reported, not silently passed.
+    checks, so a trial inverts exactly once.
     """
     def attempt():
-        if constant_legs:
-            fam = LegFamily.from_generators(
-                [random_matrix(rng, d, bound) for _ in range(n + 1)])
-        else:
-            fam = LegFamily(tuple(
-                tuple(random_matrix(rng, d, bound) for _ in range(n))
-                for _ in range(n + 1)))
+        fam = LegFamily(tuple(
+            tuple(random_matrix(rng, d, bound) for _ in range(n))
+            for _ in range(n + 1)))
         minors = family_minors(fam)
         return fam, minors, mat_inverse(minors[0])
 

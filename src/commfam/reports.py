@@ -36,15 +36,6 @@ class CheckRecord:
     status: str
     witness: str | None = None
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "anchor": self.anchor,
-                "status": self.status, "witness": self.witness}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CheckRecord":
-        return cls(name=d["name"], anchor=d["anchor"],
-                   status=d["status"], witness=d.get("witness"))
-
 
 def verdict(name: str, anchor: str, witness: str | None) -> CheckRecord:
     """The record of a decided check: ``pass`` exactly when ``witness`` is
@@ -85,25 +76,13 @@ class Report:
         return out
 
     def to_json(self) -> str:
-        doc = {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "checks": [c.to_dict() for c in self.checks],
-            "duration_ms": self.duration_ms,
-            "version": self.version,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json.dumps({**vars(self), "checks": [vars(c) for c in self.checks]},
+                          indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "Report":
         doc = json.loads(text)
-        return cls(
-            scenario=doc["scenario"],
-            seed=doc["seed"],
-            checks=[CheckRecord.from_dict(c) for c in doc["checks"]],
-            duration_ms=doc["duration_ms"],
-            version=doc["version"],
-        )
+        return cls(**{**doc, "checks": [CheckRecord(**c) for c in doc["checks"]]})
 
 
 def emit_report(report: Report, path) -> None:

@@ -163,7 +163,8 @@ def test_declared_error_skips_only_its_trial(monkeypatch, jobs):
 @pytest.mark.parametrize("kind,params,witness", [
     ("poisson-classical", {"n": 2}, "no usable family after 21 draws"),
     ("hyperplane", {"g": 2}, "degenerate points in all 21 draws"),
-], ids=["poisson-classical", "hyperplane"])
+    ("identity-suite", {"n": 2, "d": 2}, "no invertible bracket after 21 draws"),
+], ids=["poisson-classical", "hyperplane", "identity-suite"])
 def test_exhaustion_witness_states_the_draw_count(kind, params, witness):
     # bound = 0 makes every draw degenerate: the budget of 21 draws is spent
     report = run_scenario(make_scenario(kind, bound=0, trials=1, **params))
@@ -217,7 +218,7 @@ def test_singular_reported_fails_when_a_constant_leg_draw_is_inverted(monkeypatc
     s = make_scenario("corollary-legs", n=2, d=2, trials=1, legs="constant")
     assert [(c.name, c.status) for c in run_scenario(s).checks] == [
         ("singular-reported-t0", "pass")]
-    monkeypatch.setattr(cli.ncfam, "mat_inverse", lambda m: QMatrix.identity(m.rows))
+    monkeypatch.setattr(cli, "mat_inverse", lambda m: QMatrix.identity(m.rows))
     checks = run_scenario(s).checks
     assert [(c.name, c.status, c.witness) for c in checks] == [
         ("singular-reported-t0", "fail", "Delta_0 inverted after 0 singular draws")]
@@ -264,6 +265,8 @@ BAD_CONFIGS = {
     "hbar-f": "kind = hbar-localization\nseed = 1\nf = x^3\n",
     "T-grammar": "kind = weyl-basis\nseed = 1\nN = 2\nT = e3\n",
     "T-zero-denominator": "kind = weyl-rational\nseed = 1\nN = 2\nT = z*d1+1/0\n",
+    # one trial with d8 took 8.2 s at N = 4, with d48 14.4 s at N = 3
+    "T-order-above-cap": "kind = weyl-rational\nseed = 1\nN = 2\nT = d9\n",
     # size parameters out of range: each crashed in trial 0, passed without
     # deciding anything, or (grassmann bound = 0) never finished drawing
     "poisson-n-0": "kind = poisson-classical\nseed = 1\nn = 0\n",
@@ -288,6 +291,12 @@ BAD_CONFIGS = {
     # [-6, 6]: at N = 14 the draw never ended
     "weyl-rational-N-14-drawn": "kind = weyl-rational\nseed = 1\nN = 14\n",
     "weyl-basis-N-14-drawn": "kind = weyl-basis\nseed = 1\nN = 14\n",
+    # with points too: no trial gave a result within 95 s at N = 5
+    # (weyl-rational) or within 150 s at N = 7 (weyl-basis)
+    "weyl-rational-N-above-cap-with-points":
+        "kind = weyl-rational\nseed = 1\nN = 5\npoints = [0, 1, 2, 3, 4]\n",
+    "weyl-basis-N-above-cap-with-points":
+        "kind = weyl-basis\nseed = 1\nN = 7\npoints = [0, 1, 2, 3, 4, 5, 6]\n",
     "hbar-M-0": "kind = hbar-localization\nseed = 1\nM = 0\n",
     "hyperplane-g-0": "kind = hyperplane\nseed = 1\ng = 0\n",
     "skew-size-0": "kind = skew-matrix\nseed = 1\nsize = 0\n",
@@ -330,7 +339,7 @@ def test_least_accepted_sizes_run_and_pass(kind, params):
 
 @pytest.mark.parametrize("kind,field", [
     ("skew-matrix", "size"), ("poisson-classical", "n"), ("dual-number", "n"),
-    ("hyperplane", "g")])
+    ("hyperplane", "g"), ("weyl-rational", "N"), ("weyl-basis", "N")])
 def test_size_stops_at_its_measured_cap(kind, field):
     cap = cli.KIND_RANGES[kind][field][1]
     assert run_scenario(make_scenario(kind, trials=1, **{field: cap})).all_passed()
@@ -392,10 +401,21 @@ def test_config_error_names_the_field(field, params):
         make_scenario("weyl-rational", **{"N": 2, **params})
 
 
-def test_large_N_is_accepted_with_explicit_points():
-    points = list(range(14))
+def test_explicit_points_are_accepted_at_the_cap_and_refused_past_it():
     for kind in ("weyl-rational", "weyl-basis"):
-        assert make_scenario(kind, N=14, points=points).params["N"] == 14
+        cap = cli.KIND_RANGES[kind]["N"][1]
+        assert make_scenario(kind, N=cap, points=list(range(cap))).params["N"] == cap
+        with pytest.raises(ConfigError, match=f"^field 'N': must be at most {cap}$"):
+            make_scenario(kind, N=cap + 1, points=list(range(cap + 1)))
+
+
+def test_derivative_order_stops_at_its_measured_cap():
+    assert run_scenario(make_scenario("weyl-rational", N=2, T="d8", trials=1)).all_passed()
+    # d1023 and d1024 overflowed the exponent packing inside a trial
+    for order in (0, 9, 1023, 1024):
+        with pytest.raises(ConfigError, match=f"^field 'T': derivative order must be "
+                                              f"1 to 8, got {order}$"):
+            make_scenario("weyl-rational", N=2, T=f"d{order}")
 
 
 def test_every_check_has_anchor():

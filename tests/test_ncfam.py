@@ -5,9 +5,9 @@ import random
 
 import pytest
 
+from commfam import cli, ncfam
 from commfam.cli import run_scenario, scenario_from_config
 from commfam.exact import QMatrix, Rat, Singular, kron, mat_inverse, mul_on_leg
-from commfam import ncfam
 from commfam.ncfam import (LegFamily, bracket, check_identity_2a,
                            check_identity_2b, check_laplace_expansion,
                            check_main_id, check_pairwise_commute,
@@ -124,9 +124,9 @@ def test_delta_singletons_and_constant_shape():
     rng = random.Random(9)
     fs = [rand_mat(rng) for _ in range(3)]
     # one leg: Delta_i is the one remaining entry
-    assert family_minors(LegFamily.from_generators(fs[:2])) == [fs[1], fs[0]]
+    assert family_minors(LegFamily(((fs[0],), (fs[1],)))) == [fs[1], fs[0]]
     # Delta_0 over rows 1..n equals the antisymmetrised bracket
-    fam = LegFamily.from_generators(fs)
+    fam = LegFamily(tuple((f, f) for f in fs))
     assert family_minors(fam)[0] == bracket([fs[1], fs[2]])
 
 
@@ -179,7 +179,7 @@ def test_constant_leg_family_is_structurally_singular():
     rng = random.Random(21)
     for _ in range(5):
         fs = [rand_mat(rng, 2, 9) for _ in range(3)]
-        fam = LegFamily.from_generators(fs)
+        fam = LegFamily(tuple((f, f) for f in fs))
         with pytest.raises(Singular):
             mat_inverse(family_minors(fam)[0])
 
@@ -249,12 +249,26 @@ def test_main_id_trivial_equal_indices():
     assert is_zero(lhs - lhs)
 
 
-def test_sample_family_logs_exhaustion_for_constant_legs():
-    rng = random.Random(43)
-    outcome = sample_family(rng, 2, 2, constant_legs=True)
-    assert outcome.family is None
-    assert outcome.resamples == 21
-    assert outcome.minors is None and outcome.inv0 is None
+def test_constant_leg_trial_inverts_delta0_alone(monkeypatch):
+    # every constant-leg draw is singular: all 21 draws invert their 4 x 4
+    # Delta_0 = [f_1, f_2] and nothing else, and no per-leg family is built
+    sizes = []
+
+    def counting_inverse(m):
+        sizes.append(m.rows)
+        return mat_inverse(m)
+
+    def per_leg(*args, **kwargs):
+        raise AssertionError("the constant-leg trial built a per-leg family")
+
+    monkeypatch.setattr(cli, "mat_inverse", counting_inverse)
+    monkeypatch.setattr(ncfam, "family_minors", per_leg)
+    monkeypatch.setattr(ncfam, "sample_family", per_leg)
+    report = run_scenario(scenario_from_config(
+        {"kind": "corollary-legs", "seed": 43, "n": 2, "d": 2, "trials": 1,
+         "legs": "constant"}))
+    assert [(c.name, c.status) for c in report.checks] == [("singular-reported-t0", "pass")]
+    assert sizes == [4] * 21
 
 
 @pytest.mark.parametrize("kind,n,d", [("identity-suite", 3, 2), ("identity-suite", 4, 2),
