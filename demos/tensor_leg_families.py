@@ -41,8 +41,7 @@ print("== commuting Hamiltonians from a per-leg family ==")
 outcome = ncfam.sample_family(rng, n=3, d=2)
 fam = outcome.family
 print(f"sampled a 4x3 array of 2x2 matrices (resampled {outcome.resamples}x)")
-hs = ncfam.hamiltonians(outcome.minors, outcome.inv0)
-record = ncfam.check_pairwise_commute(hs)
+record = ncfam.check_pairwise_commute(outcome.minors, outcome.inv0)
 print("pairwise commutators of H_1, H_2, H_3 vanish:", record.status)
 
 print()

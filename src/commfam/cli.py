@@ -33,7 +33,6 @@ import argparse
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -322,9 +321,8 @@ def _trial_corollary_legs(params, rng, t) -> list[CheckRecord]:
     if outcome.family is None:
         return [failed("commute", ncfam.ANCHOR_COMMUTE,
                        f"Delta_0 singular for all {outcome.resamples} draws")]
-    hs = ncfam.hamiltonians(outcome.minors, outcome.inv0)
     return (_resample_log("invertible Delta_0 found", outcome.resamples, True)
-            + [ncfam.check_pairwise_commute(hs)])
+            + [ncfam.check_pairwise_commute(outcome.minors, outcome.inv0)])
 
 
 def _random_poly_2vars(rng, degree, bound) -> RatFunc:
@@ -557,6 +555,10 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> Report:
     trials = range(scenario.params["trials"])
     job = (scenario.kind, scenario.params, scenario.seed)
     if jobs > 1 and len(trials) > 1:
+        # imported here: the process pool costs an import of
+        # concurrent.futures.process that a one-process run never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = min(jobs, len(trials))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = [pool.submit(_run_trials, *job, trials[i::workers])

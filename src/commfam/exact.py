@@ -27,6 +27,11 @@ with zero tolerance:
   elimination (Bareiss), ``_eliminate``: the inverse reads its pivot rows
   and the rank counts them.  The determinant (``det``, by
   ``signed_minors``) shares no code with it and cross-checks it.
+* ``residue_primes``, ``residues`` and ``residue_mul`` -- word-size residues:
+  the largest primes below 2^28, a ``QMatrix`` reduced modulo each of them
+  as one int64 stack, and the prime-by-prime product of two stacks.  An
+  integer identity with a proven bound on its entries is decided on them by
+  Chinese remaindering, with no big-integer product.
 * ``signed_minors`` -- the one signed-bijection kernel: every determinant
   and every family of maximal minors Delta_0..Delta_k, whatever the entries
   (``Rat``, ``MPoly``, ``RatFunc``, dual numbers, Kronecker-placed matrices),
@@ -105,6 +110,9 @@ __all__ = [
     "maximal_minors",
     "rank",
     "kron",
+    "residue_primes",
+    "residues",
+    "residue_mul",
     "collect",
     "collect_products",
     "SparseSum",
@@ -1249,6 +1257,15 @@ class QMatrix:
 
     __hash__ = None
 
+    @property
+    def den(self) -> int:
+        """The common denominator of the entries, positive."""
+        return self._den
+
+    def height(self) -> int:
+        """The largest absolute numerator over ``den``; 0 for a zero matrix."""
+        return max(map(abs, self._nums), default=0)
+
     def first_nonzero(self) -> tuple[int, int, object] | None:
         """Row-major first nonzero entry, as a failure witness."""
         k = next((k for k, x in enumerate(self._nums) if x), None)
@@ -1355,6 +1372,103 @@ def rank(m: QMatrix) -> int:
     numerators; the common denominator does not change the rank."""
     cols = m.cols
     return len(_eliminate([m._nums[i * cols:(i + 1) * cols] for i in range(m.rows)], cols)[0])
+
+
+# ---------------------------------------------------------------------------
+# Word-size residues.
+#
+# An integer matrix Z with every |entry| <= bound is zero exactly when it is
+# zero modulo primes whose product exceeds 2 bound (Chinese remaindering; von
+# zur Gathen & Gerhard, Modern Computer Algebra, ch. 5), so such a decision
+# needs no big integer past the reduction.  The primes lie below 2^28 and a
+# product's inner dimension is at most _RESIDUE_MAX_DIM = 64 (the d^n cap of
+# the tensor-leg kinds), so a dot of residues stays below
+# 64 (2^28 - 1)^2 < 2^62 and fits int64.
+
+_PRIME_LIMIT = 1 << 28
+_RESIDUE_MAX_DIM = 64
+_PRIMES: list[int] = []  # primes below _PRIME_LIMIT, largest first, grown on demand
+
+
+def _is_prime(m: int) -> bool:
+    """Miller-Rabin to the bases 2, 3, 5 and 7, which is exact for every
+    m < 3,215,031,751 (Jaeschke 1993, Math. Comp. 61:915-926)."""
+    if m < 2:
+        return False
+    for p in (2, 3, 5, 7):
+        if m % p == 0:
+            return m == p
+    odd, twos = m - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, odd, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime(k: int) -> int:
+    """The k-th largest prime below 2^28 (k = 0 is the largest)."""
+    while len(_PRIMES) <= k:
+        m = _PRIMES[-1] - 2 if _PRIMES else _PRIME_LIMIT - 1
+        while not _is_prime(m):
+            m -= 2
+        _PRIMES.append(m)
+    return _PRIMES[k]
+
+
+def residue_primes(bound: int, skip: int) -> list[int]:
+    """The largest primes below 2^28 that do not divide ``skip``, in
+    descending order, as few as make their product exceed 2 ``bound``."""
+    primes, product, k = [], 1, 0
+    while product <= 2 * bound:
+        p = _prime(k)
+        k += 1
+        if skip % p:
+            primes.append(p)
+            product *= p
+    return primes
+
+
+def residues(m: QMatrix, primes: Sequence[int]) -> np.ndarray:
+    """m modulo each of ``primes``: the int64 stack of shape
+    (len(primes), rows, cols) whose slice k holds the numerators times the
+    inverse of the denominator modulo primes[k], in 0..p - 1.  No prime may
+    divide the denominator.
+
+    Numerators of any size are read as signed 16-bit limbs, one ``to_bytes``
+    per entry, and the limbs meet the powers 2^(16 l) mod p in one int64
+    matmul: a term stays below 2^16 2^28 = 2^44, so a sum of fewer than 2^19
+    limbs, a numerator of under 8 million bits, fits int64.
+    """
+    width = m.height().bit_length() // 16 + 1  # the sign bit included
+    raw = b"".join(x.to_bytes(2 * width, "little", signed=True) for x in m._nums)
+    limbs = np.frombuffer(raw, dtype="<u2").astype(np.int64).reshape(-1, width)
+    limbs[:, -1] -= (limbs[:, -1] >> 15) << 16  # the top limb carries the sign
+    ps = np.array(primes, dtype=np.int64)
+    powers = np.array([[pow(2, 16 * l, p) for p in primes] for l in range(width)],
+                      dtype=np.int64)
+    stack = limbs @ powers % ps
+    if m._den != 1:
+        stack = stack * np.array([pow(m._den, -1, p) for p in primes], dtype=np.int64) % ps
+    return stack.T.reshape(len(primes), m.rows, m.cols)
+
+
+def residue_mul(a: np.ndarray, b: np.ndarray, primes: Sequence[int]) -> np.ndarray:
+    """The slice-wise product a[k] @ b[k] modulo primes[k] of two
+    ``residues`` stacks, in 0..p - 1; the inner dimension is at most 64."""
+    if a.shape[-1] > _RESIDUE_MAX_DIM:
+        raise ValueError(f"inner dimension {a.shape[-1]} exceeds {_RESIDUE_MAX_DIM}: "
+                         "a dot of residues would leave int64")
+    return a @ b % np.array(primes, dtype=np.int64).reshape(-1, 1, 1)
 
 
 def signed_minors(a: Sequence[Sequence], mul=operator.mul, one=1) -> dict:

@@ -36,19 +36,37 @@ Elements of the tensor power are plain d^n x d^n ``QMatrix`` values.
 factor is ever embedded as a d^n x d^n matrix.
 Only Delta_0 is ever inverted, once per draw: ``sample_family``
 builds the minors and Delta_0^{-1} together, redraws while Delta_0 is
-``Singular`` and reports how many draws it discarded.  The Hamiltonians and
-the identity checks take the minors and Delta_0^{-1} from the sample and
-invert nothing themselves.
+``Singular`` and reports how many draws it discarded.  The Hamiltonians,
+the pairwise check and the identity checks take the minors and
+Delta_0^{-1} from the sample and invert nothing themselves.
+
+``check_pairwise_commute`` forms no big-integer product on a pass.  With
+Delta_0^{-1} = N / den and Delta_j = M_j / e_j over integers,
+den^2 e_a e_b (H_a H_b - H_b H_a) = N M_a N M_b - N M_b N M_a is an integer
+matrix with entries of at most 2 D^3 A^2 max|N|^2 (D = d^n, A the largest
+|M_j| entry).  The check takes the largest primes below 2^28 that divide
+no e_j and not den, as few as make their product exceed twice that bound
+(``exact.residue_primes``), and decides every commutator modulo all of them
+in int64: ``hamiltonians`` multiplies ``exact.residues`` stacks with
+``exact.residue_mul`` (D is at most 64, so a dot stays below 2^62).  Zero
+modulo every prime is zero (Chinese remaindering).  Any nonzero residue
+reruns the exact products of ``hamiltonians``, whose first nonzero
+commutator entry is the witness.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 import random
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .exact import (QMatrix, Singular, kron, mat_inverse, maximal_minors, mul_on_leg,
-                    signed_minors)
+                    residue_mul, residue_primes, residues, signed_minors)
 from .reports import CheckRecord, first_witness, verdict
 from .rng import resample
 
@@ -103,13 +121,14 @@ def family_minors(fam: LegFamily) -> list[QMatrix]:
     return maximal_minors(fam.entries, kron, QMatrix.identity(1))
 
 
-def hamiltonians(minors: list[QMatrix], inv0: QMatrix) -> list[QMatrix]:
-    """H_i = Delta_0^{-1} Delta_i for i = 1..n.
+def hamiltonians(minors: list, inv0, mul=operator.mul) -> list:
+    """H_i = Delta_0^{-1} Delta_i for i = 1..n, ``mul`` being the product.
 
-    ``minors`` and ``inv0`` = Delta_0^{-1} are those of a ``SampleOutcome``;
-    nothing is built or inverted here.
+    ``minors`` and ``inv0`` = Delta_0^{-1} are those of a ``SampleOutcome``,
+    as ``QMatrix`` values or as ``exact.residues`` stacks with
+    ``exact.residue_mul`` as the product; nothing is built or inverted here.
     """
-    return [inv0 * m for m in minors[1:]]
+    return [mul(inv0, m) for m in minors[1:]]
 
 
 def rest_brackets(fs: list[list[QMatrix]]) -> list[QMatrix]:
@@ -145,8 +164,33 @@ def _witness(diff: QMatrix, label: str) -> str | None:
     return f"{label}: first nonzero entry ({i},{j}) = {v}"
 
 
-def check_pairwise_commute(hs: list[QMatrix]) -> CheckRecord:
-    """Exact test H_i H_j - H_j H_i = 0 for every pair."""
+def _commute_on_residues(minors: list[QMatrix], inv0: QMatrix) -> bool:
+    """True exactly when H_a H_b = H_b H_a for every pair, decided on
+    word-size residues under the bound of the module docstring: an entry of
+    N M_a N M_b - N M_b N M_a is two sums of D^3 products, each at most
+    max|N|^2 A^2.  A residue of H_a H_b - H_b H_a is that integer matrix
+    times the unit (den^2 e_a e_b)^-1, so both vanish together.
+    """
+    bound = (2 * inv0.rows ** 3 * max(m.height() for m in minors[1:]) ** 2
+             * inv0.height() ** 2)
+    primes = residue_primes(bound, skip=inv0.den * math.prod(m.den for m in minors))
+    mul = functools.partial(residue_mul, primes=primes)
+    hs = hamiltonians([residues(m, primes) for m in minors], residues(inv0, primes), mul)
+    return all(np.array_equal(mul(hs[a], hs[b]), mul(hs[b], hs[a]))
+               for a, b in combinations(range(len(hs)), 2))
+
+
+def check_pairwise_commute(minors: list[QMatrix], inv0: QMatrix) -> CheckRecord:
+    """H_i H_j - H_j H_i = 0 for every pair, H_i = Delta_0^{-1} Delta_i.
+
+    ``minors`` lists Delta_0..Delta_n and ``inv0`` is Delta_0^{-1}, as a
+    ``SampleOutcome`` holds them, and d^n is at most 64.  A pass is proved on
+    residues (``_commute_on_residues``); otherwise the exact products of
+    ``hamiltonians`` give the witness, the first nonzero commutator entry.
+    """
+    if _commute_on_residues(minors, inv0):
+        return verdict("pairwise-commute", ANCHOR_COMMUTE, None)
+    hs = hamiltonians(minors, inv0)
     return verdict("pairwise-commute", ANCHOR_COMMUTE, first_witness(
         _witness(hs[a] * hs[b] - hs[b] * hs[a], f"[H_{a + 1}, H_{b + 1}]")
         for a, b in combinations(range(len(hs)), 2)))

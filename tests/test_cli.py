@@ -1,6 +1,10 @@
 """Scenario runner: configs, dispatch, reports, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +162,21 @@ def test_declared_error_skips_only_its_trial(monkeypatch, jobs):
     assert checks[3].status == "skipped"
     assert checks[3].witness == "ZeroDelta0: injected at trial 3"
     assert checks[:3] + checks[4:] == clean[:3] + clean[4:]
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only --jobs > 1 fans trials out, so importing the CLI in a fresh
+    # interpreter must not import concurrent.futures.process
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                       env.get("PYTHONPATH")]))
+    code = ("import sys\nimport commfam.cli\n"
+            "print('concurrent.futures.process' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 @pytest.mark.parametrize("kind,params,witness", [

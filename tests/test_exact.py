@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from commfam import exact
+from commfam import cli, exact
 from commfam.cli import run_scenario, scenario_from_config
 from commfam.exact import (MPoly, QMatrix, Rat, RatFunc, Singular, collect, det,
                            dot, kron, mat_inverse, rank)
@@ -169,6 +169,21 @@ def test_dict_mul_kernels_agree_across_the_cutoff(nvars):
             big = la * lb >= _NP_PAIR_CUTOFF and nvars == 6
             assert route == ("_dot_sort" if big else "_dot_py")
             assert nonzero(out) == py_mul(a, b)
+
+
+@pytest.mark.parametrize("nvars", [6, 7])
+def test_packed_key_sums_past_int64_take_the_python_loop(nvars):
+    # every key has exponent 4 in the last variable.  At 7 variables a key is
+    # below 5 * 2^60 and converts to int64, but each product key reaches
+    # 8 * 2^60 = 2^63, past it, so 625 pairs must stay in Python; the 6-variable
+    # twin sums to 8 * 2^50 and takes numpy
+    keys = [_pack([i % 5, i // 5] + [0] * (nvars - 3) + [4]) for i in range(25)]
+    a = {k: i + 1 for i, k in enumerate(keys)}
+    b = {k: (-1) ** i * (i + 2) for i, k in enumerate(keys)}
+    assert max(keys) < 1 << 63 <= 2 * min(keys) or nvars == 6
+    out, route = routed_mul(a, b, nvars)
+    assert route == ("_dot_py" if nvars == 7 else "_dot_sort")
+    assert nonzero(out) == py_mul(a, b)
 
 
 def test_dict_mul_np_drops_cancelled_terms():
@@ -889,3 +904,83 @@ def test_collect_keeps_first_appearance_and_drops_zero_sums():
     out = collect([(2, x), (0, one), (1, x), (2, -x), (0, one)])
     assert list(out) == [0, 1]
     assert out[0] == RatFunc.const(1, 2) and out[1] == x
+
+
+# -- word-size residues -------------------------------------------------------
+
+
+def test_residue_primes_are_the_largest_primes_below_2_28_in_order():
+    assert exact._PRIME_LIMIT == 1 << 28
+    assert [exact._prime(k) for k in range(3)] == [268435399, 268435367, 268435361]
+    primes = [exact._prime(k) for k in range(80)]
+    assert primes == sorted(primes, reverse=True) and len(set(primes)) == 80
+    # the end of the primality test's range: 3,215,031,751 = 151 * 751 * 28351
+    # is the least strong pseudoprime to the bases 2, 3, 5 and 7, so the test
+    # takes it for a prime
+    assert 3215031751 == 151 * 751 * 28351 and exact._is_prime(3215031751)
+    assert [m for m in range(3000) if exact._is_prime(m)] == [
+        m for m in range(2, 3000) if all(m % q for q in range(2, math.isqrt(m) + 1))]
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2 ** 27, 2 ** 28, 10 ** 40, 3 ** 400])
+def test_residue_primes_take_the_fewest_whose_product_exceeds_twice_the_bound(bound):
+    primes = exact.residue_primes(bound, 1)
+    assert math.prod(primes) > 2 * bound
+    assert not primes or math.prod(primes[:-1]) <= 2 * bound
+    assert primes == [exact._prime(k) for k in range(len(primes))]
+
+
+def test_a_prime_dividing_skip_is_skipped():
+    first, second = exact._prime(0), exact._prime(1)
+    assert exact.residue_primes(10 ** 20, skip=first)[0] == second
+    assert first not in exact.residue_primes(10 ** 20, skip=first * 12)
+    assert exact.residue_primes(10 ** 20, skip=12)[0] == first
+
+
+def test_a_multiple_of_all_but_the_last_prime_leaves_a_residue_in_the_last():
+    # with bound = p_0 ... p_(k-1), k primes give a product of exactly the
+    # bound, so residue_primes takes k + 1; a matrix of that bound is zero
+    # modulo the first k and nonzero modulo the last alone
+    head = [exact._prime(k) for k in range(4)]
+    bound = math.prod(head)
+    primes = exact.residue_primes(bound, 1)
+    assert primes[:-1] == head and len(primes) == 5
+    z = QMatrix.from_rows([[0, bound], [-bound, 0]])
+    stack = exact.residues(z, primes)
+    assert not stack[:-1].any()
+    assert stack[-1].tolist() == [[0, bound % primes[-1]], [-bound % primes[-1], 0]]
+
+
+def test_residues_match_python_ints_past_int64_and_over_a_denominator():
+    rng = random.Random(41)
+    primes = exact.residue_primes(10 ** 60, 1)
+    for height in (1, 2 ** 15, 2 ** 63, 2 ** 70, 2 ** 200):
+        nums = [rng.randint(-height, height) for _ in range(6)] + [height, -height]
+        for den in (1, 7, 2 ** 70 + 1):
+            m = QMatrix(2, 4, [Fraction(x, den) for x in nums])
+            stack = exact.residues(m, primes)
+            assert stack.dtype == np.int64 and stack.shape == (len(primes), 2, 4)
+            for k, p in enumerate(primes):
+                assert stack[k].tolist() == [
+                    [m[i, j].numerator * pow(m[i, j].denominator, -1, p) % p
+                     for j in range(4)] for i in range(2)]
+
+
+def test_residues_refuse_a_prime_dividing_the_denominator():
+    p = exact._prime(0)
+    with pytest.raises(ValueError):
+        exact.residues(QMatrix(1, 1, [Fraction(1, p)]), [p])
+
+
+def test_residue_mul_holds_the_int64_edge_at_inner_dimension_64():
+    # every residue p - 1: each dot is 64 (p - 1)^2 < 2^62 before reduction
+    primes = [exact._prime(k) for k in range(3)]
+    assert exact._RESIDUE_MAX_DIM == 64 >= cli.MAX_LEG_DIM
+    assert 64 * (exact._PRIME_LIMIT - 1) ** 2 < 1 << 62
+    ps = np.array(primes, dtype=np.int64).reshape(-1, 1, 1)
+    a = np.broadcast_to(ps - 1, (3, 2, 64)).copy()
+    b = np.broadcast_to(ps - 1, (3, 64, 3)).copy()
+    out = exact.residue_mul(a, b, primes)
+    assert out.tolist() == [[[64 * (p - 1) ** 2 % p] * 3] * 2 for p in primes]
+    with pytest.raises(ValueError, match="inner dimension 65"):
+        exact.residue_mul(np.ones((3, 2, 65), np.int64), np.ones((3, 65, 2), np.int64), primes)

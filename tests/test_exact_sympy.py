@@ -3,7 +3,7 @@ sympy is missing): kernel determinants of integer and ``MPoly`` matrices,
 ``MPoly``/``RatFunc`` arithmetic on both sides of the numpy pair cutoff,
 ``RatFunc`` arithmetic over repeated linear denominator factors, and the
 canonical Poisson bracket on both of its routes, which it takes by
-factor-map equality."""
+factor-map equality; and the word-size primes of the residue route."""
 
 import itertools
 import math
@@ -257,3 +257,13 @@ def test_results_keep_no_monomial_factor_dividing_the_numerator():
         results += [f.partial(i).partial(j) for i in range(4) for j in range(4)]
         for got in results:
             assert_no_monomial_factor_divides(got)
+
+
+def test_residue_primes_are_sympys_primes_below_2_28():
+    # the Miller-Rabin test and the descending walk against sympy's own
+    limit = exact._PRIME_LIMIT
+    assert all(exact._is_prime(m) == sympy.isprime(m) for m in range(limit - 3000, limit))
+    p = limit
+    for k in range(80):
+        p = sympy.prevprime(p)
+        assert exact._prime(k) == p

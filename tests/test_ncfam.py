@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from commfam import cli, ncfam
+from commfam import cli, exact, ncfam
 from commfam.cli import run_scenario, scenario_from_config
 from commfam.exact import QMatrix, Rat, Singular, kron, mat_inverse, mul_on_leg
 from commfam.ncfam import (LegFamily, bracket, check_identity_2a,
@@ -160,8 +160,7 @@ def test_hamiltonians_scalar_legs_commute():
         tuple(QMatrix.from_rows([[rng.randint(1, 9)]]) for _ in range(3))
         for _ in range(4)))
     minors = family_minors(fam)
-    hs = hamiltonians(minors, mat_inverse(minors[0]))
-    assert check_pairwise_commute(hs).status == "pass"
+    assert check_pairwise_commute(minors, mat_inverse(minors[0])).status == "pass"
 
 
 def test_hamiltonians_commute_varying_legs():
@@ -169,8 +168,7 @@ def test_hamiltonians_commute_varying_legs():
     for n, d in ((2, 2), (3, 2), (2, 3)):
         outcome = sample_family(rng, n, d)
         assert outcome.family is not None
-        hs = hamiltonians(outcome.minors, outcome.inv0)
-        assert check_pairwise_commute(hs).status == "pass"
+        assert check_pairwise_commute(outcome.minors, outcome.inv0).status == "pass"
 
 
 def test_constant_leg_family_is_structurally_singular():
@@ -185,15 +183,127 @@ def test_constant_leg_family_is_structurally_singular():
 
 
 def test_pairwise_commute_diagonal_passes():
+    # with Delta_0 = I the Hamiltonians are the minors themselves
     diag1 = QMatrix.from_rows([[2, 0], [0, 3]])
     diag2 = QMatrix.from_rows([[5, 0], [0, 7]])
-    assert check_pairwise_commute([diag1, diag2]).status == "pass"
+    eye = QMatrix.identity(2)
+    assert check_pairwise_commute([eye, diag1, diag2], eye).status == "pass"
 
 
 def test_pairwise_commute_detects_failure_with_witness():
-    record = check_pairwise_commute([E12, E21])
+    eye = QMatrix.identity(2)
+    record = check_pairwise_commute([eye, E12, E21], eye)
     assert record.status == "fail"
-    assert "entry" in record.witness
+    assert record.witness == "[H_1, H_2]: first nonzero entry (0,0) = 1"
+
+
+def exact_commute_witness(minors, inv0):
+    """The first nonzero commutator entry of the exact Hamiltonians, as the
+    check words it; None when every pair commutes."""
+    hs = hamiltonians(minors, inv0)
+    for a, b in itertools.combinations(range(len(hs)), 2):
+        spot = (hs[a] * hs[b] - hs[b] * hs[a]).first_nonzero()
+        if spot is not None:
+            return f"[H_{a + 1}, H_{b + 1}]: first nonzero entry ({spot[0]},{spot[1]}) = {spot[2]}"
+    return None
+
+
+def assert_decided_as_exactly(minors, inv0):
+    """The check's verdict and witness are those of the exact products."""
+    want = exact_commute_witness(minors, inv0)
+    record = check_pairwise_commute(minors, inv0)
+    assert ncfam._commute_on_residues(minors, inv0) == (want is None)
+    assert (record.status, record.witness) == ("pass" if want is None else "fail", want)
+    return record
+
+
+def perturbed_draws(minors, inv0):
+    """A minor off by one, then Delta_0^{-1} off by one."""
+    yield [off_by_one(m) if i == 2 else m for i, m in enumerate(minors)], inv0
+    yield minors, off_by_one(inv0)
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3)])
+def test_residue_verdict_is_the_exact_verdict(n, d):
+    outcome = sample_family(random.Random(10 * n + d), n, d)
+    assert assert_decided_as_exactly(outcome.minors, outcome.inv0).status == "pass"
+    for minors, inv0 in perturbed_draws(outcome.minors, outcome.inv0):
+        assert assert_decided_as_exactly(minors, inv0).status == "fail"
+
+
+def test_only_a_failing_check_forms_the_exact_products(monkeypatch, sample_n3):
+    products = []
+    mul = QMatrix.__mul__
+    monkeypatch.setattr(QMatrix, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    assert check_pairwise_commute(sample_n3.minors, sample_n3.inv0).status == "pass"
+    assert products == []
+    minors, inv0 = next(perturbed_draws(sample_n3.minors, sample_n3.inv0))
+    assert check_pairwise_commute(minors, inv0).status == "fail"
+    assert products  # the exact route found the witness
+
+
+def spy_primes(monkeypatch):
+    """(bound, primes) of each prime choice the pairwise check makes, in
+    call order."""
+    taken = []
+    choose = ncfam.residue_primes
+
+    def spy(bound, skip):
+        taken.append((bound, choose(bound, skip)))
+        return taken[-1][1]
+
+    monkeypatch.setattr(ncfam, "residue_primes", spy)
+    return taken
+
+
+def test_a_denominator_that_is_the_first_prime_skips_it(monkeypatch):
+    # Delta_0 = p I with p the largest prime below 2^28 gives inv0 = I / p;
+    # H_1 = Delta_1 / p and H_2 = (Delta_1^2 + 3 Delta_1) / p commute, and
+    # Delta_1 and a perturbed Delta_2 do not
+    p = exact._prime(0)
+    rng = random.Random(43)
+    delta1 = rand_mat(rng, 4, 9)
+    delta0 = QMatrix.identity(4).scale(p)
+    inv0 = mat_inverse(delta0)
+    assert inv0.den == p
+    taken = spy_primes(monkeypatch)
+    commuting = [delta0, delta1, delta1 * delta1 + delta1.scale(3)]
+    assert assert_decided_as_exactly(commuting, inv0).status == "pass"
+    assert assert_decided_as_exactly([delta0, delta1, off_by_one(commuting[2])],
+                                     inv0).status == "fail"
+    # a rational minor whose denominator is the next prime skips that one too
+    q = exact._prime(1)
+    assert assert_decided_as_exactly([delta0, delta1.scale(Rat(1, q)), commuting[2]],
+                                     inv0).status == "pass"
+    # each assert_decided_as_exactly call chooses primes twice
+    assert [primes[0] for _, primes in taken] == [exact._prime(1)] * 4 + [exact._prime(2)] * 2
+
+
+def test_minor_entries_past_2_70_are_decided_as_exactly(sample_n3):
+    big = [m.scale(2 ** 70 + 1) for m in sample_n3.minors]
+    assert min(m.height() for m in big[1:]) >= 2 ** 70
+    assert assert_decided_as_exactly(big, sample_n3.inv0).status == "pass"
+    for minors, inv0 in perturbed_draws(big, sample_n3.inv0):
+        assert assert_decided_as_exactly(minors, inv0).status == "fail"
+
+
+def test_the_stated_bound_bounds_the_integer_commutators(monkeypatch, sample_n3):
+    # den^2 e_a e_b [H_a, H_b] = N M_a N M_b - N M_b N M_a over the numerators
+    taken = spy_primes(monkeypatch)
+    for minors, inv0 in perturbed_draws(sample_n3.minors, sample_n3.inv0):
+        assert check_pairwise_commute(minors, inv0).status == "fail"
+        big_n = inv0.scale(inv0.den)
+        ms = [m.scale(m.den) for m in minors[1:]]
+        height = max((big_n * a * big_n * b - big_n * b * big_n * a).height()
+                     for a, b in itertools.combinations(ms, 2))
+        assert 0 < height <= taken[-1][0]
+
+
+def test_a_seed_1_draw_at_3_3_takes_its_pinned_prime_count(monkeypatch):
+    outcome = sample_family(random.Random(1), 3, 3)
+    taken = spy_primes(monkeypatch)
+    assert check_pairwise_commute(outcome.minors, outcome.inv0).status == "pass"
+    assert [len(primes) for _, primes in taken] == [14]
 
 
 def test_identity_2a_n2_per_leg_and_singular_cases():
@@ -420,9 +530,10 @@ def test_negative_control_main_id(sample_n3):
 
 
 def test_negative_control_pairwise_commute(sample_n3):
-    hs = hamiltonians(sample_n3.minors, sample_n3.inv0)
-    assert check_pairwise_commute(hs).status == "pass"
-    assert_fails_with_entry(check_pairwise_commute([off_by_one(hs[0]), *hs[1:]]))
+    minors, inv0 = sample_n3.minors, sample_n3.inv0
+    assert check_pairwise_commute(minors, inv0).status == "pass"
+    perturbed = [off_by_one(m) if i == 1 else m for i, m in enumerate(minors)]
+    assert_fails_with_entry(check_pairwise_commute(perturbed, inv0))
 
 
 def test_negative_control_shared_inverse(sample_n3):
@@ -432,7 +543,7 @@ def test_negative_control_shared_inverse(sample_n3):
     rows, rests, _ = suite_rows(sample_n3)
     assert_fails_with_entry(check_identity_2a(rows, [rest * wrong for rest in rests]))
     assert_fails_with_entry(check_main_id(sample_n3.minors, wrong))
-    assert_fails_with_entry(check_pairwise_commute(hamiltonians(sample_n3.minors, wrong)))
+    assert_fails_with_entry(check_pairwise_commute(sample_n3.minors, wrong))
 
 
 # anchor -> its negative control above, for the anchor-coverage test in
